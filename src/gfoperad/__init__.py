@@ -60,13 +60,11 @@ from gfoperad.symbols import (
     ShapeError,
     check_grading,
     directional_contract,
-    flatten_blocks,
     p_key,
     random_graded_series,
     series_dumps,
     series_eval,
     series_loads,
-    unflatten_blocks,
     x_key,
 )
 from gfoperad.trees import (

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from gfoperad.symbols import (
     FormalSeries,
     PolySymbol,
+    _accumulate,
     contracted_gradient,
     directional_contract,
 )
@@ -49,10 +50,13 @@ def pair(a: SlotVector, b: SlotVector) -> PolySymbol:
         raise ValueError(f"pairing requires opposite slot tags, both are {a.tag!r}")
     if len(a) != len(b):
         raise ValueError("pairing length mismatch")
-    total = a.components[0] * b.components[0]
-    for u, v in zip(a.components[1:], b.components[1:]):
-        total = total + u * v
-    return total
+    first = a.components[0]
+    total = {}
+    for u, v in zip(a.components, b.components):
+        prod = u * v
+        first._require_shape(prod)
+        _accumulate(total, prod.terms.items())
+    return PolySymbol._trusted(first.dim, first.blocks, total)
 
 
 class SeriesPair:

@@ -28,6 +28,7 @@ from gfoperad.symbols import (
     FormalSeries,
     PolySymbol,
     ShapeError,
+    _accumulate,
     check_grading,
     p_key,
     series_eval,
@@ -181,12 +182,8 @@ def compose(outer: GenFunction, inners, order: int, cap: int = DEFAULT_ORDER_CAP
             value = elementary_function(top, data, memo)
             if value.is_zero():
                 continue
-            weight = top.total_weight
-            contribution = value.scale(Fraction(1, symmetry_coefficient(top)))
-            if weight in sums:
-                sums[weight] = sums[weight] + contribution
-            else:
-                sums[weight] = contribution
+            weight_terms = sums.setdefault(top.total_weight, {})
+            _accumulate(weight_terms, value.terms.items(), Fraction(1, symmetry_coefficient(top)))
 
     # base-point substitution: p_outer -> block sums of inner p, glue x -> x
     base_map = {}
@@ -215,8 +212,8 @@ def compose(outer: GenFunction, inners, order: int, cap: int = DEFAULT_ORDER_CAP
         out_map[p_key(K + 2, i)] = x_key(i)
 
     result_orders = {}
-    for weight, sym in sums.items():
-        substituted = sym.substitute(base_map)
+    for weight, terms in sums.items():
+        substituted = PolySymbol._trusted(w_dim, w_blocks, terms).substitute(base_map)
         result_orders[weight] = substituted.remap_variables(out_map, d, max(K, 1)).with_shape(
             d, K
         )

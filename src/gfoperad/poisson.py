@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from gfoperad.symbols import PolySymbol, poly_from_obj, poly_to_obj, x_key
+from gfoperad.symbols import PolySymbol, _json_check, poly_from_obj, poly_to_obj, x_key
 
 
 @dataclass
@@ -111,10 +111,14 @@ def poisson_to_obj(alpha: PoissonStructure):
 
 
 def poisson_from_obj(obj) -> PoissonStructure:
-    dim = obj["dim"]
-    entries = {
-        (e["i"], e["j"]): poly_from_obj(e["terms"], dim, 0) for e in obj["entries"]
-    }
+    _json_check(obj, dict, "Poisson structure")
+    dim = _json_check(obj["dim"], int, "dim")
+    entries = {}
+    for e in _json_check(obj["entries"], list, "entries"):
+        _json_check(e, dict, "entry")
+        i = _json_check(e["i"], int, "entry index i")
+        j = _json_check(e["j"], int, "entry index j")
+        entries[(i, j)] = poly_from_obj(e["terms"], dim, 0)
     return PoissonStructure(dim, entries)
 
 

@@ -128,7 +128,7 @@ def _order_columns(n: int, d: int):
         for i in range(1, d + 1)
     }
     for mono in basis:
-        sym = PolySymbol(d, 2, {mono: Fraction(1)}, _validated=True)
+        sym = PolySymbol._trusted(d, 2, {mono: Fraction(1)})
         d_cols.append(dict(coboundary_symbol(sym, 2).terms))
         sgs_cols.append(dict(sym.substitute(flip).terms))
     return basis, d_cols, sgs_cols
@@ -166,7 +166,7 @@ def _solve_order(h_n: PolySymbol, n: int, d: int) -> PolySymbol:
             if value:
                 mono = tuple(sorted(basis[idx] + x_part))
                 solution_terms[mono] = value
-    return PolySymbol(d, 2, solution_terms, _validated=True)
+    return PolySymbol._trusted(d, 2, solution_terms)
 
 
 def solve_deformation(

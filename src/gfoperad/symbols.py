@@ -2,10 +2,18 @@
 
 A variable is a tuple ``("p", block, comp)`` or ``("x", comp)`` with 1-based
 indices; a monomial is a tuple of ``(variable, exponent)`` pairs sorted by
-variable.  Coefficients are :class:`fractions.Fraction`; zero coefficients are
-never stored.  The natural tuple order on variables (p before x, blocks
-ascending) combined with degree-major monomial sorting gives a fixed canonical
-term order, so serialized output is byte-stable.
+variable.  The natural tuple order on variables (p before x, blocks ascending)
+combined with degree-major monomial sorting gives a fixed canonical term order,
+so serialized output is byte-stable.
+
+Term invariant: every ``PolySymbol.terms`` dict maps a monomial with strictly
+increasing variables, each in the symbol's shape and with exponent >= 1, to a
+nonzero :class:`fractions.Fraction`; no two symbols share one dict.  The public
+constructor ``PolySymbol(dim, blocks, terms)`` establishes it for outside input
+(it copies, sorts, validates and converts).  Everything built inside the kernel
+goes through :meth:`PolySymbol._trusted`, which wraps an already-clean dict
+without copying or checking, and every sum is built by :func:`_accumulate`, the
+one accumulation path: it adds terms into a dict in place and drops zeros.
 
 :class:`FormalSeries` collects an order-indexed family of symbols.  A graded
 series of arity n keeps its order-i term homogeneous of p-degree i+1, which is
@@ -67,6 +75,32 @@ def _mul_monomials(m1, m2):
     return tuple(out)
 
 
+def _accumulate(acc, terms, factor=None, mono=()):
+    """Add ``factor * mono * m`` into ``acc`` for each ``(m, c)`` of ``terms``.
+
+    ``acc`` is a clean terms dict owned by the caller and updated in place;
+    entries that cancel are deleted, so ``acc`` stays clean.  ``terms`` is an
+    iterable of (monomial, Fraction) pairs with nonzero coefficients,
+    ``factor`` a nonzero rational (None means 1) and ``mono`` a monomial
+    multiplied into every term.
+    """
+    get = acc.get
+    for m, c in terms:
+        if mono:
+            m = _mul_monomials(mono, m)
+        if factor is not None:
+            c = c * factor
+        old = get(m)
+        if old is None:
+            acc[m] = c
+        else:
+            c = old + c
+            if c:
+                acc[m] = c
+            else:
+                del acc[m]
+
+
 def monomial_degree(monomial) -> int:
     return sum(e for _, e in monomial)
 
@@ -80,31 +114,50 @@ def monomial_sort_key(monomial):
 
 
 class PolySymbol:
-    """Immutable sparse polynomial over exact rationals."""
+    """Immutable sparse polynomial over exact rationals.
+
+    ``PolySymbol(dim, blocks, terms)`` is the validating constructor for
+    outside input: it accepts any monomial order and int or Fraction
+    coefficients, adds terms that sort to one monomial, drops zeros, and raises
+    :class:`ShapeError` or ``ValueError`` on a variable outside the shape, a
+    repeated variable or an exponent below 1.  :meth:`_trusted` is the kernel's
+    path for dicts that already hold the term invariant (module docstring).
+    """
 
     __slots__ = ("dim", "blocks", "terms")
 
-    def __init__(self, dim: int, blocks: int, terms=None, *, _validated=False):
+    def __init__(self, dim: int, blocks: int, terms=None):
         if dim < 1:
             raise ShapeError(f"dim must be positive, got {dim}")
         if blocks < 0:
             raise ShapeError(f"blocks must be non-negative, got {blocks}")
         clean = {}
         if terms:
+            checked = []
             for mono, coeff in terms.items():
+                mono = tuple(sorted(mono))
+                for k, (var, exp) in enumerate(mono):
+                    if exp < 1:
+                        raise ValueError(f"exponent must be >= 1 in {mono}")
+                    if k and mono[k - 1][0] == var:
+                        raise ValueError(f"repeated variable {var} in {mono}")
+                    _validate_var(var, dim, blocks)
                 coeff = Fraction(coeff)
-                if coeff == 0:
-                    continue
-                if not _validated:
-                    mono = tuple(sorted(mono))
-                    for var, exp in mono:
-                        if exp < 1:
-                            raise ValueError(f"exponent must be >= 1 in {mono}")
-                        _validate_var(var, dim, blocks)
-                clean[mono] = coeff
+                if coeff:
+                    checked.append((mono, coeff))
+            _accumulate(clean, checked)
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "blocks", blocks)
         object.__setattr__(self, "terms", clean)
+
+    @staticmethod
+    def _trusted(dim: int, blocks: int, terms: dict) -> "PolySymbol":
+        """Wrap ``terms``, which must hold the term invariant and be owned by no one else."""
+        sym = object.__new__(PolySymbol)
+        object.__setattr__(sym, "dim", dim)
+        object.__setattr__(sym, "blocks", blocks)
+        object.__setattr__(sym, "terms", terms)
+        return sym
 
     def __setattr__(self, name, value):
         raise AttributeError("PolySymbol is immutable")
@@ -165,20 +218,12 @@ class PolySymbol:
             other = PolySymbol.constant(other, self.dim, self.blocks)
         self._require_shape(other)
         terms = dict(self.terms)
-        for mono, coeff in other.terms.items():
-            new = terms.get(mono, 0) + coeff
-            if new == 0:
-                terms.pop(mono, None)
-            else:
-                terms[mono] = new
-        return PolySymbol(self.dim, self.blocks, terms, _validated=True)
+        _accumulate(terms, other.terms.items())
+        return PolySymbol._trusted(self.dim, self.blocks, terms)
 
     def __neg__(self):
-        return PolySymbol(
-            self.dim,
-            self.blocks,
-            {m: -c for m, c in self.terms.items()},
-            _validated=True,
+        return PolySymbol._trusted(
+            self.dim, self.blocks, {m: -c for m, c in self.terms.items()}
         )
 
     def __sub__(self, other):
@@ -190,29 +235,18 @@ class PolySymbol:
         factor = Fraction(factor)
         if factor == 0:
             return PolySymbol.zero(self.dim, self.blocks)
-        return PolySymbol(
-            self.dim,
-            self.blocks,
-            {m: c * factor for m, c in self.terms.items()},
-            _validated=True,
+        return PolySymbol._trusted(
+            self.dim, self.blocks, {m: c * factor for m, c in self.terms.items()}
         )
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         self._require_shape(other)
-        if not self.terms or not other.terms:
-            return PolySymbol.zero(self.dim, self.blocks)
         terms = {}
         for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                mono = _mul_monomials(m1, m2)
-                new = terms.get(mono, 0) + c1 * c2
-                if new == 0:
-                    terms.pop(mono, None)
-                else:
-                    terms[mono] = new
-        return PolySymbol(self.dim, self.blocks, terms, _validated=True)
+            _accumulate(terms, other.terms.items(), c1, m1)
+        return PolySymbol._trusted(self.dim, self.blocks, terms)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -244,9 +278,11 @@ class PolySymbol:
                         new_mono = mono[:idx] + mono[idx + 1 :]
                     else:
                         new_mono = mono[:idx] + ((v, e - 1),) + mono[idx + 1 :]
-                    terms[new_mono] = terms.get(new_mono, 0) + coeff * e
+                    # lowering the exponent of ``var`` is injective, so no
+                    # two terms meet and no coefficient cancels
+                    terms[new_mono] = coeff * e
                     break
-        return PolySymbol(self.dim, self.blocks, terms, _validated=True)
+        return PolySymbol._trusted(self.dim, self.blocks, terms)
 
     def grad_p(self, block: int):
         """Partial derivatives with respect to p[block][1..dim]."""
@@ -274,49 +310,50 @@ class PolySymbol:
             else:
                 images[var] = PolySymbol.constant(image, dim, blocks)
         power_cache = {}
-
-        def image_power(var, exp):
-            key = (var, exp)
-            if key not in power_cache:
-                power_cache[key] = images[var] ** exp
-            return power_cache[key]
-
-        result = PolySymbol.zero(dim, blocks)
+        terms = {}
         for mono, coeff in self.terms.items():
             fixed = []
             factor = None
             for var, exp in mono:
                 if var in images:
-                    piece = image_power(var, exp)
+                    piece = power_cache.get((var, exp))
+                    if piece is None:
+                        image = images[var]
+                        if image.dim != dim or image.blocks != blocks:
+                            raise ShapeError(
+                                f"shape mismatch: ({dim},{blocks}) vs ({image.dim},{image.blocks})"
+                            )
+                        piece = power_cache[(var, exp)] = image**exp
                     factor = piece if factor is None else factor * piece
                 else:
                     _validate_var(var, dim, blocks)
                     fixed.append((var, exp))
-            term = PolySymbol(dim, blocks, {tuple(fixed): coeff}, _validated=True)
-            if factor is not None:
-                term = term * factor
-            result = result + term
-        return result
+            if factor is None:
+                _accumulate(terms, ((tuple(fixed), coeff),))
+            else:
+                _accumulate(terms, factor.terms.items(), coeff, tuple(fixed))
+        return PolySymbol._trusted(dim, blocks, terms)
 
     def remap_variables(self, mapping, dim: int, blocks: int) -> "PolySymbol":
         """Rename variables via ``mapping`` (var -> var); unmapped vars kept."""
-        terms = {}
+        renamed = []
         for mono, coeff in self.terms.items():
-            acc = {}
+            powers = {}
             for var, exp in mono:
                 new = mapping.get(var, var)
                 _validate_var(new, dim, blocks)
-                acc[new] = acc.get(new, 0) + exp
-            new_mono = tuple(sorted(acc.items()))
-            terms[new_mono] = terms.get(new_mono, 0) + coeff
-        return PolySymbol(dim, blocks, terms, _validated=True)
+                powers[new] = powers.get(new, 0) + exp
+            renamed.append((tuple(sorted(powers.items())), coeff))
+        terms = {}
+        _accumulate(terms, renamed)
+        return PolySymbol._trusted(dim, blocks, terms)
 
     def with_shape(self, dim: int, blocks: int) -> "PolySymbol":
         """Reinterpret in another shape; every variable must stay in range."""
         for mono in self.terms:
             for var, _ in mono:
                 _validate_var(var, dim, blocks)
-        return PolySymbol(dim, blocks, self.terms, _validated=True)
+        return PolySymbol._trusted(dim, blocks, dict(self.terms))
 
     # -- evaluation ----------------------------------------------------------
 
@@ -413,7 +450,7 @@ def directional_contract(f: PolySymbol, directions, against) -> PolySymbol:
     m = len(directions)
     if m == 0:
         return f
-    total = PolySymbol.zero(f.dim, f.blocks)
+    total = {}
     for idx, g in derivative_tensors(f, variables, m).items():
         for perm in set(itertools.permutations(idx)):
             prod = g
@@ -421,8 +458,8 @@ def directional_contract(f: PolySymbol, directions, against) -> PolySymbol:
                 prod = prod * directions[slot][k]
                 if prod.is_zero():
                     break
-            total = total + prod
-    return total
+            _accumulate(total, prod.terms.items())
+    return PolySymbol._trusted(f.dim, f.blocks, total)
 
 
 def contracted_gradient(f: PolySymbol, directions, against):
@@ -437,7 +474,7 @@ def contracted_gradient(f: PolySymbol, directions, against):
                 f"direction length {len(d)} != variable count {len(variables)}"
             )
     m = len(directions)
-    comps = [PolySymbol.zero(f.dim, f.blocks) for _ in variables]
+    comps = [{} for _ in variables]
     for idx, g in derivative_tensors(f, variables, m + 1).items():
         for perm in set(itertools.permutations(idx)):
             assigned, free = perm[:-1], perm[-1]
@@ -447,8 +484,8 @@ def contracted_gradient(f: PolySymbol, directions, against):
                 if prod.is_zero():
                     break
             else:
-                comps[free] = comps[free] + prod
-    return tuple(comps)
+                _accumulate(comps[free], prod.terms.items())
+    return tuple(PolySymbol._trusted(f.dim, f.blocks, terms) for terms in comps)
 
 
 # -- graded series -------------------------------------------------------------
@@ -561,7 +598,7 @@ def check_grading(series: FormalSeries) -> GradingReport:
         for mono in sym.terms:
             pdeg = monomial_p_degree(mono)
             if pdeg != i + 1:
-                mono_sym = PolySymbol(series.dim, series.blocks, {mono: 1}, _validated=True)
+                mono_sym = PolySymbol(series.dim, series.blocks, {mono: 1})
                 violations.append((i, str(mono_sym), pdeg))
     return GradingReport(not violations, violations)
 
@@ -574,48 +611,6 @@ def series_eval(series: FormalSeries, p_values, x_values, eps, truncation=None):
             continue
         total = total + eps**i * sym.eval(p_values, x_values)
     return total
-
-
-def flatten_blocks(series: FormalSeries) -> FormalSeries:
-    """Reinterpret an arity-n series over dim d as arity 1 over dim d*n.
-
-    p[b][i] moves to p[1][(b-1)d + i]; the x-variables keep their first-d
-    slots of the widened base.  Inverse of :func:`unflatten_blocks`.
-    """
-    n, d = series.blocks, series.dim
-    if n < 1:
-        raise ShapeError("flattening needs at least one block")
-    mapping = {
-        p_key(b, i): p_key(1, (b - 1) * d + i)
-        for b in range(1, n + 1)
-        for i in range(1, d + 1)
-    }
-    wide = d * n
-    return FormalSeries(
-        wide,
-        1,
-        {o: s.remap_variables(mapping, wide, 1) for o, s in series.orders.items()},
-        series.graded,
-    )
-
-
-def unflatten_blocks(series: FormalSeries, arity: int, dim: int) -> FormalSeries:
-    """Undo :func:`flatten_blocks` for the given original (arity, dim)."""
-    if series.blocks != 1 or series.dim != arity * dim:
-        raise ShapeError(
-            f"expected an arity-1 series over dim {arity * dim}, got "
-            f"({series.dim},{series.blocks})"
-        )
-    mapping = {}
-    for b in range(1, arity + 1):
-        for i in range(1, dim + 1):
-            mapping[p_key(1, (b - 1) * dim + i)] = p_key(b, i)
-    return FormalSeries(
-        dim,
-        arity,
-        {o: s.remap_variables(mapping, dim, arity) for o, s in series.orders.items()},
-        series.graded,
-    )
 
 
 def random_graded_series(rng, arity, dim, orders, max_x_degree=2, terms_per_order=3):
@@ -655,18 +650,49 @@ def poly_to_obj(sym: PolySymbol):
     return terms
 
 
+def _json_check(value, kind, what):
+    """``value`` if it has JSON type ``kind`` (int excludes bool), else ValueError."""
+    if type(value) is not kind:
+        raise ValueError(f"{what} must be a JSON {kind.__name__}, got {type(value).__name__}")
+    return value
+
+
+def _json_ints(row, length, what):
+    _json_check(row, list, what)
+    if len(row) != length:
+        raise ValueError(f"{what} must have {length} entries, got {len(row)}")
+    return [_json_check(v, int, what) for v in row]
+
+
+def _json_coeff(value) -> Fraction:
+    """An int or a fraction string such as "-3/4"; a JSON float is never exact."""
+    if type(value) is int:
+        return Fraction(value)
+    if type(value) is not str:
+        raise ValueError(
+            f"coefficient must be an integer or a fraction string, got {type(value).__name__}"
+        )
+    try:
+        return Fraction(value)
+    except ZeroDivisionError:
+        raise ValueError(f"coefficient {value!r} has a zero denominator") from None
+
+
 def poly_from_obj(terms, dim, blocks) -> PolySymbol:
     acc = {}
-    for term in terms:
+    for term in _json_check(terms, list, "terms"):
+        _json_check(term, dict, "term")
         mono = {}
-        for block, comp, exp in term.get("p", []):
+        for row in _json_check(term.get("p", []), list, "p"):
+            block, comp, exp = _json_ints(row, 3, "p entry")
             var = p_key(block, comp)
             mono[var] = mono.get(var, 0) + exp
-        for comp, exp in term.get("x", []):
+        for row in _json_check(term.get("x", []), list, "x"):
+            comp, exp = _json_ints(row, 2, "x entry")
             var = x_key(comp)
             mono[var] = mono.get(var, 0) + exp
         key = tuple(sorted(mono.items()))
-        acc[key] = acc.get(key, 0) + Fraction(term["coeff"])
+        acc[key] = acc.get(key, 0) + _json_coeff(term["coeff"])
     return PolySymbol(dim, blocks, acc)
 
 
@@ -683,12 +709,14 @@ def series_to_obj(series: FormalSeries):
 
 
 def series_from_obj(obj) -> FormalSeries:
-    dim = obj["dim"]
-    arity = obj["arity"]
-    orders = {
-        entry["order"]: poly_from_obj(entry["terms"], dim, arity)
-        for entry in obj["orders"]
-    }
+    _json_check(obj, dict, "series")
+    dim = _json_check(obj["dim"], int, "dim")
+    arity = _json_check(obj["arity"], int, "arity")
+    orders = {}
+    for entry in _json_check(obj["orders"], list, "orders"):
+        _json_check(entry, dict, "order entry")
+        order = _json_check(entry["order"], int, "order")
+        orders[order] = poly_from_obj(entry["terms"], dim, arity)
     return FormalSeries(dim, arity, orders, graded=obj.get("graded", True))
 
 

@@ -138,6 +138,44 @@ def test_usage_error_exit_code(tmp_path, capsys):
     assert main(["cobound", "--in", missing]) == 2
 
 
+SERIES_TERM = {"coeff": "1", "p": [[1, 1, 1], [2, 1, 1]], "x": []}
+
+
+def series_with_term(term):
+    return {"arity": 2, "dim": 1, "graded": True, "orders": [{"order": 1, "terms": [term]}]}
+
+
+@pytest.mark.parametrize(
+    "command, obj",
+    [
+        # a JSON float is binary, never the exact decimal it shows
+        ("cobound", series_with_term({**SERIES_TERM, "coeff": 0.1})),
+        ("cobound", series_with_term({**SERIES_TERM, "p": 5})),
+        ("cobound", [series_with_term(SERIES_TERM)]),
+        (
+            "validate",
+            {"dim": 3, "entries": [{"i": 1, "j": 2, "terms": [{"coeff": 0.5, "x": [[3, 1]]}]}]},
+        ),
+        ("validate", {"dim": 3, "entries": [{"i": 1, "j": 2, "terms": [{"coeff": "1", "x": 5}]}]}),
+        ("validate", [{"dim": 3, "entries": []}]),
+    ],
+    ids=[
+        "series-float-coeff",
+        "series-scalar-p",
+        "series-list-top-level",
+        "poisson-float-coeff",
+        "poisson-scalar-x",
+        "poisson-list-top-level",
+    ],
+)
+def test_malformed_input_is_a_usage_error(tmp_path, capsys, command, obj):
+    path = write(tmp_path, "bad.json", json.dumps(obj))
+    flag = "--in" if command == "cobound" else "--poisson"
+    assert main([command, flag, path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_nonconvergence_exit_code(tmp_path, capsys):
     from fractions import Fraction
 

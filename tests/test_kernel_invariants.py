@@ -1,0 +1,109 @@
+"""Property tests of the PolySymbol term invariant and of substitution.
+
+Every kernel result must hold only canonical monomials (strictly increasing
+variables, exponents >= 1) with nonzero Fraction coefficients, in a terms dict
+of its own.  ``substitute`` is checked against a naive term-by-term fold that
+uses only the public constructors, ``*`` and ``+``.
+"""
+
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from gfoperad.symbols import (
+    PolySymbol,
+    contracted_gradient,
+    directional_contract,
+    p_key,
+    x_key,
+)
+
+DIM, BLOCKS = 2, 2
+VARIABLES = [p_key(b, i) for b in (1, 2) for i in (1, 2)] + [x_key(1), x_key(2)]
+# small numerators over few denominators, so sums and products cancel often
+COEFFS = st.builds(Fraction, st.integers(-3, 3), st.sampled_from([1, 2, 3]))
+MONOMIALS = st.dictionaries(st.sampled_from(VARIABLES), st.integers(1, 2), max_size=3).map(
+    lambda powers: tuple(sorted(powers.items()))
+)
+POLYS = st.dictionaries(MONOMIALS, COEFFS, max_size=5).map(
+    lambda terms: PolySymbol(DIM, BLOCKS, terms)
+)
+SETTINGS = settings(max_examples=60, deadline=None)
+
+
+def assert_clean(result, *operands):
+    assert (result.dim, result.blocks) == (DIM, BLOCKS)
+    for mono, coeff in result.terms.items():
+        assert type(coeff) is Fraction and coeff != 0
+        names = [var for var, _ in mono]
+        assert names == sorted(set(names))
+        assert all(type(exp) is int and exp >= 1 for _, exp in mono)
+    for operand in operands:
+        assert result.terms is not operand.terms
+
+
+def naive_substitute(sym, mapping):
+    result = PolySymbol.zero(DIM, BLOCKS)
+    for mono, coeff in sym.terms.items():
+        term = PolySymbol.constant(coeff, DIM, BLOCKS)
+        for var, exp in mono:
+            image = mapping.get(var, PolySymbol.variable(var, DIM, BLOCKS))
+            for _ in range(exp):
+                term = term * image
+        result = result + term
+    return result
+
+
+@SETTINGS
+@given(POLYS, POLYS, st.integers(-2, 2))
+def test_ring_operations_keep_the_invariant(a, b, k):
+    for result in (a + b, a - b, a * b, -a):
+        assert_clean(result, a, b)
+    assert_clean(a.scale(k), a)
+    assert (a - a).is_zero()
+    assert a + b == b + a and a * b == b * a
+
+
+@SETTINGS
+@given(POLYS, st.sampled_from(VARIABLES))
+def test_diff_and_with_shape_keep_the_invariant(a, var):
+    assert_clean(a.diff(var), a)
+    assert_clean(a.with_shape(DIM, BLOCKS), a)
+
+
+@SETTINGS
+@given(POLYS, st.dictionaries(st.sampled_from(VARIABLES), POLYS, max_size=3))
+def test_substitute_matches_naive_fold(a, mapping):
+    result = a.substitute(mapping)
+    assert_clean(result, a, *mapping.values())
+    assert result == naive_substitute(a, mapping)
+
+
+@SETTINGS
+@given(POLYS, st.dictionaries(st.sampled_from(VARIABLES), st.sampled_from(VARIABLES)))
+def test_remap_variables_keeps_the_invariant(a, renaming):
+    # renamings may merge variables, so terms collide and can cancel
+    result = a.remap_variables(renaming, DIM, BLOCKS)
+    assert_clean(result, a)
+    images = {v: PolySymbol.variable(w, DIM, BLOCKS) for v, w in renaming.items()}
+    assert result == naive_substitute(a, images)
+
+
+@SETTINGS
+@given(POLYS, st.lists(st.tuples(POLYS, POLYS), min_size=1, max_size=2))
+def test_contractions_keep_the_invariant(f, directions):
+    result = directional_contract(f, directions, "x")
+    assert_clean(result, f)
+    for comp in contracted_gradient(f, directions, ("p", 1)):
+        assert_clean(comp, f)
+
+
+@SETTINGS
+@given(st.dictionaries(MONOMIALS, COEFFS, max_size=5))
+def test_public_constructor_copies_its_input(terms):
+    sym = PolySymbol(DIM, BLOCKS, terms)
+    assert_clean(sym)
+    before = dict(sym.terms)
+    terms[((x_key(1), 1),)] = Fraction(7)
+    assert sym.terms == before

@@ -229,23 +229,6 @@ def test_poly_obj_round_trip():
     assert poly_from_obj(poly_to_obj(f), 2, 2) == f
 
 
-def test_flatten_unflatten_round_trip():
-    from gfoperad.symbols import flatten_blocks, unflatten_blocks
-
-    rng = random.Random(23)
-    series = random_graded_series(rng, 3, 2, [1, 2])
-    flat = flatten_blocks(series)
-    assert flat.blocks == 1 and flat.dim == 6
-    assert unflatten_blocks(flat, 3, 2) == series
-    # evaluation is preserved under the reinterpretation
-    p = [[Fraction(1, 2), Fraction(-1)], [Fraction(2), Fraction(0)], [Fraction(1), Fraction(3)]]
-    x = [Fraction(1), Fraction(-2)]
-    flat_p = [[v for blk in p for v in blk]]
-    flat_x = x + [Fraction(0)] * 4
-    for order in series.order_indices():
-        assert series.order(order).eval(p, x) == flat.order(order).eval(flat_p, flat_x)
-
-
 def test_random_graded_series_is_graded():
     rng = random.Random(19)
     for arity in (1, 2, 3):
