@@ -1,4 +1,4 @@
-"""Golden gate: the exact bytes `gfoperad solve` writes for three pinned structures.
+"""Golden gate: the exact bytes `gfoperad solve` and `gfoperad compose` write.
 
 Any change to the kernel, the composition pipeline or the solver that alters a
 coefficient, a term or the serialized order shows up here as a new digest.
@@ -8,6 +8,7 @@ output cannot depend on set or dict iteration order of hashed keys.
 
 import hashlib
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -17,7 +18,13 @@ import pytest
 from gfoperad.cli import main
 from gfoperad.poisson import PoissonStructure, poisson_dumps
 from gfoperad.solver import heisenberg_structure, lie_poisson_structure
-from gfoperad.symbols import PolySymbol, x_key
+from gfoperad.symbols import (
+    FormalSeries,
+    PolySymbol,
+    random_graded_series,
+    series_dumps,
+    x_key,
+)
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -61,3 +68,48 @@ def test_solve_output_digest_other_hash_seed(tmp_path):
         [sys.executable, "-m", "gfoperad.cli", *argv], env=env, check=True, timeout=300
     )
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN["heisenberg"][2]
+
+
+def random_series(seed, arity):
+    return random_graded_series(random.Random(seed), arity, 2, [1, 2, 3])
+
+
+#: name -> (outer, inners, order, sha256 of the output file); every input has
+#: dim 2.  The cases cover inner arities (2, 1), a nonzero outer with an
+#: arity-0 inner in one slot, and every inner of arity 0 (an arity-0 result).
+COMPOSE_GOLDEN = {
+    "arities-2-1": (
+        lambda: random_series(1, 2),
+        lambda: [random_series(2, 2), random_series(3, 1)],
+        4,
+        "b71950598df557c147d388bd43e1d6d738d8909c26791fe38b572ad89faa2ff2",
+    ),
+    "arity-0-slot": (
+        lambda: random_series(12, 2),
+        lambda: [FormalSeries.zero(2, 0), random_series(5, 2)],
+        4,
+        "c0b1859c6c30d884b27f52e6a78edd480aadefe948ff26c176b40332db5cdecd",
+    ),
+    "all-arity-0": (
+        lambda: random_series(6, 2),
+        lambda: [FormalSeries.zero(2, 0), FormalSeries.zero(2, 0)],
+        4,
+        "29867ba2dca503ce9709cc5bef46c11c9578ab1ee8f927d368a04f2ba7a30b21",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COMPOSE_GOLDEN))
+def test_compose_output_digest(tmp_path, name):
+    outer, inners, order, digest = COMPOSE_GOLDEN[name]
+    outer_path = tmp_path / "outer.json"
+    outer_path.write_text(series_dumps(outer()) + "\n")
+    inner_paths = []
+    for slot, inner in enumerate(inners(), start=1):
+        path = tmp_path / f"inner{slot}.json"
+        path.write_text(series_dumps(inner) + "\n")
+        inner_paths.append(str(path))
+    out = tmp_path / "out.json"
+    argv = ["compose", "--outer", str(outer_path), "--inner", ",".join(inner_paths)]
+    assert main([*argv, "--order", str(order), "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
