@@ -100,9 +100,27 @@ def cmd_compose(args) -> int:
     return EXIT_OK
 
 
-def _load_point(path: str):
+def _numbers(row, length: int, what: str) -> list[float]:
+    """``row`` as floats if it is a list of ``length`` JSON numbers (no bool)."""
+    if (
+        type(row) is not list
+        or len(row) != length
+        or any(type(v) not in (int, float) for v in row)
+    ):
+        raise ValueError(f"{what} must be a list of {length} numbers")
+    return [float(v) for v in row]
+
+
+def _load_point(path: str, blocks: int, dim: int):
+    """``{"p": [K lists of d numbers], "x": [d numbers]}`` as float lists."""
     obj = json.loads(_read(path))
-    return obj["p"], obj["x"]
+    if type(obj) is not dict:
+        raise ValueError("point must be a JSON object")
+    p_blocks = obj.get("p")
+    if type(p_blocks) is not list or len(p_blocks) != blocks:
+        raise ValueError(f"point p must be a list of {blocks} p-blocks")
+    p_blocks = [_numbers(block, dim, "point p-block") for block in p_blocks]
+    return p_blocks, _numbers(obj.get("x"), dim, "point x")
 
 
 def cmd_numeric_check(args) -> int:
@@ -110,18 +128,15 @@ def cmd_numeric_check(args) -> int:
         raise ValueError("--tol must be positive")
     outer = _load_genfunction(args.outer)
     inners = _load_inners(args.inner)
-    p_blocks, x_point = _load_point(args.point)
-    if len(p_blocks) != sum(g.arity for g in inners):
-        raise ValueError("point has the wrong number of p-blocks")
+    p_blocks, x_point = _load_point(args.point, sum(g.arity for g in inners), outer.dim)
     grouped = []
     cursor = 0
     for g in inners:
-        grouped.append([[float(v) for v in blk] for blk in p_blocks[cursor : cursor + g.arity]])
+        grouped.append(p_blocks[cursor : cursor + g.arity])
         cursor += g.arity
-    x_point = [float(v) for v in x_point]
     numeric = numeric_phi(outer, inners, grouped, x_point, args.eps, tol=args.tol)
     composed = compose(outer, inners, args.order, cap=max(args.order, DEFAULT_ORDER_CAP))
-    series_value = composed.value([list(map(float, b)) for b in p_blocks], x_point, args.eps)
+    series_value = composed.value(p_blocks, x_point, args.eps)
     print(f"numeric   {numeric!r}")
     print(f"series    {series_value!r}")
     print(f"abs diff  {abs(numeric - series_value):.6e}")

@@ -12,15 +12,16 @@ identity fillers, with the classical slot signs (-1)^((i-1)(l-1)); the
 convention is pinned by bracket(0_2, F) = dF, which holds for every arity.
 
 For an arity-2 deformation S~ the product equation is the vanishing of
-S(S,I) - S(I,S) order by order; ``verify_product`` reports those residuals and
-``obstruction`` extracts the order-n inhomogeneity H_n built from lower
-orders, so that the product equation at order n reads dS_n + H_n = 0.
+S(S,I) - S(I,S) order by order; ``verify_product`` reports those residuals.
+The inhomogeneity H_n is the order-n residual of the truncation S_{<n}, so the
+product equation at order n reads dS_n + H_n = 0.  For arity 2, bracket(S, S)
+= 2 circ(S, S) = 2 (S(S,I) - S(I,S)), so H_n is also the order-n part of
+(1/2)[S~, S~], which ``bracket`` computes by a second route.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from gfoperad.operad import DEFAULT_ORDER_CAP, GenFunction, compose, identity, trivial_product
 from gfoperad.symbols import FormalSeries, PolySymbol, p_key, x_key
@@ -154,20 +155,20 @@ class ProductPreconditionError(ValueError):
 def obstruction(
     partial: FormalSeries, n: int, cap: int = DEFAULT_ORDER_CAP, verified: bool = False
 ) -> PolySymbol:
-    """H_n: the order-n part of (1/2)[S~, S~] built from orders below n.
+    """H_n: the order-n product residual of S_{<n}, the orders of ``partial`` below n.
 
-    ``partial`` must solve the product equation up to order n-1 (checked
-    unless ``verified``); dS_n + H_n = 0 is then the order-n equation.
+    H_n is the order-n part of (1/2)[S~, S~], since bracket(S, S) = 2 circ(S, S)
+    for arity 2.  Unless ``verified``, the first nonzero lower residual of the
+    same report raises :class:`ProductPreconditionError`; dS_n + H_n = 0 is
+    then the order-n equation.
     """
     if partial.blocks != 2:
         raise ValueError("expected an arity-2 deformation")
-    truncated = partial.truncate(n - 1)
     if n <= 1:
         return PolySymbol.zero(partial.dim, 3)
+    report = verify_product(partial.truncate(n - 1), n, cap=cap)
     if not verified:
-        report = verify_product(truncated, n - 1, cap=cap)
-        if not report.all_zero:
-            order, residual = report.first_failure()
-            raise ProductPreconditionError(order, residual)
-    half = bracket(truncated, truncated, n, cap=cap).scale(Fraction(1, 2))
-    return half.order(n)
+        failure = report.first_failure()
+        if failure is not None and failure[0] < n:
+            raise ProductPreconditionError(*failure)
+    return report.residuals[n]

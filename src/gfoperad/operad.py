@@ -101,30 +101,8 @@ def trivial_product(arity: int, dim: int) -> GenFunction:
     return GenFunction(arity, dim, FormalSeries.zero(dim, arity))
 
 
-def _embed_outer(series: FormalSeries, d, n, K, w_dim, w_blocks) -> FormalSeries:
-    """Flatten the outer p-blocks into workspace block 1; x rides in block K+2."""
-    mapping = {}
-    for b in range(1, n + 1):
-        for i in range(1, d + 1):
-            mapping[p_key(b, i)] = p_key(1, (b - 1) * d + i)
-    for i in range(1, d + 1):
-        mapping[x_key(i)] = p_key(K + 2, i)
-    return FormalSeries(
-        w_dim,
-        w_blocks,
-        {o: s.remap_variables(mapping, w_dim, w_blocks) for o, s in series.orders.items()},
-        graded=False,
-    )
-
-
-def _embed_inner(series: FormalSeries, d, slot, offset, w_dim, w_blocks) -> FormalSeries:
-    """Move inner block l to workspace block 1+offset+l; x to the glue slot."""
-    mapping = {}
-    for l in range(1, series.blocks + 1):
-        for i in range(1, d + 1):
-            mapping[p_key(l, i)] = p_key(1 + offset + l, i)
-    for i in range(1, d + 1):
-        mapping[x_key(i)] = x_key((slot - 1) * d + i)
+def _embed(series: FormalSeries, mapping, w_dim, w_blocks) -> FormalSeries:
+    """Rename every order of ``series`` into the composition workspace."""
     return FormalSeries(
         w_dim,
         w_blocks,
@@ -139,6 +117,15 @@ def compose(outer: GenFunction, inners, order: int, cap: int = DEFAULT_ORDER_CAP
     Sums C_t over unrooted topological trees with total weight <= order; tree
     vertex weights are restricted to the orders actually present in the outer
     (black) and combined inner (white) deformations.
+
+    The expansion runs in a workspace of dim n*d with K+2 p-blocks: blocks
+    1..K hold the inner p-blocks at their output numbers, block K+1 the
+    flattened outer p (slot b at components (b-1)d+1..bd), block K+2 the
+    outer's x, and x-variables (b-1)d+1..bd inner slot b's x (the glue).  At
+    the base point one ``substitute`` sends slot b's outer p to the sum of its
+    inner blocks (arity >= 2) or to zero (arity 0), and one ``remap_variables``
+    renames the rest into shape (d, K): glue x and outer x to x, and an
+    arity-1 slot's outer p to its inner block.
     """
     if order < 1:
         raise ValueError("truncation order must be >= 1")
@@ -154,26 +141,43 @@ def compose(outer: GenFunction, inners, order: int, cap: int = DEFAULT_ORDER_CAP
     if n == 0:
         return GenFunction(0, d, outer.deformation.truncate(order))
 
-    arities = [g.arity for g in inners]
-    K = sum(arities)
-    m = d * n
-    w_dim = m
+    K = sum(g.arity for g in inners)
+    w_dim = d * n
     w_blocks = K + 2
     inputs_graded = check_grading(outer.deformation).ok and all(
         check_grading(g.deformation).ok for g in inners
     )
 
-    outer_w = _embed_outer(outer.deformation.truncate(order), d, n, K, w_dim, w_blocks)
+    # workspace maps and the base point's images and renames (see docstring)
+    outer_map = {}
+    images = {}
+    renames = {}
     composite = FormalSeries.zero(w_dim, w_blocks, graded=False)
     offset = 0
-    for slot, g in enumerate(inners, start=1):
-        composite = composite + _embed_inner(
-            g.deformation.truncate(order), d, slot, offset, w_dim, w_blocks
-        )
+    for b, g in enumerate(inners, start=1):
+        inner_map = {}
+        for i in range(1, d + 1):
+            glue = (b - 1) * d + i
+            outer_p = p_key(K + 1, glue)
+            block_vars = [p_key(offset + l, i) for l in range(1, g.arity + 1)]
+            inner_map.update((p_key(l, i), var) for l, var in enumerate(block_vars, start=1))
+            inner_map[x_key(i)] = x_key(glue)
+            outer_map[p_key(b, i)] = outer_p
+            renames[x_key(glue)] = x_key(i)
+            if g.arity == 1:
+                renames[outer_p] = block_vars[0]
+            else:
+                block_sum = {((var, 1),): Fraction(1) for var in block_vars}
+                images[outer_p] = PolySymbol._trusted(w_dim, w_blocks, block_sum)
+        composite = composite + _embed(g.deformation.truncate(order), inner_map, w_dim, w_blocks)
         offset += g.arity
+    for i in range(1, d + 1):
+        outer_map[x_key(i)] = p_key(K + 2, i)
+        renames[p_key(K + 2, i)] = x_key(i)
+    outer_w = _embed(outer.deformation.truncate(order), outer_map, w_dim, w_blocks)
 
     allowed = {BLACK: set(outer_w.orders), WHITE: set(composite.orders)}
-    data = SeriesPair(outer_w, composite, p_block=1)
+    data = SeriesPair(outer_w, composite, p_block=K + 1)
 
     sums = {}
     if allowed[BLACK] or allowed[WHITE]:
@@ -185,38 +189,10 @@ def compose(outer: GenFunction, inners, order: int, cap: int = DEFAULT_ORDER_CAP
             weight_terms = sums.setdefault(top.total_weight, {})
             _accumulate(weight_terms, value.terms.items(), Fraction(1, symmetry_coefficient(top)))
 
-    # base-point substitution: p_outer -> block sums of inner p, glue x -> x
-    base_map = {}
-    offset = 0
-    offsets = []
-    for k in arities:
-        offsets.append(offset)
-        offset += k
-    for b in range(1, n + 1):
-        for i in range(1, d + 1):
-            total = PolySymbol.zero(w_dim, w_blocks)
-            for l in range(1, arities[b - 1] + 1):
-                total = total + PolySymbol.variable(
-                    p_key(1 + offsets[b - 1] + l, i), w_dim, w_blocks
-                )
-            base_map[p_key(1, (b - 1) * d + i)] = total
-            base_map[x_key((b - 1) * d + i)] = PolySymbol.variable(
-                p_key(K + 2, i), w_dim, w_blocks
-            )
-
-    out_map = {}
-    for c in range(1, K + 1):
-        for i in range(1, d + 1):
-            out_map[p_key(1 + c, i)] = p_key(c, i)
-    for i in range(1, d + 1):
-        out_map[p_key(K + 2, i)] = x_key(i)
-
     result_orders = {}
     for weight, terms in sums.items():
-        substituted = PolySymbol._trusted(w_dim, w_blocks, terms).substitute(base_map)
-        result_orders[weight] = substituted.remap_variables(out_map, d, max(K, 1)).with_shape(
-            d, K
-        )
+        substituted = PolySymbol._trusted(w_dim, w_blocks, terms).substitute(images)
+        result_orders[weight] = substituted.remap_variables(renames, d, K)
 
     series = FormalSeries(d, K, result_orders, graded=True)
     if inputs_graded:

@@ -716,7 +716,9 @@ def series_from_obj(obj) -> FormalSeries:
     for entry in _json_check(obj["orders"], list, "orders"):
         _json_check(entry, dict, "order entry")
         order = _json_check(entry["order"], int, "order")
-        orders[order] = poly_from_obj(entry["terms"], dim, arity)
+        sym = poly_from_obj(entry["terms"], dim, arity)
+        # entries that share an order add, as repeated monomials do
+        orders[order] = orders[order] + sym if order in orders else sym
     return FormalSeries(dim, arity, orders, graded=obj.get("graded", True))
 
 

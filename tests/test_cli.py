@@ -6,7 +6,7 @@ import pytest
 from gfoperad.cli import main
 from gfoperad.poisson import poisson_dumps
 from gfoperad.solver import heisenberg_structure
-from gfoperad.symbols import random_graded_series, series_dumps, series_loads
+from gfoperad.symbols import FormalSeries, random_graded_series, series_dumps, series_loads
 from sample_series import constant_poisson_first_order, symmetric_band_first_order
 
 
@@ -158,6 +158,10 @@ def series_with_term(term):
         ),
         ("validate", {"dim": 3, "entries": [{"i": 1, "j": 2, "terms": [{"coeff": "1", "x": 5}]}]}),
         ("validate", [{"dim": 3, "entries": []}]),
+        # numeric-check points for one arity-1 inner in dim 1
+        ("numeric-check", {"p": 5, "x": [0.1]}),
+        ("numeric-check", [{"p": [[0.5]], "x": [0.25]}]),
+        ("numeric-check", {"p": [[0.5, 0.1]], "x": [0.25]}),
     ],
     ids=[
         "series-float-coeff",
@@ -166,14 +170,37 @@ def series_with_term(term):
         "poisson-float-coeff",
         "poisson-scalar-x",
         "poisson-list-top-level",
+        "point-scalar-p",
+        "point-list-top-level",
+        "point-wrong-block-length",
     ],
 )
 def test_malformed_input_is_a_usage_error(tmp_path, capsys, command, obj):
     path = write(tmp_path, "bad.json", json.dumps(obj))
-    flag = "--in" if command == "cobound" else "--poisson"
-    assert main([command, flag, path]) == 2
+    if command == "numeric-check":
+        unit = write(tmp_path, "unit.json", series_dumps(FormalSeries.zero(1, 1)))
+        argv = ["--outer", unit, "--inner", unit, "--point", path, "--eps", "0.01", "--order", "2"]
+    else:
+        argv = ["--in" if command == "cobound" else "--poisson", path]
+    assert main([command, *argv]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_repeated_order_entries_add(tmp_path, capsys):
+    # two entries for order 1 act as one entry carrying the sum of their terms;
+    # d(c p^2) = -2c p_1 p_2, so coefficients 1 and 5 give -12
+    def square(coeff):
+        return {"order": 1, "terms": [{"coeff": coeff, "p": [[1, 1, 2]], "x": []}]}
+
+    twice = {"arity": 1, "dim": 1, "graded": True, "orders": [square("1"), square("5")]}
+    once = {**twice, "orders": [square("6")]}
+    outputs = []
+    for name, obj in (("twice.json", twice), ("once.json", once)):
+        assert main(["cobound", "--in", write(tmp_path, name, json.dumps(obj))]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    assert '"coeff": "-12"' in outputs[0]
 
 
 def test_nonconvergence_exit_code(tmp_path, capsys):

@@ -11,6 +11,7 @@ from gfoperad.deformation import (
     obstruction,
     verify_product,
 )
+from gfoperad.solver import lie_poisson_structure, solve_deformation
 from gfoperad.symbols import (
     FormalSeries,
     PolySymbol,
@@ -115,12 +116,29 @@ def test_obstruction_vanishes_for_constant_poisson():
     assert obstruction(constant_poisson_first_order(), 2).is_zero()
 
 
-def test_obstruction_matches_order_two_residual_for_linear_poisson():
+def half_bracket_order(series, n):
+    """The bracket route to H_n: the order-n part of (1/2)[S_{<n}, S_{<n}]."""
+    truncated = series.truncate(n - 1)
+    return bracket(truncated, truncated, n).scale(Fraction(1, 2)).order(n)
+
+
+def test_obstruction_matches_half_bracket():
+    # the product residual read by obstruction against the bracket oracle,
+    # on solutions (checked precondition) and on a non-associative series
+    alpha = lie_poisson_structure(3, {(1, 2, 3): 1, (2, 3, 1): 1, (1, 3, 2): -1})
+    so3 = solve_deformation(alpha, 3)
+    for n in (2, 3, 4):
+        assert obstruction(so3, n) == half_bracket_order(so3, n), n
+    assert not obstruction(so3, 2).is_zero()
     s1 = heisenberg_first_order()
-    h2 = obstruction(s1, 2)
-    residual2 = verify_product(s1.truncate(1), 2).residuals[2]
-    # with S_2 = 0 the order-2 residual is exactly H_2
-    assert h2 == residual2
+    assert obstruction(s1, 2) == half_bracket_order(s1, 2)
+    rng = random.Random(83)
+    series = random_graded_series(rng, 2, 2, [1, 2, 3])
+    assert not verify_product(series, 2).all_zero
+    for n in (2, 3, 4):
+        h_n = obstruction(series, n, verified=True)
+        assert h_n == half_bracket_order(series, n), n
+        assert not h_n.is_zero(), n
 
 
 def test_residual_equals_dSn_plus_Hn_for_arbitrary_series():
@@ -135,5 +153,8 @@ def test_residual_equals_dSn_plus_Hn_for_arbitrary_series():
 
 def test_obstruction_checks_precondition():
     bad = non_jacobi_first_order()
-    with pytest.raises(ProductPreconditionError):
+    with pytest.raises(ProductPreconditionError) as raised:
         obstruction(bad, 3)
+    assert raised.value.order == 2
+    assert raised.value.residual == verify_product(bad.truncate(2), 2).residuals[2]
+    assert not raised.value.residual.is_zero()
