@@ -7,6 +7,8 @@ epsilon order.  This script walks through construction, canonical encodings,
 symmetry coefficients and the Butcher product.
 """
 
+import sys
+
 from gfoperad import (
     BLACK,
     WHITE,
@@ -21,6 +23,14 @@ from gfoperad import (
 )
 from gfoperad.trees import rerootings
 
+
+def check(label, ok):
+    """Print a fact the demo states and exit nonzero if it does not hold."""
+    print(f"{label}{ok}")
+    if not ok:
+        sys.exit(f"demo check failed: {label.strip()}")
+
+
 print("== building trees ==")
 w1 = leaf(WHITE, 1)
 b1 = leaf(BLACK, 1)
@@ -30,21 +40,24 @@ print(f"cherry over b2:      {cherry.encoding}   |t|={cherry.size}  ||t||={cherr
 
 deep = graft([graft([leaf(BLACK, 3)], WHITE, 1), w1], BLACK, 2)
 print(f"nested example:      {deep.encoding}")
-print("children are kept sorted, so grafting in any order gives the same tree")
+swapped = graft([w1, graft([leaf(BLACK, 3)], WHITE, 1)], BLACK, 2)
+check("children are kept sorted, so grafting in any order gives the same tree: ",
+      swapped == deep)
 
 print()
 print("== symmetry coefficients ==")
 print(f"sigma({cherry.encoding}) = {symmetry_coefficient(cherry)}  "
       f"(two interchangeable children)")
-print(f"brute-force automorphisms agree: {automorphism_count(cherry)}")
+autos = automorphism_count(cherry)
+check(f"brute-force automorphisms ({autos}) agree: ", autos == symmetry_coefficient(cherry))
 
 print()
 print("== the Butcher product grafts one root under another ==")
 uv = butcher_product(w1, b1)
 vu = butcher_product(b1, w1)
 print(f"w1 o b1 = {uv.encoding},  b1 o w1 = {vu.encoding}")
-print(f"they differ as rooted trees but agree unrooted: "
-      f"{forget_root(uv) == forget_root(vu)}")
+check("they differ as rooted trees but agree unrooted: ",
+      uv != vu and forget_root(uv) == forget_root(vu))
 
 print()
 print("== re-rooting and unrooted classes ==")

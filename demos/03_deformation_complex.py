@@ -8,6 +8,7 @@ through the Gerstenhaber bracket.
 """
 
 import random
+import sys
 from fractions import Fraction
 
 from gfoperad import (
@@ -22,6 +23,14 @@ from gfoperad import (
 from gfoperad.deformation import coboundary_symbol
 from gfoperad.symbols import p_key
 
+
+def check(label, ok):
+    """Print a fact the demo states and exit nonzero if it does not hold."""
+    print(f"{label}{ok}")
+    if not ok:
+        sys.exit(f"demo check failed: {label.strip()}")
+
+
 print("== the coboundary on an arity-1 series ==")
 f = FormalSeries(1, 1, {1: PolySymbol(1, 1, {((p_key(1, 1), 2),): Fraction(1)})})
 df = coboundary(f)
@@ -31,9 +40,9 @@ print()
 print("== d is a differential and comes from the bracket ==")
 rng = random.Random(1)
 series = random_graded_series(rng, 2, 2, [1, 2])
-print(f"  d(dF) == 0 on a random arity-2 series: {coboundary(coboundary(series)).is_zero()}")
+check("  d(dF) == 0 on a random arity-2 series: ", coboundary(coboundary(series)).is_zero())
 zero2 = FormalSeries.zero(2, 2)
-print(f"  bracket(0_2, F) == dF:                 {bracket(zero2, series, 3) == coboundary(series)}")
+check("  bracket(0_2, F) == dF:                 ", bracket(zero2, series, 3) == coboundary(series))
 
 print()
 print("== the product equation, order by order ==")
@@ -43,12 +52,13 @@ moyal = FormalSeries(2, 2, {1: PolySymbol(2, 2, {
     ((p_key(1, 2), 1), (p_key(2, 1), 1)): Fraction(-1, 2),
 })})
 report = verify_product(moyal, 6)
-print(f"  constant bivector deformation: residuals zero through order 6: {report.all_zero}")
+check("  constant bivector deformation: residuals zero through order 6: ", report.all_zero)
 
 print()
 print("== obstructions ==")
 h2 = obstruction(moyal, 2)
 print(f"  H_2 for the constant bivector: {h2}")
+check("  H_2 vanishes: ", h2.is_zero())
 print("  a vanishing obstruction means the next order needs no correction at all;")
 print("  for x-dependent structures H_n is nonzero and dS_n = -H_n must be solved.")
 
@@ -57,4 +67,4 @@ rnd = random_graded_series(random.Random(7), 2, 1, [1, 2], max_x_degree=1)
 n = 2
 residual = verify_product(rnd, n).residuals[n]
 decomposed = coboundary_symbol(rnd.order(n), 2) + obstruction(rnd.truncate(n - 1), n, verified=True)
-print(f"  residual_n == d(S_n) + H_n on a random series: {residual == decomposed}")
+check("  residual_n == d(S_n) + H_n on a random series: ", residual == decomposed)

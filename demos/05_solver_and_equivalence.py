@@ -9,6 +9,7 @@ unique only up to equivalence, and the equivalence action is implemented too.
 """
 
 import random
+import sys
 
 from gfoperad import (
     GenFunction,
@@ -26,14 +27,22 @@ from gfoperad import (
     verify_product,
 )
 
+
+def check(label, ok):
+    """Print a fact the demo states and exit nonzero if it does not hold."""
+    print(f"{label}{ok}")
+    if not ok:
+        sys.exit(f"demo check failed: {label.strip()}")
+
+
 solvable = lie_poisson_structure(2, {(1, 2, 2): 1})
 
 print("== exact solver vs the bch series ==")
 solved = solve_deformation(solvable, 4)
 bch = bch_generating_function(solvable, 4)
-print(f"  solver output passes product + structure checks: "
-      f"{verify_product(solved, 4).all_zero and check_sgs(solved, 4).passed}")
-print(f"  first orders agree (forced):  {solved.order(1) == bch.order(1)}")
+check("  solver output passes product + structure checks: ",
+      verify_product(solved, 4).all_zero and check_sgs(solved, 4).passed)
+check("  first orders agree (forced):  ", solved.order(1) == bch.order(1))
 print(f"  second orders agree?          {solved.order(2) == bch.order(2)}")
 print(f"  solver S_2 = {solved.order(2)}")
 print(f"  bch    S_2 = {bch.order(2)}")
@@ -43,20 +52,20 @@ print()
 print("== equivalence by an odd morphism ==")
 rng = random.Random(3)
 morphism = random_graded_series(rng, 1, 2, [2], max_x_degree=1)
-print(f"  morphism F~ (odd in p: {is_odd_in_p(morphism)}): single order-2 term")
+check("  morphism F~, a single order-2 term, is odd in p: ", is_odd_in_p(morphism))
 transformed = transform_product(solved, morphism, 4)
-print(f"  transformed product still associative: {verify_product(transformed, 4).all_zero}")
-print(f"  structure conditions preserved:        {check_sgs(transformed, 4).passed}")
-print(f"  induced bivector unchanged:            "
-      f"{extract_poisson(transformed) == extract_poisson(solved)}")
+check("  transformed product still associative: ", verify_product(transformed, 4).all_zero)
+check("  structure conditions preserved:        ", check_sgs(transformed, 4).passed)
+check("  induced bivector unchanged:            ",
+      extract_poisson(transformed) == extract_poisson(solved))
 
 print()
 print("== the morphism group ==")
 inverse = invert_morphism(morphism, 4)
 f = GenFunction(1, 2, morphism)
 g = GenFunction(1, 2, inverse)
-print(f"  F(F^-1) = I exactly to order 4: {compose(f, [g], 4).deformation.is_zero()}")
-print(f"  F^-1(F) = I exactly to order 4: {compose(g, [f], 4).deformation.is_zero()}")
+check("  F(F^-1) = I exactly to order 4: ", compose(f, [g], 4).deformation.is_zero())
+check("  F^-1(F) = I exactly to order 4: ", compose(g, [f], 4).deformation.is_zero())
 
 print()
 print("== the symplectomorphism psi_F ==")
@@ -65,6 +74,7 @@ p, x = [0.3, -0.2], [0.5, 0.1]
 p2, x2 = psi_numeric(morphism, p, x, eps)
 print(f"  psi_F({p}, {x}) = ({[round(v, 8) for v in p2]}, {[round(v, 8) for v in x2]})")
 p0, x0 = psi_numeric(morphism, [0.0, 0.0], x, eps)
-print(f"  the zero section is fixed: psi_F((0, x)) = ({p0}, {x0})")
+print(f"  psi_F((0, x)) = ({p0}, {x0})")
+check("  the zero section is fixed: ", list(p0) == [0.0, 0.0] and list(x0) == x)
 print("  finite-difference Jacobians of psi_F preserve the symplectic form;")
 print("  see tests/test_acceptance.py for the quantitative check.")

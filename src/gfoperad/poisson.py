@@ -118,7 +118,9 @@ def poisson_from_obj(obj) -> PoissonStructure:
         _json_check(e, dict, "entry")
         i = _json_check(e["i"], int, "entry index i")
         j = _json_check(e["j"], int, "entry index j")
-        entries[(i, j)] = poly_from_obj(e["terms"], dim, 0)
+        sym = poly_from_obj(e["terms"], dim, 0)
+        # entries that share (i, j) add, as repeated monomials do
+        entries[(i, j)] = entries[(i, j)] + sym if (i, j) in entries else sym
     return PoissonStructure(dim, entries)
 
 

@@ -7,9 +7,10 @@ bivector extraction) and each following order solves the linear equation
     d S_n = -H_n,        H_n = order-n part of (1/2)[S~_{<n}, S~_{<n}],
 
 subject to the structure-condition constraints S_n(p,0,x) = S_n(0,p,x) =
-S_n(p,-p,x) = 0.  The coboundary d touches only p-variables, so the system
-splits into one small exact linear system per x-monomial of H_n; deterministic
-Gauss-Jordan elimination (smallest-monomial pivots, free unknowns set to zero)
+S_n(p,-p,x) = 0.  The coboundary d touches only p-variables, so every
+x-monomial of H_n poses the same small exact linear system with its own
+right-hand side; one deterministic Gauss-Jordan elimination per order
+(smallest-monomial pivots, free unknowns set to zero) carries all of them and
 picks a reproducible representative of the gauge freedom.
 
 ``bch_generating_function`` provides an independent construction for linear
@@ -28,7 +29,7 @@ from gfoperad.deformation import coboundary_symbol, obstruction, verify_product
 from gfoperad.groupoid import check_sgs
 from gfoperad.operad import DEFAULT_ORDER_CAP
 from gfoperad.poisson import PoissonStructure, validate_poisson
-from gfoperad.symbols import FormalSeries, PolySymbol, p_key, x_key
+from gfoperad.symbols import FormalSeries, PolySymbol, _accumulate, p_key, x_key
 
 
 class InfeasibleOrderError(RuntimeError):
@@ -77,43 +78,39 @@ def _p_basis(n: int, d: int):
 def _linsolve(equations):
     """Exact Gauss-Jordan with deterministic pivoting; free unknowns are zero.
 
-    ``equations``: iterable of (dict column->Fraction, Fraction rhs).  Raises
-    ValueError on an inconsistent row.  Invariant: stored pivot rows reference
+    ``equations``: iterable of (dict column->Fraction, dict key->Fraction
+    rhs).  Every key's right-hand side rides through one elimination; pivots
+    depend on the rows alone, so each key gets the solution its own system
+    would give.  Returns {pivot column: {key: nonzero value}}.  Raises
+    ValueError(message, key) on an inconsistent row, naming its smallest key
+    with a nonzero right-hand side.  Invariant: stored pivot rows reference
     free columns only, so the solution reads off as the pivot right-hand sides.
     """
     pivots = {}
     for row, rhs in equations:
         row = {c: v for c, v in row.items() if v != 0}
+        rhs = {k: v for k, v in rhs.items() if v != 0}
         # eliminate every pivot column present (pivot rows only add free
         # columns, so one pass over the initial pivot columns suffices)
         for col in sorted(c for c in row if c in pivots):
-            factor = row.pop(col)
+            factor = -row.pop(col)
             prow, prhs = pivots[col]
-            for c, v in prow.items():
-                nv = row.get(c, 0) - factor * v
-                if nv:
-                    row[c] = nv
-                else:
-                    row.pop(c, None)
-            rhs = rhs - factor * prhs
+            _accumulate(row, prow.items(), factor)
+            _accumulate(rhs, prhs.items(), factor)
         if not row:
-            if rhs != 0:
-                raise ValueError("inconsistent equation (nonzero rhs on a zero row)")
+            if rhs:
+                message = "inconsistent equation (nonzero rhs on a zero row)"
+                raise ValueError(message, min(rhs))
             continue
         col = min(row)
         inv = Fraction(1) / row.pop(col)
         prow = {c: v * inv for c, v in row.items()}
-        prhs = rhs * inv
-        for pc, (orow, orhs) in pivots.items():
+        prhs = {k: v * inv for k, v in rhs.items()}
+        for orow, orhs in pivots.values():
             if col in orow:
-                f = orow.pop(col)
-                for c, v in prow.items():
-                    nv = orow.get(c, 0) - f * v
-                    if nv:
-                        orow[c] = nv
-                    else:
-                        orow.pop(c, None)
-                pivots[pc] = (orow, orhs - f * prhs)
+                factor = -orow.pop(col)
+                _accumulate(orow, prow.items(), factor)
+                _accumulate(orhs, prhs.items(), factor)
         pivots[col] = (prow, prhs)
     return {col: prhs for col, (_, prhs) in pivots.items()}
 
@@ -136,11 +133,11 @@ def _order_columns(n: int, d: int):
 
 def _solve_order(h_n: PolySymbol, n: int, d: int) -> PolySymbol:
     """Solve d S_n = -H_n with the structure-condition constraints."""
-    by_x = {}
+    rhs = {}
     for mono, coeff in h_n.terms.items():
         p_part, x_part = _split_monomial(mono)
-        by_x.setdefault(x_part, {})[p_part] = coeff
-    if not by_x:
+        rhs.setdefault(("d", p_part), {})[x_part] = -coeff
+    if not rhs:
         return PolySymbol.zero(d, 2)
     basis, d_cols, sgs_cols = _order_columns(n, d)
     equations = {}
@@ -148,25 +145,20 @@ def _solve_order(h_n: PolySymbol, n: int, d: int) -> PolySymbol:
         for idx, col in enumerate(cols):
             for p_mono, coeff in col.items():
                 equations.setdefault((tag, p_mono), {})[idx] = coeff
-    solution_terms = {}
-    for x_part, h_terms in sorted(by_x.items()):
-        seen = set(equations)
-        for p_mono in h_terms:
-            seen.add(("d", p_mono))
-        rows = []
-        for key in sorted(seen):
-            row = equations.get(key, {})
-            rhs = -h_terms.get(key[1], Fraction(0)) if key[0] == "d" else Fraction(0)
-            rows.append((row, rhs))
-        try:
-            values = _linsolve(rows)
-        except ValueError as exc:
-            raise InfeasibleOrderError(n, f"x-monomial {x_part}: {exc}") from exc
-        for idx, value in values.items():
-            if value:
-                mono = tuple(sorted(basis[idx] + x_part))
-                solution_terms[mono] = value
-    return PolySymbol._trusted(d, 2, solution_terms)
+    rows = [
+        (equations.get(key, {}), rhs.get(key, {}))
+        for key in sorted(equations.keys() | rhs.keys())
+    ]
+    try:
+        solution = _linsolve(rows)
+    except ValueError as exc:
+        message, x_part = exc.args
+        raise InfeasibleOrderError(n, f"x-monomial {x_part}: {message}") from exc
+    terms = {}
+    for idx, values in solution.items():
+        for x_part, value in values.items():
+            terms[tuple(sorted(basis[idx] + x_part))] = value
+    return PolySymbol._trusted(d, 2, terms)
 
 
 def solve_deformation(

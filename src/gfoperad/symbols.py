@@ -22,7 +22,6 @@ exactly scaling behavior F(mu*p, x) = mu^(i+1) F(p, x).
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
@@ -405,61 +404,59 @@ class PolySymbol:
         return f"PolySymbol(dim={self.dim}, blocks={self.blocks}, {self})"
 
 
-# -- derivative tensors and directional contraction ---------------------------
+# -- directional contraction ---------------------------------------------------
 
 
-def _contract_variables(f: PolySymbol, against):
+def _contract_variables(f: PolySymbol, directions, against):
+    """The variables ``against`` selects; each direction needs one component per variable."""
     if against == "x":
-        return [x_key(i) for i in range(1, f.dim + 1)]
-    kind, block = against
-    if kind != "p":
-        raise ValueError(f"against must be 'x' or ('p', block), got {against!r}")
-    if not (1 <= block <= f.blocks):
-        raise ShapeError(f"p-block {block} out of range 1..{f.blocks}")
-    return [p_key(block, i) for i in range(1, f.dim + 1)]
+        variables = [x_key(i) for i in range(1, f.dim + 1)]
+    else:
+        kind, block = against
+        if kind != "p":
+            raise ValueError(f"against must be 'x' or ('p', block), got {against!r}")
+        if not (1 <= block <= f.blocks):
+            raise ShapeError(f"p-block {block} out of range 1..{f.blocks}")
+        variables = [p_key(block, i) for i in range(1, f.dim + 1)]
+    for d in directions:
+        if len(d) != len(variables):
+            raise ShapeError(
+                f"direction length {len(d)} != variable count {len(variables)}"
+            )
+    return variables
 
 
-def derivative_tensors(f: PolySymbol, variables, order: int):
-    """Nonzero partial derivatives of the given order, keyed by sorted index tuple."""
-    level = {(): f}
-    for _ in range(order):
-        nxt = {}
-        for idx, g in level.items():
-            start = idx[-1] if idx else 0
-            for k in range(start, len(variables)):
-                dg = g.diff(variables[k])
-                if not dg.is_zero():
-                    nxt[idx + (k,)] = dg
-        level = nxt
-    return level
+def _contract(f: PolySymbol, variables, directions) -> PolySymbol:
+    """sum_k directions[0][k] * _contract(d f / d variables[k], directions[1:]).
+
+    One direction at a time, as the B-series recursion contracts one child at
+    a time; only ``f`` is differentiated, the directions are multiplied in.
+    """
+    if not directions:
+        return f
+    total = {}
+    for var, component in zip(variables, directions[0]):
+        f._require_shape(component)
+        if component.is_zero():
+            continue
+        g = f.diff(var)
+        if g.is_zero():
+            continue
+        inner = _contract(g, variables, directions[1:])
+        for m, c in component.terms.items():
+            _accumulate(total, inner.terms.items(), c, m)
+    return PolySymbol._trusted(f.dim, f.blocks, total)
 
 
 def directional_contract(f: PolySymbol, directions, against) -> PolySymbol:
     """Contract the m-th derivative of ``f`` against m direction vectors.
 
     ``directions`` is a list of m sequences of symbols, each of length dim;
-    ``against`` selects the x-variables or one p-block.  The result is
-    symmetric and multilinear in the directions.
+    ``against`` selects the x-variables or one p-block.  The directions are
+    multiplied in, never differentiated, so they may depend on the contracted
+    variables.  The result is symmetric and multilinear in the directions.
     """
-    variables = _contract_variables(f, against)
-    for d in directions:
-        if len(d) != len(variables):
-            raise ShapeError(
-                f"direction length {len(d)} != variable count {len(variables)}"
-            )
-    m = len(directions)
-    if m == 0:
-        return f
-    total = {}
-    for idx, g in derivative_tensors(f, variables, m).items():
-        for perm in set(itertools.permutations(idx)):
-            prod = g
-            for slot, k in enumerate(perm):
-                prod = prod * directions[slot][k]
-                if prod.is_zero():
-                    break
-            _accumulate(total, prod.terms.items())
-    return PolySymbol._trusted(f.dim, f.blocks, total)
+    return _contract(f, _contract_variables(f, directions, against), directions)
 
 
 def contracted_gradient(f: PolySymbol, directions, against):
@@ -467,25 +464,8 @@ def contracted_gradient(f: PolySymbol, directions, against):
 
     Returns the length-dim vector of symbols corresponding to the free index.
     """
-    variables = _contract_variables(f, against)
-    for d in directions:
-        if len(d) != len(variables):
-            raise ShapeError(
-                f"direction length {len(d)} != variable count {len(variables)}"
-            )
-    m = len(directions)
-    comps = [{} for _ in variables]
-    for idx, g in derivative_tensors(f, variables, m + 1).items():
-        for perm in set(itertools.permutations(idx)):
-            assigned, free = perm[:-1], perm[-1]
-            prod = g
-            for slot, k in enumerate(assigned):
-                prod = prod * directions[slot][k]
-                if prod.is_zero():
-                    break
-            else:
-                _accumulate(comps[free], prod.terms.items())
-    return tuple(PolySymbol._trusted(f.dim, f.blocks, terms) for terms in comps)
+    variables = _contract_variables(f, directions, against)
+    return tuple(_contract(f.diff(v), variables, directions) for v in variables)
 
 
 # -- graded series -------------------------------------------------------------

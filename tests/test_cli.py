@@ -203,6 +203,24 @@ def test_repeated_order_entries_add(tmp_path, capsys):
     assert '"coeff": "-12"' in outputs[0]
 
 
+def test_repeated_poisson_entries_add(tmp_path, capsys):
+    # two entries for (1, 2) act as one entry carrying the sum of their terms
+    def entry(*comps):
+        terms = [{"coeff": "1", "p": [], "x": [[comp, 1]]} for comp in comps]
+        return {"i": 1, "j": 2, "terms": terms}
+
+    twice = {"dim": 2, "entries": [entry(1), entry(2)]}
+    once = {"dim": 2, "entries": [entry(1, 2)]}
+    outputs = []
+    for name, obj in (("twice.json", twice), ("once.json", once)):
+        path = write(tmp_path, name, json.dumps(obj))
+        assert main(["solve", "--poisson", path, "--order", "1"]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    # (1/2)(x1 + x2)(p1_1 p2_2 - p1_2 p2_1): both x-monomials survive
+    assert len(series_loads(outputs[0]).order(1).terms) == 4
+
+
 def test_nonconvergence_exit_code(tmp_path, capsys):
     from fractions import Fraction
 

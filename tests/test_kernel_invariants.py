@@ -3,9 +3,11 @@
 Every kernel result must hold only canonical monomials (strictly increasing
 variables, exponents >= 1) with nonzero Fraction coefficients, in a terms dict
 of its own.  ``substitute`` is checked against a naive term-by-term fold that
-uses only the public constructors, ``*`` and ``+``.
+uses only the public constructors, ``*`` and ``+``, and the contractions
+against a naive sum over every index tuple.
 """
 
+import itertools
 from fractions import Fraction
 
 from hypothesis import given, settings
@@ -97,6 +99,43 @@ def test_contractions_keep_the_invariant(f, directions):
     assert_clean(result, f)
     for comp in contracted_gradient(f, directions, ("p", 1)):
         assert_clean(comp, f)
+
+
+def naive_contract(f, directions, variables):
+    """sum over (k1..km) of d^m f / dv_k1..dv_km * prod_s directions[s][k_s]."""
+    result = PolySymbol.zero(DIM, BLOCKS)
+    for ks in itertools.product(range(len(variables)), repeat=len(directions)):
+        term = f
+        for k in ks:
+            term = term.diff(variables[k])
+        for direction, k in zip(directions, ks):
+            term = term * direction[k]
+        result = result + term
+    return result
+
+
+@SETTINGS
+@given(
+    POLYS,
+    st.lists(st.tuples(POLYS, POLYS), max_size=3),
+    st.sampled_from(["x", ("p", 1), ("p", 2)]),
+)
+def test_contractions_match_naive_oracle(f, directions, against):
+    if against == "x":
+        variables = [x_key(1), x_key(2)]
+    else:
+        variables = [p_key(against[1], 1), p_key(against[1], 2)]
+    # every direction depends on the contracted variables: they are multiplied
+    # in, never differentiated
+    lead = PolySymbol.variable(variables[0], DIM, BLOCKS)
+    directions = [(a + lead, b) for a, b in directions]
+    assert directional_contract(f, directions, against) == naive_contract(
+        f, directions, variables
+    )
+    gradient = contracted_gradient(f, directions, against)
+    assert len(gradient) == len(variables)
+    for var, comp in zip(variables, gradient):
+        assert comp == naive_contract(f.diff(var), directions, variables)
 
 
 @SETTINGS

@@ -11,9 +11,11 @@ from gfoperad.poisson import (
     poisson_loads,
     validate_poisson,
 )
+from gfoperad import solver
 from gfoperad.solver import (
     InfeasibleOrderError,
     _linsolve,
+    _solve_order,
     bch_generating_function,
     bch_words,
     first_order_deformation,
@@ -119,18 +121,70 @@ def test_solve_quadratic_structure():
 def test_linsolve_consistent_and_inconsistent():
     values = _linsolve(
         [
-            ({0: Fraction(2), 1: Fraction(1)}, Fraction(5)),
-            ({1: Fraction(1)}, Fraction(1)),
+            ({0: Fraction(2), 1: Fraction(1)}, {"a": Fraction(5)}),
+            ({1: Fraction(1)}, {"a": Fraction(1)}),
         ]
     )
-    assert values == {0: Fraction(2), 1: Fraction(1)}
+    assert values == {0: {"a": Fraction(2)}, 1: {"a": Fraction(1)}}
     with pytest.raises(ValueError):
         _linsolve(
             [
-                ({0: Fraction(1)}, Fraction(1)),
-                ({0: Fraction(2)}, Fraction(3)),
+                ({0: Fraction(1)}, {"a": Fraction(1)}),
+                ({0: Fraction(2)}, {"a": Fraction(3)}),
             ]
         )
+
+
+def test_linsolve_inconsistent_for_one_key_only():
+    # 2 * (x0 = 1) agrees with the second row for "a" but not for "b"
+    with pytest.raises(ValueError) as info:
+        _linsolve(
+            [
+                ({0: Fraction(1)}, {"a": Fraction(1), "b": Fraction(1)}),
+                ({0: Fraction(2)}, {"a": Fraction(2), "b": Fraction(3)}),
+            ]
+        )
+    assert info.value.args[1] == "b"
+
+
+def test_linsolve_two_keys_equal_two_one_key_solves():
+    # column 3 stays free; the third row back-substitutes into both earlier pivots
+    rows = [
+        ({0: Fraction(2), 1: Fraction(1), 3: Fraction(1)}, {"a": Fraction(5), "b": Fraction(1)}),
+        ({1: Fraction(1), 2: Fraction(3)}, {"a": Fraction(1)}),
+        ({0: Fraction(1), 2: Fraction(-1), 3: Fraction(2)}, {"a": Fraction(1), "b": Fraction(2)}),
+    ]
+    both = _linsolve(rows)
+    for key in ("a", "b"):
+        alone = _linsolve([(row, {key: rhs[key]} if key in rhs else {}) for row, rhs in rows])
+        assert {c: v[key] for c, v in both.items() if key in v} == {
+            c: v[key] for c, v in alone.items() if key in v
+        }
+
+
+def test_infeasible_order_names_the_order():
+    # p1.p2.p3 is no coboundary of an arity-2 symbol, with or without x1
+    p_part = tuple((p_key(b, 1), 1) for b in (1, 2, 3))
+    h = PolySymbol(1, 3, {p_part: Fraction(1), p_part + ((x_key(1), 1),): Fraction(1)})
+    with pytest.raises(InfeasibleOrderError) as info:
+        _solve_order(h, 2, 1)
+    assert info.value.order == 2
+    assert "x-monomial ()" in str(info.value)
+
+
+def test_one_elimination_per_order(monkeypatch):
+    # so(3) to order 4 has a nonzero H_n at orders 2, 3 and 4
+    calls = []
+    linsolve = solver._linsolve
+
+    def counting(equations):
+        calls.append(None)
+        return linsolve(equations)
+
+    monkeypatch.setattr(solver, "_linsolve", counting)
+    so3 = lie_poisson_structure(3, {(1, 2, 3): 1, (2, 3, 1): 1, (1, 3, 2): -1})
+    solve_deformation(so3, 4)
+    assert len(calls) == 3
 
 
 def lie_bracket(constants, dim, u, v):
