@@ -1,4 +1,4 @@
-"""Golden gate: the exact bytes `gfoperad solve` and `gfoperad compose` write.
+"""Golden gate: the exact bytes `gfoperad solve`, `compose` and `trees enum` write.
 
 Any change to the kernel, the composition pipeline or the solver that alters a
 coefficient, a term or the serialized order shows up here as a new digest.
@@ -113,3 +113,18 @@ def test_compose_output_digest(tmp_path, name):
     argv = ["compose", "--outer", str(outer_path), "--inner", ",".join(inner_paths)]
     assert main([*argv, "--order", str(order), "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+#: argv after ``trees enum`` -> sha256 of stdout.  The unrooted listing pins
+#: each class's canonical representative, its sigma and the listing order.
+TREES_GOLDEN = {
+    ("--max-order", "8"): "f9f315b7d2f38035c0454b0ae380503bc2047d64b7285069b533992a40ac3b5c",
+    ("--max-order", "6", "--rooted"): "e1089ddb9dabade9a4437c4a838ac1ce4c53372ffcf7e17a41043a2038365fa3",
+}
+
+
+@pytest.mark.parametrize("args", sorted(TREES_GOLDEN), ids=" ".join)
+def test_trees_enum_output_digest(capsys, args):
+    assert main(["trees", "enum", *args]) == 0
+    stdout = capsys.readouterr().out
+    assert hashlib.sha256(stdout.encode()).hexdigest() == TREES_GOLDEN[args]
