@@ -118,14 +118,15 @@ def compose(outer: GenFunction, inners, order: int, cap: int = DEFAULT_ORDER_CAP
     vertex weights are restricted to the orders actually present in the outer
     (black) and combined inner (white) deformations.
 
-    The expansion runs in a workspace of dim n*d with K+2 p-blocks: blocks
+    The expansion runs in a workspace of dim n*d with K+1 p-blocks: blocks
     1..K hold the inner p-blocks at their output numbers, block K+1 the
-    flattened outer p (slot b at components (b-1)d+1..bd), block K+2 the
-    outer's x, and x-variables (b-1)d+1..bd inner slot b's x (the glue).  At
-    the base point one ``substitute`` sends slot b's outer p to the sum of its
-    inner blocks (arity >= 2) or to zero (arity 0), and one ``remap_variables``
-    renames the rest into shape (d, K): glue x and outer x to x, and an
-    arity-1 slot's outer p to its inner block.
+    flattened outer p (slot b at components (b-1)d+1..bd), and x-variables
+    (b-1)d+1..bd inner slot b's x (the glue); the outer's x, which no vertex
+    differentiates, shares x 1..d with slot 1's glue.  At the base point one
+    ``substitute`` sends slot b's outer p to the sum of its inner blocks
+    (arity >= 2) or to zero (arity 0), and one ``remap_variables`` renames
+    the rest into shape (d, K): glue x to x, and an arity-1 slot's outer p to
+    its inner block.
     """
     if order < 1:
         raise ValueError("truncation order must be >= 1")
@@ -143,7 +144,7 @@ def compose(outer: GenFunction, inners, order: int, cap: int = DEFAULT_ORDER_CAP
 
     K = sum(g.arity for g in inners)
     w_dim = d * n
-    w_blocks = K + 2
+    w_blocks = K + 1
     inputs_graded = check_grading(outer.deformation).ok and all(
         check_grading(g.deformation).ok for g in inners
     )
@@ -171,9 +172,6 @@ def compose(outer: GenFunction, inners, order: int, cap: int = DEFAULT_ORDER_CAP
                 images[outer_p] = PolySymbol._trusted(w_dim, w_blocks, block_sum)
         composite = composite + _embed(g.deformation.truncate(order), inner_map, w_dim, w_blocks)
         offset += g.arity
-    for i in range(1, d + 1):
-        outer_map[x_key(i)] = p_key(K + 2, i)
-        renames[p_key(K + 2, i)] = x_key(i)
     outer_w = _embed(outer.deformation.truncate(order), outer_map, w_dim, w_blocks)
 
     allowed = {BLACK: set(outer_w.orders), WHITE: set(composite.orders)}

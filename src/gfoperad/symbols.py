@@ -699,7 +699,8 @@ def series_from_obj(obj) -> FormalSeries:
         sym = poly_from_obj(entry["terms"], dim, arity)
         # entries that share an order add, as repeated monomials do
         orders[order] = orders[order] + sym if order in orders else sym
-    return FormalSeries(dim, arity, orders, graded=obj.get("graded", True))
+    graded = _json_check(obj.get("graded", True), bool, "graded")
+    return FormalSeries(dim, arity, orders, graded=graded)
 
 
 def series_dumps(series: FormalSeries) -> str:

@@ -6,7 +6,7 @@ are kept in a canonical form (children sorted by their text encoding), so
 structural equality coincides with isomorphism of weighted bipartite rooted
 trees.  Unrooted isomorphism classes are represented by :class:`TopTree`,
 whose canonical representative minimizes the rooted encoding over all
-re-rootings.
+re-rootings; enumeration canonicalizes each class once.
 """
 
 from __future__ import annotations
@@ -220,20 +220,18 @@ def automorphism_count(t) -> int:
 
 
 def rerootings(t: RootedTree) -> list[RootedTree]:
-    """The rooted trees obtained by re-rooting ``t`` at each of its vertices."""
-    nodes, edges = _flatten(t)
-    adj = {i: set() for i in range(len(nodes))}
-    for e in edges:
-        a, b = tuple(e)
-        adj[a].add(b)
-        adj[b].add(a)
+    """``t`` re-rooted at each of its vertices, in preorder of ``t``, root first."""
+    out = []
 
-    def build(idx, parent):
-        color, weight = nodes[idx]
-        children = tuple(build(j, idx) for j in adj[idx] if j != parent)
-        return RootedTree(color, weight, children)
+    def walk(node, above):
+        # ``above`` is empty at the root, else the rest of the tree seen from ``node``
+        out.append(RootedTree(node.color, node.weight, node.children + above))
+        for i, child in enumerate(node.children):
+            rest = node.children[:i] + node.children[i + 1:] + above
+            walk(child, (RootedTree(node.color, node.weight, rest),))
 
-    return [build(r, None) for r in range(len(nodes))]
+    walk(t, ())
+    return out
 
 
 def forget_root(t: RootedTree) -> TopTree:
@@ -327,11 +325,13 @@ def enumerate_unrooted(
     weight_cap: int = DEFAULT_WEIGHT_CAP,
     allowed_weights: dict[str, set[int] | None] | None = None,
 ) -> list[TopTree]:
-    """All unrooted classes with total weight <= ``max_total_weight``."""
-    seen = {}
+    """Unrooted classes of total weight <= ``max_total_weight``, each canonicalized once."""
+    classes = {}
     for t in enumerate_rooted(
         max_total_weight, weight_cap=weight_cap, allowed_weights=allowed_weights
     ):
-        top = forget_root(t)
-        seen.setdefault(top.encoding, top)
-    return sorted(seen.values(), key=lambda t: (t.total_weight, t.encoding))
+        if t.encoding not in classes:
+            roots = rerootings(t)
+            top = TopTree(min(roots, key=lambda r: r.encoding))
+            classes.update((r.encoding, top) for r in roots)
+    return sorted(set(classes.values()), key=lambda t: (t.total_weight, t.encoding))

@@ -152,6 +152,8 @@ def series_with_term(term):
         ("cobound", series_with_term({**SERIES_TERM, "coeff": 0.1})),
         ("cobound", series_with_term({**SERIES_TERM, "p": 5})),
         ("cobound", [series_with_term(SERIES_TERM)]),
+        # a string is not a bool, however it reads
+        ("cobound", {**series_with_term(SERIES_TERM), "graded": "false"}),
         (
             "validate",
             {"dim": 3, "entries": [{"i": 1, "j": 2, "terms": [{"coeff": 0.5, "x": [[3, 1]]}]}]},
@@ -167,6 +169,7 @@ def series_with_term(term):
         "series-float-coeff",
         "series-scalar-p",
         "series-list-top-level",
+        "series-string-graded",
         "poisson-float-coeff",
         "poisson-scalar-x",
         "poisson-list-top-level",

@@ -1,8 +1,10 @@
 import math
 import random
+from collections import Counter
 
 import pytest
 
+import gfoperad.trees
 from gfoperad.trees import (
     BLACK,
     WHITE,
@@ -200,3 +202,51 @@ def test_reroot_orbit_lemma():
         for tv in roots:
             matching = sum(1 for r in roots if r == tv)
             assert sym_t == symmetry_coefficient(tv) * matching, top.encoding
+
+
+RESTRICTED = {WHITE: {1, 2}, BLACK: {1, 3}}
+
+
+@pytest.mark.parametrize(
+    "allowed, counts",
+    [
+        (None, [2, 3, 6, 12, 28, 65, 170, 449]),
+        (RESTRICTED, [2, 2, 4, 6, 14, 27, 67, 153]),
+    ],
+    ids=["all-weights", "restricted"],
+)
+def test_unrooted_counts_match_otter(allowed, counts):
+    # An edge joins two colors, so no edge of a bicolored tree is symmetric, and
+    # Otter's dissimilarity theorem counts the unrooted classes as rooted
+    # classes minus rooted edges: rooted_w(w) + rooted_b(w) - sum_a
+    # rooted_w(a) * rooted_b(w - a).
+    top = len(counts)
+    rooted = Counter(
+        (t.color, t.total_weight) for t in enumerate_rooted(top, allowed_weights=allowed)
+    )
+    unrooted = Counter(t.total_weight for t in enumerate_unrooted(top, allowed_weights=allowed))
+    for w in range(1, top + 1):
+        edges = sum(rooted[WHITE, a] * rooted[BLACK, w - a] for a in range(1, w))
+        otter = rooted[WHITE, w] + rooted[BLACK, w] - edges
+        assert unrooted[w] == otter == counts[w - 1], w
+
+
+@pytest.mark.parametrize("allowed", [None, RESTRICTED], ids=["all-weights", "restricted"])
+def test_unrooted_classes_match_forget_root_of_every_rooted_tree(allowed):
+    # the canonicalize-every-rooted-tree algorithm as the oracle
+    for w in range(1, 8):
+        rooted = enumerate_rooted(w, allowed_weights=allowed)
+        expected = {forget_root(t).encoding for t in rooted}
+        assert {top.encoding for top in enumerate_unrooted(w, allowed_weights=allowed)} == expected
+
+
+def test_one_rerooting_walk_per_class(monkeypatch):
+    calls = []
+
+    def counted(t):
+        calls.append(t)
+        return rerootings(t)
+
+    monkeypatch.setattr(gfoperad.trees, "rerootings", counted)
+    tops = enumerate_unrooted(6)
+    assert len(calls) == len(tops) == 116
