@@ -1,4 +1,5 @@
-"""Golden gate: the exact bytes `gfoperad solve`, `compose` and `trees enum` write.
+"""Golden gate: the exact bytes `gfoperad solve`, `compose`, `trees enum`,
+`cobound`, `maps` and `poisson` write.
 
 Any change to the kernel, the composition pipeline or the solver that alters a
 coefficient, a term or the serialized order shows up here as a new digest.
@@ -17,7 +18,12 @@ import pytest
 
 from gfoperad.cli import main
 from gfoperad.poisson import PoissonStructure, poisson_dumps
-from gfoperad.solver import heisenberg_structure, lie_poisson_structure
+from gfoperad.solver import (
+    bch_generating_function,
+    heisenberg_structure,
+    lie_poisson_structure,
+    solve_deformation,
+)
 from gfoperad.symbols import (
     FormalSeries,
     PolySymbol,
@@ -128,3 +134,38 @@ def test_trees_enum_output_digest(capsys, args):
     assert main(["trees", "enum", *args]) == 0
     stdout = capsys.readouterr().out
     assert hashlib.sha256(stdout.encode()).hexdigest() == TREES_GOLDEN[args]
+
+
+#: name -> (command, input series, extra argv, sha256 of the output file).
+#: ``cobound`` runs on random dim-2 graded series of arities 1-3; ``maps`` and
+#: ``poisson`` on products that pass the structure conditions: the x.bch series
+#: of so(3) and the solved quadratic bracket.
+SERIES_GOLDEN = {
+    "cobound-arity-1": ("cobound", lambda: random_series(7, 1), (), "2333c34a6488e6843b8759533a1410677e922651d3f69036e2bcb03243eb5fef"),
+    "cobound-arity-2": ("cobound", lambda: random_series(8, 2), (), "30a7166a8654ec1b1174ec8be9d662f1d735285a91e00ec0b08605169670d6ce"),
+    "cobound-arity-3": ("cobound", lambda: random_series(9, 3), (), "48c105d22414b676bd946407b7d6275f95851d287e05e2d07bf651b9306fc602"),
+    "maps-so3-bch": (
+        "maps",
+        lambda: bch_generating_function(so3(), 4),
+        ("--order", "4"),
+        "3a47b1ee2cc677f7b0db74007872d6f35eb31dd07ff1ebe69e308a7910333c74",
+    ),
+    "maps-quadratic": (
+        "maps",
+        lambda: solve_deformation(quadratic(), 4),
+        ("--order", "4"),
+        "8adc14609273696700cf3efc6ebdbf73b6893b196251635399566afa782e1d18",
+    ),
+    "poisson-so3-bch": ("poisson", lambda: bch_generating_function(so3(), 2), (), "af04c895a0ccb35f6cadf600767b7c4af4202bbce54b76eecb00cfb840e985c2"),
+    "poisson-quadratic": ("poisson", lambda: solve_deformation(quadratic(), 3), (), "2c3b3ca817b161f67bb7c9a8aafeb70443a341f395f1edb7de63d966eb0ae632"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SERIES_GOLDEN))
+def test_series_command_output_digest(tmp_path, name):
+    command, build, extra, digest = SERIES_GOLDEN[name]
+    infile = tmp_path / "in.json"
+    infile.write_text(series_dumps(build()) + "\n")
+    out = tmp_path / "out.json"
+    assert main([command, "--in", str(infile), *extra, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
