@@ -6,10 +6,12 @@ The coboundary d sends an arity-n series to the arity-(n+1) series
                           + sum_j (-1)^(n+j-1) F(p_1.., p_j + p_{j+1}, .., p_{n+1}, x)
                           + (-1)^(n-1) F(p_2..p_{n+1}, x),
 
-realized by exact variable substitution.  The Gerstenhaber-type bracket is
-assembled from slot insertions through :func:`gfoperad.operad.compose` with
-identity fillers, with the classical slot signs (-1)^((i-1)(l-1)); the
-convention is pinned by bracket(0_2, F) = dF, which holds for every arity.
+realized by exact variable substitution: each of the n+2 terms is a face map
+applied with ``PolySymbol.map_blocks``, which sends each p-block to a sum of
+p-blocks.  The Gerstenhaber-type bracket is assembled from slot insertions
+through :func:`gfoperad.operad.compose` with identity fillers, with the
+classical slot signs (-1)^((i-1)(l-1)); the convention is pinned by
+bracket(0_2, F) = dF, which holds for every arity.
 
 For an arity-2 deformation S~ the product equation is the vanishing of
 S(S,I) - S(I,S) order by order; ``verify_product`` reports those residuals.
@@ -24,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from gfoperad.operad import DEFAULT_ORDER_CAP, GenFunction, compose, identity, trivial_product
-from gfoperad.symbols import FormalSeries, PolySymbol, p_key, x_key
+from gfoperad.symbols import FormalSeries, PolySymbol, _accumulate
 
 
 @dataclass
@@ -45,41 +47,24 @@ class CochainReport:
         return None
 
 
-def _shift_blocks(sym: PolySymbol, shift: int, blocks: int) -> PolySymbol:
-    mapping = {}
-    for b in range(1, sym.blocks + 1):
-        for i in range(1, sym.dim + 1):
-            mapping[p_key(b, i)] = p_key(b + shift, i)
-    return sym.remap_variables(mapping, sym.dim, blocks)
-
-
-def _merge_blocks(sym: PolySymbol, j: int, blocks: int) -> PolySymbol:
-    """Substitute p_j -> p_j + p_{j+1} and shift the blocks above j up by one."""
-    dim = sym.dim
-    mapping = {}
-    for b in range(j + 1, sym.blocks + 1):
-        for i in range(1, dim + 1):
-            mapping[p_key(b, i)] = PolySymbol.variable(p_key(b + 1, i), dim, blocks)
-    for i in range(1, dim + 1):
-        mapping[p_key(j, i)] = PolySymbol.variable(p_key(j, i), dim, blocks) + PolySymbol.variable(
-            p_key(j + 1, i), dim, blocks
-        )
-    return sym.substitute(mapping, dim=dim, blocks=blocks)
-
-
 def coboundary_symbol(sym: PolySymbol, arity: int) -> PolySymbol:
-    """Apply the coboundary substitution formula to one arity-``arity`` symbol."""
+    """Apply the coboundary to one arity-``arity`` symbol, face map by face map.
+
+    Face k of the n+2 drops p_1 (k = 0), merges p_k + p_{k+1} (1 <= k <= n)
+    or drops p_{n+1} (k = n+1), shifting the blocks above k up by one; it
+    enters with sign (-1)^(n+k+1).
+    """
     if sym.blocks != arity:
         raise ValueError(f"symbol has {sym.blocks} blocks, expected {arity}")
     n = arity
-    blocks = n + 1
-    total = sym.with_shape(sym.dim, blocks)
-    for j in range(1, n + 1):
-        sign = -1 if (n + j - 1) % 2 else 1
-        total = total + _merge_blocks(sym, j, blocks).scale(sign)
-    last = _shift_blocks(sym, 1, blocks)
-    total = total + last.scale(-1 if (n - 1) % 2 else 1)
-    return total
+    total = {}
+    for k in range(n + 2):
+        rows = {b: [(b + 1, 1)] for b in range(k + 1, n + 1)}
+        if 1 <= k <= n:
+            rows[k] = [(k, 1), (k + 1, 1)]
+        face = sym.map_blocks(rows, n + 1)
+        _accumulate(total, face.terms.items(), -1 if (n + k + 1) % 2 else None)
+    return PolySymbol._trusted(sym.dim, n + 1, total)
 
 
 def coboundary(series: FormalSeries) -> FormalSeries:

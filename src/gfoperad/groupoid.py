@@ -24,12 +24,12 @@ from gfoperad.operad import (
     DEFAULT_ORDER_CAP,
     GenFunction,
     NonConvergenceError,
+    _series_gradient,
     compose,
 )
 from gfoperad.poisson import PoissonStructure
 from gfoperad.symbols import (
     FormalSeries,
-    PolySymbol,
     monomial_p_degree,
     p_key,
     series_eval,
@@ -70,22 +70,6 @@ class SgsReport:
         return None
 
 
-def _zero_block(sym: PolySymbol, block: int) -> PolySymbol:
-    mapping = {
-        p_key(block, i): PolySymbol.zero(sym.dim, sym.blocks)
-        for i in range(1, sym.dim + 1)
-    }
-    return sym.substitute(mapping)
-
-
-def _negate_block_into(sym: PolySymbol, src: int, dst: int) -> PolySymbol:
-    mapping = {
-        p_key(src, i): PolySymbol.variable(p_key(dst, i), sym.dim, sym.blocks).scale(-1)
-        for i in range(1, sym.dim + 1)
-    }
-    return sym.substitute(mapping)
-
-
 def check_sgs(deformation: FormalSeries, order: int | None = None) -> SgsReport:
     """Exact substitution checks of the structure conditions, per order."""
     if deformation.blocks != 2:
@@ -94,9 +78,9 @@ def check_sgs(deformation: FormalSeries, order: int | None = None) -> SgsReport:
     right, left, inv = {}, {}, {}
     for n in range(1, max_order + 1):
         sym = deformation.order(n)
-        right[n] = _zero_block(sym, 2)
-        left[n] = _zero_block(sym, 1)
-        inv[n] = _negate_block_into(sym, 2, 1)
+        right[n] = sym.map_blocks({2: []}, 2)
+        left[n] = sym.map_blocks({1: []}, 2)
+        inv[n] = sym.map_blocks({2: [(1, -1)]}, 2)
     return SgsReport(right, left, inv, max_order)
 
 
@@ -106,18 +90,12 @@ def extract_poisson(deformation: FormalSeries) -> PoissonStructure:
         raise ValueError("expected an arity-2 deformation")
     d = deformation.dim
     s1 = deformation.order(1)
-    kill_p = {
-        p_key(b, i): PolySymbol.zero(d, 2)
-        for b in (1, 2)
-        for i in range(1, d + 1)
-    }
     matrix = []
     for k in range(1, d + 1):
         row = []
         for l in range(1, d + 1):
             second = s1.diff(p_key(1, k)).diff(p_key(2, l))
-            at_zero = second.substitute(kill_p).scale(2)
-            row.append(at_zero.remap_variables({}, d, 0))
+            row.append(second.map_blocks({1: [], 2: []}, 0).scale(2))
         matrix.append(row)
     try:
         return PoissonStructure.from_matrix(d, matrix)
@@ -140,14 +118,6 @@ class StructureMaps:
     def target_value(self, p, x, eps):
         return [x[i] + series_eval(self.target[i], [p], x, eps) for i in range(self.dim)]
 
-    @staticmethod
-    def unit_value(x):
-        return [0.0] * len(x), list(x)
-
-    @staticmethod
-    def inverse_value(p, x):
-        return [-v for v in p], list(x)
-
 
 def structure_maps(deformation: FormalSeries, order: int) -> StructureMaps:
     """Source x + grad_{p2} S~(p,0,x) and target x + grad_{p1} S~(0,p,x)."""
@@ -163,13 +133,9 @@ def structure_maps(deformation: FormalSeries, order: int) -> StructureMaps:
         tgt_orders = {}
         for n in range(1, order + 1):
             sym = deformation.order(n)
-            src = _zero_block(sym.diff(p_key(2, i)), 2)
-            tgt = _zero_block(sym.diff(p_key(1, i)), 1)
-            # survivors live in (p_1, x) resp. (p_2, x); re-express in arity 1
-            src_orders[n] = src.with_shape(d, 1)
-            tgt_orders[n] = tgt.remap_variables(
-                {p_key(2, j): p_key(1, j) for j in range(1, d + 1)}, d, 1
-            )
+            # S~(p, 0, x) keeps p_1, S~(0, p, x) moves p_2 to block 1
+            src_orders[n] = sym.diff(p_key(2, i)).map_blocks({2: []}, 1)
+            tgt_orders[n] = sym.diff(p_key(1, i)).map_blocks({1: [], 2: [(1, 1)]}, 1)
         source.append(FormalSeries(d, 1, src_orders, graded=False))
         target.append(FormalSeries(d, 1, tgt_orders, graded=False))
     return StructureMaps(d, tuple(source), tuple(target))
@@ -247,14 +213,8 @@ def psi_numeric(
     if morphism.blocks != 1:
         raise ValueError("psi is generated by arity-1 functions")
     d = morphism.dim
-    grad_p = [
-        FormalSeries(d, 1, {o: s.diff(p_key(1, i)) for o, s in morphism.orders.items()}, False)
-        for i in range(1, d + 1)
-    ]
-    grad_x = [
-        FormalSeries(d, 1, {o: s.diff(x_key(i)) for o, s in morphism.orders.items()}, False)
-        for i in range(1, d + 1)
-    ]
+    grad_p = [_series_gradient(morphism, p_key(1, i)) for i in range(1, d + 1)]
+    grad_x = [_series_gradient(morphism, x_key(i)) for i in range(1, d + 1)]
     p1 = [float(v) for v in p1]
     x1 = [float(v) for v in x1]
     x2 = list(x1)

@@ -45,7 +45,7 @@ def first_order_deformation(alpha: PoissonStructure) -> FormalSeries:
     d = alpha.dim
     total = PolySymbol.zero(d, 2)
     for (i, j), entry in alpha.entries.items():
-        lifted = entry.with_shape(d, 2)
+        lifted = entry.map_blocks({}, 2)
         p1i = PolySymbol.variable(p_key(1, i), d, 2)
         p2j = PolySymbol.variable(p_key(2, j), d, 2)
         p1j = PolySymbol.variable(p_key(1, j), d, 2)
@@ -120,14 +120,10 @@ def _order_columns(n: int, d: int):
     basis = _p_basis(n, d)
     d_cols = []
     sgs_cols = []
-    flip = {
-        p_key(2, i): PolySymbol.variable(p_key(1, i), d, 2).scale(-1)
-        for i in range(1, d + 1)
-    }
     for mono in basis:
         sym = PolySymbol._trusted(d, 2, {mono: Fraction(1)})
-        d_cols.append(dict(coboundary_symbol(sym, 2).terms))
-        sgs_cols.append(dict(sym.substitute(flip).terms))
+        d_cols.append(coboundary_symbol(sym, 2).terms)
+        sgs_cols.append(sym.map_blocks({2: [(1, -1)]}, 2).terms)
     return basis, d_cols, sgs_cols
 
 
@@ -164,12 +160,9 @@ def _solve_order(h_n: PolySymbol, n: int, d: int) -> PolySymbol:
 def solve_deformation(
     alpha: PoissonStructure,
     order: int,
-    gauge: str = "sgs_constrained",
     cap: int = DEFAULT_ORDER_CAP,
 ) -> FormalSeries:
     """Associative deformation with first order (1/2) p1.alpha.p2, up to ``order``."""
-    if gauge != "sgs_constrained":
-        raise ValueError(f"unknown gauge {gauge!r}")
     if order > cap:
         raise ValueError(f"order {order} exceeds cap {cap}")
     report = validate_poisson(alpha)

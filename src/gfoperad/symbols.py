@@ -187,9 +187,6 @@ class PolySymbol:
         """Terms in the canonical (degree-major, variable-major) order."""
         return sorted(self.terms.items(), key=lambda kv: monomial_sort_key(kv[0]))
 
-    def p_degrees(self):
-        return {monomial_p_degree(m) for m in self.terms}
-
     def max_x_degree(self) -> int:
         degs = [sum(e for v, e in m if v[0] == "x") for m in self.terms]
         return max(degs, default=0)
@@ -294,13 +291,14 @@ class PolySymbol:
 
     # -- substitution and reshaping ----------------------------------------
 
-    def substitute(self, mapping, dim=None, blocks=None) -> "PolySymbol":
+    def substitute(self, mapping, blocks=None) -> "PolySymbol":
         """Simultaneously replace variables by polynomials.
 
-        Unmapped variables survive unchanged; the result shape defaults to the
-        input shape and must accommodate every surviving variable and image.
+        Unmapped variables survive unchanged; the result has this symbol's dim
+        and ``blocks`` p-blocks (default: as many as this symbol), and must
+        accommodate every surviving variable and image.
         """
-        dim = self.dim if dim is None else dim
+        dim = self.dim
         blocks = self.blocks if blocks is None else blocks
         images = {}
         for var, image in mapping.items():
@@ -347,12 +345,27 @@ class PolySymbol:
         _accumulate(terms, renamed)
         return PolySymbol._trusted(dim, blocks, terms)
 
-    def with_shape(self, dim: int, blocks: int) -> "PolySymbol":
-        """Reinterpret in another shape; every variable must stay in range."""
-        for mono in self.terms:
-            for var, _ in mono:
-                _validate_var(var, dim, blocks)
-        return PolySymbol._trusted(dim, blocks, dict(self.terms))
+    def map_blocks(self, rows, blocks: int) -> "PolySymbol":
+        """Replace p[b][i] by sum(c * p[t][i] for t, c in rows[b]), for every i.
+
+        An empty row sets block b to zero, a block absent from ``rows`` keeps
+        its variables, and the result has ``blocks`` p-blocks.  Every face map
+        of the coboundary and every structure condition is such a map.  A
+        source block outside 1..self.blocks, a target block outside 1..blocks
+        or a kept variable outside the result shape raises :class:`ShapeError`.
+        """
+        images = {}
+        for b, row in rows.items():
+            if not 1 <= b <= self.blocks:
+                raise ShapeError(f"source p-block {b} out of range 1..{self.blocks}")
+            for t, _ in row:
+                if not 1 <= t <= blocks:
+                    raise ShapeError(f"target p-block {t} out of range 1..{blocks}")
+            for i in range(1, self.dim + 1):
+                image = {}
+                _accumulate(image, ((((p_key(t, i), 1),), Fraction(c)) for t, c in row if c))
+                images[p_key(b, i)] = PolySymbol._trusted(self.dim, blocks, image)
+        return self.substitute(images, blocks=blocks)
 
     # -- evaluation ----------------------------------------------------------
 

@@ -242,8 +242,8 @@ def forget_root(t: RootedTree) -> TopTree:
 def _multisets_with_weight(pool, target):
     """Multisets (as tuples) from ``pool`` whose total weights sum to ``target``.
 
-    ``pool`` must be sorted; indices are chosen non-decreasing so every
-    multiset appears exactly once.
+    ``pool`` must be sorted by total weight first; indices are chosen
+    non-decreasing so every multiset appears exactly once.
     """
     results = []
 
@@ -254,7 +254,7 @@ def _multisets_with_weight(pool, target):
         for i in range(start, len(pool)):
             w = pool[i].total_weight
             if w > remaining:
-                continue
+                break  # the pool is sorted, so every later tree is heavier
             acc.append(pool[i])
             rec(i, remaining - w, acc)
             acc.pop()

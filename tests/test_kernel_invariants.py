@@ -2,9 +2,9 @@
 
 Every kernel result must hold only canonical monomials (strictly increasing
 variables, exponents >= 1) with nonzero Fraction coefficients, in a terms dict
-of its own.  ``substitute`` is checked against a naive term-by-term fold that
-uses only the public constructors, ``*`` and ``+``, and the contractions
-against a naive sum over every index tuple.
+of its own.  ``substitute`` and ``map_blocks`` are checked against a naive
+term-by-term fold that uses only the public constructors, ``*`` and ``+``, and
+the contractions against a naive sum over every index tuple.
 """
 
 import itertools
@@ -69,9 +69,9 @@ def test_ring_operations_keep_the_invariant(a, b, k):
 
 @SETTINGS
 @given(POLYS, st.sampled_from(VARIABLES))
-def test_diff_and_with_shape_keep_the_invariant(a, var):
+def test_diff_and_map_blocks_keep_the_invariant(a, var):
     assert_clean(a.diff(var), a)
-    assert_clean(a.with_shape(DIM, BLOCKS), a)
+    assert_clean(a.map_blocks({}, BLOCKS), a)
 
 
 @SETTINGS
@@ -80,6 +80,30 @@ def test_substitute_matches_naive_fold(a, mapping):
     result = a.substitute(mapping)
     assert_clean(result, a, *mapping.values())
     assert result == naive_substitute(a, mapping)
+
+
+# block -> row of (target block, coefficient); a row may repeat a target or
+# carry a zero coefficient, so images cancel, and an empty row kills its block
+BLOCK_ROWS = st.dictionaries(
+    st.sampled_from([1, 2]),
+    st.lists(st.tuples(st.sampled_from([1, 2]), st.integers(-2, 2)), max_size=3),
+    max_size=2,
+)
+
+
+@SETTINGS
+@given(POLYS, BLOCK_ROWS)
+def test_map_blocks_matches_naive_fold(a, rows):
+    result = a.map_blocks(rows, BLOCKS)
+    assert_clean(result, a)
+    images = {}
+    for b, row in rows.items():
+        for i in range(1, DIM + 1):
+            image = PolySymbol.zero(DIM, BLOCKS)
+            for t, c in row:
+                image = image + PolySymbol.variable(p_key(t, i), DIM, BLOCKS).scale(c)
+            images[p_key(b, i)] = image
+    assert result == naive_substitute(a, images)
 
 
 @SETTINGS

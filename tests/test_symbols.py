@@ -208,10 +208,14 @@ def test_remap_and_reshape():
     f = sym(1, 1, {((p_key(1, 1), 1), (x_key(1), 1)): 3})
     g = f.remap_variables({p_key(1, 1): p_key(2, 1)}, 1, 2)
     assert g == sym(1, 2, {((p_key(2, 1), 1), (x_key(1), 1)): 3})
-    wide = f.with_shape(2, 3)
+    wide = f.map_blocks({}, 3)
     assert wide.blocks == 3
     with pytest.raises(ShapeError):
-        g.with_shape(1, 1)
+        g.map_blocks({}, 1)
+    with pytest.raises(ShapeError):
+        f.map_blocks({2: []}, 1)
+    with pytest.raises(ShapeError):
+        f.map_blocks({1: [(2, 1)]}, 1)
 
 
 def test_json_round_trip_and_stability():
