@@ -46,6 +46,8 @@ def quadratic():
 #: name -> (structure, order, sha256 of the output file)
 GOLDEN = {
     "so3": (so3, 4, "7c95c18fbddbd0ce17b51dc5e529da0f140698222968beeb4967fa39a9ccc6ca"),
+    # order 5 reaches p-degree 6, so the block maps expand higher binomials
+    "so3-order-5": (so3, 5, "68b136a9d7be2c24cd0e302f44a37ce61e19fd46f081c3eae46b547d3e7856cb"),
     "heisenberg": (heisenberg_structure, 6, "ccf31a75d31e170e809c32a035263917f8302efa4d96460866ff3b699be34a5f"),
     "quadratic": (quadratic, 6, "aacbf40fac5a44cb6d668e0c6bfb615d5ab8634a6a3b50c95b78c5f1d9fb18c1"),
 }
