@@ -25,7 +25,6 @@ from gfoperad.groupoid import (
     transform_product,
 )
 from gfoperad.operad import (
-    DEFAULT_ORDER_CAP,
     GenFunction,
     NonConvergenceError,
     compose,
@@ -95,7 +94,7 @@ def cmd_trees_enum(args) -> int:
 def cmd_compose(args) -> int:
     outer = _load_genfunction(args.outer)
     inners = _load_inners(args.inner)
-    result = compose(outer, inners, args.order, cap=max(args.order, DEFAULT_ORDER_CAP))
+    result = compose(outer, inners, args.order)
     _emit(series_dumps(result.deformation), args.out)
     return EXIT_OK
 
@@ -134,8 +133,8 @@ def cmd_numeric_check(args) -> int:
     for g in inners:
         grouped.append(p_blocks[cursor : cursor + g.arity])
         cursor += g.arity
+    composed = compose(outer, inners, args.order)
     numeric = numeric_phi(outer, inners, grouped, x_point, args.eps, tol=args.tol)
-    composed = compose(outer, inners, args.order, cap=max(args.order, DEFAULT_ORDER_CAP))
     series_value = composed.value(p_blocks, x_point, args.eps)
     print(f"numeric   {numeric!r}")
     print(f"series    {series_value!r}")
@@ -152,14 +151,14 @@ def cmd_cobound(args) -> int:
 def cmd_bracket(args) -> int:
     a = series_loads(_read(args.a))
     b = series_loads(_read(args.b))
-    result = bracket(a, b, args.order, cap=max(args.order, DEFAULT_ORDER_CAP))
+    result = bracket(a, b, args.order)
     _emit(series_dumps(result), args.out)
     return EXIT_OK
 
 
 def cmd_verify_sga(args) -> int:
     series = series_loads(_read(args.infile))
-    report = verify_product(series, args.order, cap=max(args.order, DEFAULT_ORDER_CAP))
+    report = verify_product(series, args.order)
     if report.all_zero:
         print(f"product equation holds through order {args.order}")
         return EXIT_OK
@@ -175,7 +174,7 @@ def cmd_solve(args) -> int:
     if not report.ok:
         print(f"not a Poisson structure: first failing triple {report.failing_triple}")
         return EXIT_VERIFICATION
-    series = solve_deformation(alpha, args.order, cap=max(args.order, DEFAULT_ORDER_CAP))
+    series = solve_deformation(alpha, args.order)
     _emit(series_dumps(series), args.out)
     return EXIT_OK
 
@@ -194,14 +193,14 @@ def cmd_validate(args) -> int:
 def cmd_transform(args) -> int:
     series = series_loads(_read(args.infile))
     morphism = series_loads(_read(args.morphism))
-    result = transform_product(series, morphism, args.order, cap=max(args.order, DEFAULT_ORDER_CAP))
+    result = transform_product(series, morphism, args.order)
     _emit(series_dumps(result), args.out)
     return EXIT_OK
 
 
 def cmd_invert(args) -> int:
     series = series_loads(_read(args.infile))
-    result = invert_morphism(series, args.order, cap=max(args.order, DEFAULT_ORDER_CAP))
+    result = invert_morphism(series, args.order)
     _emit(series_dumps(result), args.out)
     return EXIT_OK
 

@@ -6,12 +6,12 @@ The coboundary d sends an arity-n series to the arity-(n+1) series
                           + sum_j (-1)^(n+j-1) F(p_1.., p_j + p_{j+1}, .., p_{n+1}, x)
                           + (-1)^(n-1) F(p_2..p_{n+1}, x),
 
-realized by exact variable substitution: each of the n+2 terms is a face map
-applied with ``PolySymbol.map_blocks``, which sends each p-block to a sum of
-p-blocks.  The Gerstenhaber-type bracket is assembled from slot insertions
-through :func:`gfoperad.operad.compose` with identity fillers, with the
-classical slot signs (-1)^((i-1)(l-1)); the convention is pinned by
-bracket(0_2, F) = dF, which holds for every arity.
+realized as n+2 face maps, each one ``PolySymbol.map_blocks`` call: it sends
+each p-block to a sum of p-blocks and expands the merged powers
+(p_j + p_{j+1})^e by integer binomials.  The Gerstenhaber-type bracket is
+assembled from slot insertions through :func:`gfoperad.operad.compose` with
+identity fillers, with the classical slot signs (-1)^((i-1)(l-1)); the
+convention is pinned by bracket(0_2, F) = dF, which holds for every arity.
 
 For an arity-2 deformation S~ the product equation is the vanishing of
 S(S,I) - S(I,S) order by order; ``verify_product`` reports those residuals.

@@ -152,6 +152,8 @@ def invert_morphism(
     """
     if morphism.blocks != 1:
         raise ValueError("only arity-1 morphisms can be inverted")
+    if order > cap:
+        raise ValueError(f"order {order} exceeds cap {cap}")
     dim = morphism.dim
     inverse = FormalSeries.zero(dim, 1)
     for n in range(1, order + 1):

@@ -25,6 +25,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 
 
 class ShapeError(ValueError):
@@ -98,6 +99,41 @@ def _accumulate(acc, terms, factor=None, mono=()):
                 acc[m] = c
             else:
                 del acc[m]
+
+
+def _expand_power(row, comp, exp):
+    """(sum(c * p[t][comp] for t, c in row)) ** exp as (monomial, coefficient) pairs.
+
+    ``row`` holds distinct target blocks in ascending order with nonzero
+    coefficients, so each monomial comes out sorted and once; a coefficient is
+    a multinomial times powers of the row's coefficients.  An empty row gives
+    no terms.
+    """
+    if not row:
+        return []
+    (t, c), rest = row[0], row[1:]
+    var = p_key(t, comp)
+    out = [(((var, exp),), c**exp)]
+    if rest:
+        for k in range(exp - 1, 0, -1):
+            scale = comb(exp, k) * c**k
+            out.extend(
+                (((var, k),) + piece, scale * coeff)
+                for piece, coeff in _expand_power(rest, comp, exp - k)
+            )
+        out.extend(_expand_power(rest, comp, exp))
+    return out
+
+
+def _join_pieces(parts, merge):
+    """The monomial of ``parts``, (variable, exponent) pairs in any order;
+    ``merge`` adds the exponents of a variable that occurs more than once."""
+    if not merge:
+        return tuple(sorted(parts))
+    powers = {}
+    for var, exp in parts:
+        powers[var] = powers.get(var, 0) + exp
+    return tuple(sorted(powers.items()))
 
 
 def monomial_degree(monomial) -> int:
@@ -353,19 +389,68 @@ class PolySymbol:
         of the coboundary and every structure condition is such a map.  A
         source block outside 1..self.blocks, a target block outside 1..blocks
         or a kept variable outside the result shape raises :class:`ShapeError`.
+
+        Each mapped power p[b][i]^e expands in closed form by the multinomial
+        theorem, once per call (:func:`_expand_power`); its coefficients are
+        integers unless a row coefficient is a non-integer rational, and each
+        output term multiplies the monomial's coefficient once.
         """
-        images = {}
+        targets = {}
         for b, row in rows.items():
             if not 1 <= b <= self.blocks:
                 raise ShapeError(f"source p-block {b} out of range 1..{self.blocks}")
-            for t, _ in row:
+            merged = {}
+            for t, c in row:
                 if not 1 <= t <= blocks:
                     raise ShapeError(f"target p-block {t} out of range 1..{blocks}")
-            for i in range(1, self.dim + 1):
-                image = {}
-                _accumulate(image, ((((p_key(t, i), 1),), Fraction(c)) for t, c in row if c))
-                images[p_key(b, i)] = PolySymbol._trusted(self.dim, blocks, image)
-        return self.substitute(images, blocks=blocks)
+                merged[t] = merged.get(t, 0) + (c if type(c) is int else Fraction(c))
+            targets[b] = [
+                (t, c if type(c) is int or c.denominator != 1 else c.numerator)
+                for t, c in sorted(merged.items())
+                if c
+            ]
+        # pieces of one output monomial share a variable only if some target
+        # block is fed twice: by two source blocks, or by a source block and by
+        # its own kept variables
+        fed = [b for b in range(1, self.blocks + 1) if b not in targets]
+        fed += [t for row in targets.values() for t, _ in row]
+        merge = len(fed) != len(set(fed))
+        expansions = {}
+        terms = {}
+        for mono, coeff in self.terms.items():
+            kept = []
+            products = None
+            for var, exp in mono:
+                if var[0] == "p":
+                    b = var[1]
+                    if b in targets:
+                        pieces = expansions.get((var, exp))
+                        if pieces is None:
+                            pieces = expansions[var, exp] = _expand_power(targets[b], var[2], exp)
+                        if products is None:
+                            products = pieces
+                        else:
+                            products = [
+                                (m + piece, k * c) for m, k in products for piece, c in pieces
+                            ]
+                        continue
+                    if b > blocks:
+                        raise ShapeError(
+                            f"variable {var} outside shape dim={self.dim}, blocks={blocks}"
+                        )
+                kept.append((var, exp))
+            if products is None:
+                _accumulate(terms, ((mono, coeff),))
+                continue
+            kept = tuple(kept)
+            _accumulate(
+                terms,
+                (
+                    (_join_pieces(kept + m, merge), coeff if k == 1 else coeff * k)
+                    for m, k in products
+                ),
+            )
+        return PolySymbol._trusted(self.dim, blocks, terms)
 
     # -- evaluation ----------------------------------------------------------
 

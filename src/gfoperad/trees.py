@@ -6,7 +6,8 @@ are kept in a canonical form (children sorted by their text encoding), so
 structural equality coincides with isomorphism of weighted bipartite rooted
 trees.  Unrooted isomorphism classes are represented by :class:`TopTree`,
 whose canonical representative minimizes the rooted encoding over all
-re-rootings; enumeration canonicalizes each class once.
+re-rootings; enumeration canonicalizes each class once and counts its
+automorphisms in the same rerooting walk.
 """
 
 from __future__ import annotations
@@ -79,12 +80,18 @@ class RootedTree:
 
 
 class TopTree:
-    """Unrooted (topological) isomorphism class of a weighted bipartite tree."""
+    """Unrooted (topological) isomorphism class of a weighted bipartite tree.
 
-    __slots__ = ("canonical",)
+    ``sigma`` is its automorphism count, found with the canonical root by the
+    rerooting walk that classifies the tree (:func:`forget_root`,
+    :func:`enumerate_unrooted`).
+    """
 
-    def __init__(self, canonical: RootedTree):
+    __slots__ = ("canonical", "sigma")
+
+    def __init__(self, canonical: RootedTree, sigma: int):
         object.__setattr__(self, "canonical", canonical)
+        object.__setattr__(self, "sigma", sigma)
 
     def __setattr__(self, name, value):
         raise AttributeError("TopTree is immutable")
@@ -145,13 +152,11 @@ def symmetry_coefficient(t) -> int:
 
     For a rooted tree: product over groups of isomorphic children of
     mu! times the children's coefficients (automorphisms fixing the root).
-    For a :class:`TopTree`: automorphisms of the unrooted tree, obtained from
-    the canonical rooting via the orbit count of root choices.
+    For a :class:`TopTree`: automorphisms of the unrooted tree, carried on
+    the class since its rerooting walk (see :func:`_top_tree`).
     """
     if isinstance(t, TopTree):
-        root = t.canonical
-        copies = sum(1 for r in rerootings(root) if r == root)
-        return symmetry_coefficient(root) * copies
+        return t.sigma
     sigma = 1
     for _, group in itertools.groupby(t.children, key=lambda c: c.encoding):
         mu = len(list(group))
@@ -234,9 +239,20 @@ def rerootings(t: RootedTree) -> list[RootedTree]:
     return out
 
 
+def _top_tree(roots) -> TopTree:
+    """The class whose rerootings are ``roots``; the canonical root minimizes
+    the encoding.  The vertices whose rooting is isomorphic to the canonical
+    one form an orbit of the unrooted automorphisms, and the stabilizer is the
+    rooted automorphism group, so sigma = sigma(canonical) * copies.
+    """
+    canonical = min(roots, key=lambda r: r.encoding)
+    copies = sum(1 for r in roots if r == canonical)
+    return TopTree(canonical, symmetry_coefficient(canonical) * copies)
+
+
 def forget_root(t: RootedTree) -> TopTree:
     """Unrooted class of ``t``; canonical root minimizes the encoding."""
-    return TopTree(min(rerootings(t), key=lambda r: r.encoding))
+    return _top_tree(rerootings(t))
 
 
 def _multisets_with_weight(pool, target):
@@ -332,6 +348,6 @@ def enumerate_unrooted(
     ):
         if t.encoding not in classes:
             roots = rerootings(t)
-            top = TopTree(min(roots, key=lambda r: r.encoding))
+            top = _top_tree(roots)
             classes.update((r.encoding, top) for r in roots)
     return sorted(set(classes.values()), key=lambda t: (t.total_weight, t.encoding))

@@ -245,3 +245,37 @@ def test_selftest_passes(capsys):
     out = capsys.readouterr().out
     assert "FAIL" not in out
     assert out.count("PASS") >= 10
+
+
+def order_argvs(tmp_path):
+    """Every command that takes --order, on valid inputs, without the order."""
+    rng = random.Random(23)
+    f = write(tmp_path, "f.json", series_dumps(random_graded_series(rng, 1, 1, [1])))
+    g = write(tmp_path, "g.json", series_dumps(random_graded_series(rng, 1, 1, [1])))
+    pt = write(tmp_path, "pt.json", json.dumps({"p": [[0.5]], "x": [0.25]}))
+    s = write(tmp_path, "s.json", series_dumps(constant_poisson_first_order()))
+    m = write(tmp_path, "m.json", series_dumps(random_graded_series(rng, 1, 2, [2], max_x_degree=1)))
+    alpha = write(tmp_path, "alpha.json", poisson_dumps(heisenberg_structure()))
+    return {
+        "compose": ["compose", "--outer", f, "--inner", g],
+        "numeric-check": ["numeric-check", "--outer", f, "--inner", g, "--point", pt, "--eps", "1e-2"],
+        "bracket": ["bracket", "--a", f, "--b", g],
+        "verify-sga": ["verify-sga", "--in", s],
+        "solve": ["solve", "--poisson", alpha],
+        "transform": ["transform", "--in", s, "--morphism", m],
+        "invert": ["invert", "--in", m],
+    }
+
+
+@pytest.mark.parametrize(
+    "command",
+    ["compose", "numeric-check", "bracket", "verify-sga", "solve", "transform", "invert"],
+)
+def test_order_above_the_cap_is_a_usage_error(tmp_path, capsys, command):
+    argv = order_argvs(tmp_path)[command]
+    assert main([*argv, "--order", "2"]) == 0
+    capsys.readouterr()
+    assert main([*argv, "--order", "9"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "exceeds cap 8" in captured.err

@@ -10,7 +10,7 @@ the contractions against a naive sum over every index tuple.
 import itertools
 from fractions import Fraction
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gfoperad.symbols import (
@@ -34,8 +34,8 @@ POLYS = st.dictionaries(MONOMIALS, COEFFS, max_size=5).map(
 SETTINGS = settings(max_examples=60, deadline=None)
 
 
-def assert_clean(result, *operands):
-    assert (result.dim, result.blocks) == (DIM, BLOCKS)
+def assert_clean(result, *operands, blocks=BLOCKS):
+    assert (result.dim, result.blocks) == (DIM, blocks)
     for mono, coeff in result.terms.items():
         assert type(coeff) is Fraction and coeff != 0
         names = [var for var, _ in mono]
@@ -45,12 +45,13 @@ def assert_clean(result, *operands):
         assert result.terms is not operand.terms
 
 
-def naive_substitute(sym, mapping):
-    result = PolySymbol.zero(DIM, BLOCKS)
+def naive_substitute(sym, mapping, blocks=BLOCKS):
+    """Fold term by term into a result of ``blocks`` p-blocks."""
+    result = PolySymbol.zero(DIM, blocks)
     for mono, coeff in sym.terms.items():
-        term = PolySymbol.constant(coeff, DIM, BLOCKS)
+        term = PolySymbol.constant(coeff, DIM, blocks)
         for var, exp in mono:
-            image = mapping.get(var, PolySymbol.variable(var, DIM, BLOCKS))
+            image = mapping.get(var, PolySymbol.variable(var, DIM, blocks))
             for _ in range(exp):
                 term = term * image
         result = result + term
@@ -82,28 +83,46 @@ def test_substitute_matches_naive_fold(a, mapping):
     assert result == naive_substitute(a, mapping)
 
 
-# block -> row of (target block, coefficient); a row may repeat a target or
-# carry a zero coefficient, so images cancel, and an empty row kills its block
-BLOCK_ROWS = st.dictionaries(
-    st.sampled_from([1, 2]),
-    st.lists(st.tuples(st.sampled_from([1, 2]), st.integers(-2, 2)), max_size=3),
-    max_size=2,
+# exponents up to 5 reach the binomials of the higher solver orders
+HIGH_POWERS = st.dictionaries(st.sampled_from(VARIABLES), st.integers(1, 5), max_size=3).map(
+    lambda powers: tuple(sorted(powers.items()))
+)
+HIGH_POLYS = st.dictionaries(HIGH_POWERS, COEFFS, max_size=4).map(
+    lambda terms: PolySymbol(DIM, BLOCKS, terms)
 )
 
 
+@st.composite
+def block_maps(draw):
+    """(rows, blocks): a result of 2 or 3 p-blocks, as the coboundary faces use,
+    and block -> row of (target block, coefficient).  A row may repeat a target
+    or carry a zero coefficient, so images cancel; a coefficient may be an int,
+    an integral Fraction or a non-integer one; a row may land on a kept block;
+    an empty row kills its block."""
+    blocks = draw(st.sampled_from([2, 3]))
+    coeff = st.one_of(st.integers(-2, 2), COEFFS)
+    row = st.lists(st.tuples(st.integers(1, blocks), coeff), max_size=3)
+    return draw(st.dictionaries(st.sampled_from([1, 2]), row, max_size=2)), blocks
+
+
 @SETTINGS
-@given(POLYS, BLOCK_ROWS)
-def test_map_blocks_matches_naive_fold(a, rows):
-    result = a.map_blocks(rows, BLOCKS)
-    assert_clean(result, a)
+@given(HIGH_POLYS, block_maps())
+@example(
+    PolySymbol(DIM, BLOCKS, {((p_key(1, 1), 2), (p_key(2, 1), 3), (x_key(1), 1)): 1}),
+    ({2: [(1, Fraction(-1, 2)), (3, 2)]}, 3),
+)
+def test_map_blocks_matches_naive_fold(a, rows_blocks):
+    rows, blocks = rows_blocks
+    result = a.map_blocks(rows, blocks)
+    assert_clean(result, a, blocks=blocks)
     images = {}
     for b, row in rows.items():
         for i in range(1, DIM + 1):
-            image = PolySymbol.zero(DIM, BLOCKS)
+            image = PolySymbol.zero(DIM, blocks)
             for t, c in row:
-                image = image + PolySymbol.variable(p_key(t, i), DIM, BLOCKS).scale(c)
+                image = image + PolySymbol.variable(p_key(t, i), DIM, blocks).scale(c)
             images[p_key(b, i)] = image
-    assert result == naive_substitute(a, images)
+    assert result == naive_substitute(a, images, blocks)
 
 
 @SETTINGS

@@ -268,3 +268,19 @@ def test_solver_and_bch_agree_at_first_order():
     bch = bch_generating_function(alpha, 2)
     assert solved.order(1) == bch.order(1)
     # higher orders may legitimately differ by gauge; both already verified
+
+
+def test_order_columns_expand_without_substitute(monkeypatch):
+    # the coboundary and inverse-condition columns expand p-blocks in closed
+    # form; the generic substitute is never reached
+    calls = []
+    substitute = PolySymbol.substitute
+
+    def counted(self, *args, **kwargs):
+        calls.append(self)
+        return substitute(self, *args, **kwargs)
+
+    monkeypatch.setattr(PolySymbol, "substitute", counted)
+    basis, d_cols, sgs_cols = solver._order_columns(4, 3)
+    assert len(basis) == len(d_cols) == len(sgs_cols) > 0
+    assert calls == []

@@ -240,6 +240,23 @@ def test_unrooted_classes_match_forget_root_of_every_rooted_tree(allowed):
         assert {top.encoding for top in enumerate_unrooted(w, allowed_weights=allowed)} == expected
 
 
+def rerooting_sigma(top):
+    """sigma of an unrooted class by counting the canonical root's copies in a
+    fresh rerooting walk."""
+    root = top.canonical
+    return symmetry_coefficient(root) * sum(1 for r in rerootings(root) if r == root)
+
+
+@pytest.mark.parametrize("allowed", [None, RESTRICTED], ids=["all-weights", "restricted"])
+def test_carried_sigma_matches_rerooting_count(allowed):
+    tops = enumerate_unrooted(8, allowed_weights=allowed)
+    for top in tops:
+        assert top.sigma == rerooting_sigma(top), top.encoding
+    for t in enumerate_rooted(6, allowed_weights=allowed):
+        top = forget_root(t)
+        assert top.sigma == rerooting_sigma(top), t.encoding
+
+
 def test_one_rerooting_walk_per_class(monkeypatch):
     calls = []
 
