@@ -125,17 +125,6 @@ def _expand_power(row, comp, exp):
     return out
 
 
-def _join_pieces(parts, merge):
-    """The monomial of ``parts``, (variable, exponent) pairs in any order;
-    ``merge`` adds the exponents of a variable that occurs more than once."""
-    if not merge:
-        return tuple(sorted(parts))
-    powers = {}
-    for var, exp in parts:
-        powers[var] = powers.get(var, 0) + exp
-    return tuple(sorted(powers.items()))
-
-
 def monomial_degree(monomial) -> int:
     return sum(e for _, e in monomial)
 
@@ -391,9 +380,9 @@ class PolySymbol:
         or a kept variable outside the result shape raises :class:`ShapeError`.
 
         Each mapped power p[b][i]^e expands in closed form by the multinomial
-        theorem, once per call (:func:`_expand_power`); its coefficients are
-        integers unless a row coefficient is a non-integer rational, and each
-        output term multiplies the monomial's coefficient once.
+        theorem (:func:`_expand_power`); its coefficients are integers unless a
+        row coefficient is a non-integer rational, and each output term
+        multiplies the monomial's coefficient once.
         """
         targets = {}
         for b, row in rows.items():
@@ -404,18 +393,7 @@ class PolySymbol:
                 if not 1 <= t <= blocks:
                     raise ShapeError(f"target p-block {t} out of range 1..{blocks}")
                 merged[t] = merged.get(t, 0) + (c if type(c) is int else Fraction(c))
-            targets[b] = [
-                (t, c if type(c) is int or c.denominator != 1 else c.numerator)
-                for t, c in sorted(merged.items())
-                if c
-            ]
-        # pieces of one output monomial share a variable only if some target
-        # block is fed twice: by two source blocks, or by a source block and by
-        # its own kept variables
-        fed = [b for b in range(1, self.blocks + 1) if b not in targets]
-        fed += [t for row in targets.values() for t, _ in row]
-        merge = len(fed) != len(set(fed))
-        expansions = {}
+            targets[b] = [(t, c) for t, c in sorted(merged.items()) if c]
         terms = {}
         for mono, coeff in self.terms.items():
             kept = []
@@ -424,14 +402,14 @@ class PolySymbol:
                 if var[0] == "p":
                     b = var[1]
                     if b in targets:
-                        pieces = expansions.get((var, exp))
-                        if pieces is None:
-                            pieces = expansions[var, exp] = _expand_power(targets[b], var[2], exp)
+                        pieces = _expand_power(targets[b], var[2], exp)
                         if products is None:
                             products = pieces
                         else:
                             products = [
-                                (m + piece, k * c) for m, k in products for piece, c in pieces
+                                (_mul_monomials(m, piece), k * c)
+                                for m, k in products
+                                for piece, c in pieces
                             ]
                         continue
                     if b > blocks:
@@ -441,15 +419,8 @@ class PolySymbol:
                 kept.append((var, exp))
             if products is None:
                 _accumulate(terms, ((mono, coeff),))
-                continue
-            kept = tuple(kept)
-            _accumulate(
-                terms,
-                (
-                    (_join_pieces(kept + m, merge), coeff if k == 1 else coeff * k)
-                    for m, k in products
-                ),
-            )
+            else:
+                _accumulate(terms, products, coeff, tuple(kept))
         return PolySymbol._trusted(self.dim, blocks, terms)
 
     # -- evaluation ----------------------------------------------------------

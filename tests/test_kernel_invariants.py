@@ -111,6 +111,10 @@ def block_maps(draw):
     PolySymbol(DIM, BLOCKS, {((p_key(1, 1), 2), (p_key(2, 1), 3), (x_key(1), 1)): 1}),
     ({2: [(1, Fraction(-1, 2)), (3, 2)]}, 3),
 )
+@example(
+    PolySymbol(DIM, BLOCKS, {((p_key(1, 1), 1), (p_key(2, 1), 2)): 1}),
+    ({1: [(2, 1)], 2: [(1, 1), (2, 1)]}, 2),
+)
 def test_map_blocks_matches_naive_fold(a, rows_blocks):
     rows, blocks = rows_blocks
     result = a.map_blocks(rows, blocks)
