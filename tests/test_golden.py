@@ -83,14 +83,22 @@ def random_series(seed, arity):
 
 
 #: name -> (outer, inners, order, sha256 of the output file); every input has
-#: dim 2.  The cases cover inner arities (2, 1), a nonzero outer with an
-#: arity-0 inner in one slot, and every inner of arity 0 (an arity-0 result).
+#: dim 2.  The cases cover inner arities (2, 1), inner arities (1, 3) (an
+#: arity-1 slot first, then a three-block sum in the base point), a nonzero
+#: outer with an arity-0 inner in one slot, and every inner of arity 0 (an
+#: arity-0 result).
 COMPOSE_GOLDEN = {
     "arities-2-1": (
         lambda: random_series(1, 2),
         lambda: [random_series(2, 2), random_series(3, 1)],
         4,
         "b71950598df557c147d388bd43e1d6d738d8909c26791fe38b572ad89faa2ff2",
+    ),
+    "arities-1-3": (
+        lambda: random_series(13, 2),
+        lambda: [random_series(14, 1), random_series(15, 3)],
+        6,
+        "9e7ef1522e8f35b87a998ad2d56e75a0620a32de5b7560448265e7d793acc793",
     ),
     "arity-0-slot": (
         lambda: random_series(12, 2),
