@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from gfoperad.operad import DEFAULT_ORDER_CAP, GenFunction, compose, identity, trivial_product
+from gfoperad.operad import GenFunction, compose, identity, trivial_product
 from gfoperad.symbols import FormalSeries, PolySymbol, _accumulate
 
 
@@ -80,7 +80,7 @@ def coboundary(series: FormalSeries) -> FormalSeries:
     )
 
 
-def _insert(outer: FormalSeries, inner: FormalSeries, slot: int, order: int, cap: int) -> FormalSeries:
+def _insert(outer: FormalSeries, inner: FormalSeries, slot: int, order: int) -> FormalSeries:
     """Deformation of outer composed with ``inner`` in one slot, identities elsewhere."""
     dim = outer.dim
     fillers = []
@@ -89,40 +89,40 @@ def _insert(outer: FormalSeries, inner: FormalSeries, slot: int, order: int, cap
             fillers.append(GenFunction(inner.blocks, dim, inner))
         else:
             fillers.append(identity(dim))
-    return compose(GenFunction(outer.blocks, dim, outer), fillers, order, cap=cap).deformation
+    return compose(GenFunction(outer.blocks, dim, outer), fillers, order).deformation
 
 
-def circ(F: FormalSeries, G: FormalSeries, order: int, cap: int = DEFAULT_ORDER_CAP) -> FormalSeries:
+def circ(F: FormalSeries, G: FormalSeries, order: int) -> FormalSeries:
     """Sum of slot insertions F(0_1,..,G,..,0_1) with signs (-1)^((i-1)(l-1))."""
     k, l = F.blocks, G.blocks
+    if k + l < 1:
+        raise ValueError("circ needs an operand of positive arity, got two of arity 0")
     total = FormalSeries.zero(F.dim, k + l - 1)
     for i in range(1, k + 1):
-        piece = _insert(F, G, i, order, cap)
+        piece = _insert(F, G, i, order)
         sign = -1 if ((i - 1) * (l - 1)) % 2 else 1
         total = total + piece.scale(sign)
     return total
 
 
-def bracket(F: FormalSeries, G: FormalSeries, order: int, cap: int = DEFAULT_ORDER_CAP) -> FormalSeries:
+def bracket(F: FormalSeries, G: FormalSeries, order: int) -> FormalSeries:
     """Gerstenhaber bracket [F, G] = F o G - (-1)^((k-1)(l-1)) G o F."""
     if F.dim != G.dim:
         raise ValueError("bracket operands must share the base dimension")
     k, l = F.blocks, G.blocks
     sign = -1 if ((k - 1) * (l - 1)) % 2 else 1
-    return circ(F, G, order, cap) - circ(G, F, order, cap).scale(sign)
+    return circ(F, G, order) - circ(G, F, order).scale(sign)
 
 
-def verify_product(
-    deformation: FormalSeries, order: int, cap: int = DEFAULT_ORDER_CAP
-) -> CochainReport:
+def verify_product(deformation: FormalSeries, order: int) -> CochainReport:
     """Residuals of S(S, I) - S(I, S) for S = S0 + S~, per order up to ``order``."""
     if deformation.blocks != 2:
         raise ValueError("a product candidate must have arity 2")
     dim = deformation.dim
     S = GenFunction(2, dim, deformation)
     one = identity(dim)
-    left = compose(S, [S, one], order, cap=cap).deformation
-    right = compose(S, [one, S], order, cap=cap).deformation
+    left = compose(S, [S, one], order).deformation
+    right = compose(S, [one, S], order).deformation
     diff = left - right
     residuals = {n: diff.order(n) for n in range(1, order + 1)}
     return CochainReport(residuals, order)
@@ -137,9 +137,7 @@ class ProductPreconditionError(ValueError):
         super().__init__(f"product equation already fails at order {order}: {residual}")
 
 
-def obstruction(
-    partial: FormalSeries, n: int, cap: int = DEFAULT_ORDER_CAP, verified: bool = False
-) -> PolySymbol:
+def obstruction(partial: FormalSeries, n: int, verified: bool = False) -> PolySymbol:
     """H_n: the order-n product residual of S_{<n}, the orders of ``partial`` below n.
 
     H_n is the order-n part of (1/2)[S~, S~], since bracket(S, S) = 2 circ(S, S)
@@ -151,7 +149,7 @@ def obstruction(
         raise ValueError("expected an arity-2 deformation")
     if n <= 1:
         return PolySymbol.zero(partial.dim, 3)
-    report = verify_product(partial.truncate(n - 1), n, cap=cap)
+    report = verify_product(partial.truncate(n - 1), n)
     if not verified:
         failure = report.first_failure()
         if failure is not None and failure[0] < n:

@@ -141,9 +141,7 @@ def structure_maps(deformation: FormalSeries, order: int) -> StructureMaps:
     return StructureMaps(d, tuple(source), tuple(target))
 
 
-def invert_morphism(
-    morphism: FormalSeries, order: int, cap: int = DEFAULT_ORDER_CAP
-) -> FormalSeries:
+def invert_morphism(morphism: FormalSeries, order: int) -> FormalSeries:
     """The arity-1 series G~ with F(G) = I up to the given order.
 
     Order n of F(G) is F~_n + G~_n + (tree terms in lower orders), so G~ is
@@ -152,8 +150,8 @@ def invert_morphism(
     """
     if morphism.blocks != 1:
         raise ValueError("only arity-1 morphisms can be inverted")
-    if order > cap:
-        raise ValueError(f"order {order} exceeds cap {cap}")
+    if order > DEFAULT_ORDER_CAP:
+        raise ValueError(f"order {order} exceeds cap {DEFAULT_ORDER_CAP}")
     dim = morphism.dim
     inverse = FormalSeries.zero(dim, 1)
     for n in range(1, order + 1):
@@ -161,7 +159,6 @@ def invert_morphism(
             GenFunction(1, dim, morphism.truncate(order)),
             [GenFunction(1, dim, inverse)],
             n,
-            cap=cap,
         ).deformation
         residual = current.order(n)
         if not residual.is_zero():
@@ -170,24 +167,16 @@ def invert_morphism(
 
 
 def transform_product(
-    deformation: FormalSeries,
-    morphism: FormalSeries,
-    order: int,
-    cap: int = DEFAULT_ORDER_CAP,
+    deformation: FormalSeries, morphism: FormalSeries, order: int
 ) -> FormalSeries:
     """Equivalence action F(S)(F^{-1}, F^{-1}) on an arity-2 deformation."""
     if deformation.blocks != 2 or morphism.blocks != 1:
         raise ValueError("need an arity-2 deformation and an arity-1 morphism")
     dim = deformation.dim
-    inverse = invert_morphism(morphism, order, cap=cap)
-    outer = compose(
-        GenFunction(1, dim, morphism),
-        [GenFunction(2, dim, deformation)],
-        order,
-        cap=cap,
-    )
+    inverse = invert_morphism(morphism, order)
+    outer = compose(GenFunction(1, dim, morphism), [GenFunction(2, dim, deformation)], order)
     finv = GenFunction(1, dim, inverse)
-    return compose(outer, [finv, finv], order, cap=cap).deformation
+    return compose(outer, [finv, finv], order).deformation
 
 
 def is_odd_in_p(series: FormalSeries) -> bool:

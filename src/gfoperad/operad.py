@@ -36,7 +36,7 @@ from gfoperad.symbols import (
 )
 from gfoperad.trees import BLACK, WHITE, enumerate_unrooted, symmetry_coefficient
 
-#: Default cap on the truncation order of compositions (tree counts grow fast).
+#: Cap on the truncation order of compositions and solves (tree counts grow fast).
 DEFAULT_ORDER_CAP = 8
 
 #: numeric_phi refuses larger deformation parameters by default.
@@ -111,8 +111,8 @@ def _embed(series: FormalSeries, mapping, w_dim, w_blocks) -> FormalSeries:
     )
 
 
-def compose(outer: GenFunction, inners, order: int, cap: int = DEFAULT_ORDER_CAP) -> GenFunction:
-    """Operadic composition, truncated at epsilon^order.
+def compose(outer: GenFunction, inners, order: int) -> GenFunction:
+    """Operadic composition, truncated at epsilon^order <= DEFAULT_ORDER_CAP.
 
     Sums C_t over unrooted topological trees with total weight <= order; tree
     vertex weights are restricted to the orders actually present in the outer
@@ -123,15 +123,14 @@ def compose(outer: GenFunction, inners, order: int, cap: int = DEFAULT_ORDER_CAP
     flattened outer p (slot b at components (b-1)d+1..bd), and x-variables
     (b-1)d+1..bd inner slot b's x (the glue); the outer's x, which no vertex
     differentiates, shares x 1..d with slot 1's glue.  At the base point one
-    ``substitute`` sends slot b's outer p to the sum of its inner blocks
-    (arity >= 2) or to zero (arity 0), and one ``remap_variables`` renames
-    the rest into shape (d, K): glue x to x, and an arity-1 slot's outer p to
-    its inner block.
+    ``substitute`` per weight maps into shape (d, K): slot b's outer p goes to
+    the sum of its inner blocks (one block for arity 1, zero for arity 0) and
+    glue x to x.
     """
     if order < 1:
         raise ValueError("truncation order must be >= 1")
-    if order > cap:
-        raise ValueError(f"truncation order {order} exceeds cap {cap}")
+    if order > DEFAULT_ORDER_CAP:
+        raise ValueError(f"truncation order {order} exceeds cap {DEFAULT_ORDER_CAP}")
     d = outer.dim
     n = outer.arity
     if len(inners) != n:
@@ -149,27 +148,22 @@ def compose(outer: GenFunction, inners, order: int, cap: int = DEFAULT_ORDER_CAP
         check_grading(g.deformation).ok for g in inners
     )
 
-    # workspace maps and the base point's images and renames (see docstring)
+    # workspace maps and the base point's images (see docstring)
     outer_map = {}
     images = {}
-    renames = {}
     composite = FormalSeries.zero(w_dim, w_blocks, graded=False)
     offset = 0
     for b, g in enumerate(inners, start=1):
         inner_map = {}
         for i in range(1, d + 1):
             glue = (b - 1) * d + i
-            outer_p = p_key(K + 1, glue)
             block_vars = [p_key(offset + l, i) for l in range(1, g.arity + 1)]
             inner_map.update((p_key(l, i), var) for l, var in enumerate(block_vars, start=1))
             inner_map[x_key(i)] = x_key(glue)
-            outer_map[p_key(b, i)] = outer_p
-            renames[x_key(glue)] = x_key(i)
-            if g.arity == 1:
-                renames[outer_p] = block_vars[0]
-            else:
-                block_sum = {((var, 1),): Fraction(1) for var in block_vars}
-                images[outer_p] = PolySymbol._trusted(w_dim, w_blocks, block_sum)
+            outer_map[p_key(b, i)] = p_key(K + 1, glue)
+            images[p_key(K + 1, glue)] = PolySymbol(d, K, {((v, 1),): 1 for v in block_vars})
+            if glue != i:
+                images[x_key(glue)] = PolySymbol.variable(x_key(i), d, K)
         composite = composite + _embed(g.deformation.truncate(order), inner_map, w_dim, w_blocks)
         offset += g.arity
     outer_w = _embed(outer.deformation.truncate(order), outer_map, w_dim, w_blocks)
@@ -187,10 +181,10 @@ def compose(outer: GenFunction, inners, order: int, cap: int = DEFAULT_ORDER_CAP
             weight_terms = sums.setdefault(top.total_weight, {})
             _accumulate(weight_terms, value.terms.items(), Fraction(1, symmetry_coefficient(top)))
 
-    result_orders = {}
-    for weight, terms in sums.items():
-        substituted = PolySymbol._trusted(w_dim, w_blocks, terms).substitute(images)
-        result_orders[weight] = substituted.remap_variables(renames, d, K)
+    result_orders = {
+        weight: PolySymbol._trusted(w_dim, w_blocks, terms).substitute(images, d, K)
+        for weight, terms in sums.items()
+    }
 
     series = FormalSeries(d, K, result_orders, graded=True)
     if inputs_graded:

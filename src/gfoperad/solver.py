@@ -157,14 +157,10 @@ def _solve_order(h_n: PolySymbol, n: int, d: int) -> PolySymbol:
     return PolySymbol._trusted(d, 2, terms)
 
 
-def solve_deformation(
-    alpha: PoissonStructure,
-    order: int,
-    cap: int = DEFAULT_ORDER_CAP,
-) -> FormalSeries:
+def solve_deformation(alpha: PoissonStructure, order: int) -> FormalSeries:
     """Associative deformation with first order (1/2) p1.alpha.p2, up to ``order``."""
-    if order > cap:
-        raise ValueError(f"order {order} exceeds cap {cap}")
+    if order > DEFAULT_ORDER_CAP:
+        raise ValueError(f"order {order} exceeds cap {DEFAULT_ORDER_CAP}")
     report = validate_poisson(alpha)
     if not report.ok:
         raise ValueError(f"not a Poisson structure; first failing triple {report.failing_triple}")
@@ -172,7 +168,7 @@ def solve_deformation(
     series = first_order_deformation(alpha)
     degree = alpha.max_degree
     for n in range(2, order + 1):
-        h_n = obstruction(series, n, cap=cap, verified=True)
+        h_n = obstruction(series, n, verified=True)
         for mono in h_n.terms:
             _, x_part = _split_monomial(mono)
             x_deg = sum(e for _, e in x_part)
@@ -183,7 +179,7 @@ def solve_deformation(
         s_n = _solve_order(h_n, n, d)
         if not s_n.is_zero():
             series = series.with_order(n, s_n)
-    if not verify_product(series, order, cap=cap).all_zero:
+    if not verify_product(series, order).all_zero:
         raise AssertionError("solver output fails the product equation")
     if not check_sgs(series, order).passed:
         raise AssertionError("solver output fails the structure conditions")

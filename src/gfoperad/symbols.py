@@ -14,6 +14,8 @@ constructor ``PolySymbol(dim, blocks, terms)`` establishes it for outside input
 goes through :meth:`PolySymbol._trusted`, which wraps an already-clean dict
 without copying or checking, and every sum is built by :func:`_accumulate`, the
 one accumulation path: it adds terms into a dict in place and drops zeros.
+Every change of variables (``substitute``, ``remap_variables``, ``map_blocks``)
+goes through one variable map, :meth:`PolySymbol._map`.
 
 :class:`FormalSeries` collects an order-indexed family of symbols.  A graded
 series of arity n keeps its order-i term homogeneous of p-degree i+1, which is
@@ -55,6 +57,8 @@ def _validate_var(var, dim, blocks):
 
 def _mul_monomials(m1, m2):
     """Merge two sorted (variable, exponent) tuples."""
+    if not m1 or not m2 or m1[-1][0] < m2[0][0]:
+        return m1 + m2
     out = []
     i = j = 0
     while i < len(m1) and j < len(m2):
@@ -101,28 +105,37 @@ def _accumulate(acc, terms, factor=None, mono=()):
                 del acc[m]
 
 
-def _expand_power(row, comp, exp):
-    """(sum(c * p[t][comp] for t, c in row)) ** exp as (monomial, coefficient) pairs.
+def _power(mono, exp):
+    return mono if exp == 1 else tuple([(var, e * exp) for var, e in mono])
 
-    ``row`` holds distinct target blocks in ascending order with nonzero
-    coefficients, so each monomial comes out sorted and once; a coefficient is
-    a multinomial times powers of the row's coefficients.  An empty row gives
-    no terms.
+
+def _expand_power(row, exp):
+    """(sum(c * m for m, c in row)) ** exp as (monomial, coefficient) pairs.
+
+    The multinomial theorem, one row term at a time: each coefficient is a
+    multinomial times powers of the row's nonzero coefficients, and products
+    merge through :func:`_mul_monomials`.  A row of distinct single variables
+    gives each monomial once; a general row may repeat one, which the caller's
+    :func:`_accumulate` adds up.  An empty row gives no terms.
     """
     if not row:
         return []
-    (t, c), rest = row[0], row[1:]
-    var = p_key(t, comp)
-    out = [(((var, exp),), c**exp)]
+    (m, c), rest = row[0], row[1:]
+    out = [(_power(m, exp), c**exp)]
     if rest:
         for k in range(exp - 1, 0, -1):
+            head = _power(m, k)
             scale = comb(exp, k) * c**k
             out.extend(
-                (((var, k),) + piece, scale * coeff)
-                for piece, coeff in _expand_power(rest, comp, exp - k)
+                (_mul_monomials(head, piece), scale * coeff)
+                for piece, coeff in _expand_power(rest, exp - k)
             )
-        out.extend(_expand_power(rest, comp, exp))
+        out.extend(_expand_power(rest, exp))
     return out
+
+
+#: memo value of a variable that a variable map leaves in place
+_KEPT = object()
 
 
 def monomial_degree(monomial) -> int:
@@ -274,19 +287,6 @@ class PolySymbol:
             return self.scale(other)
         return NotImplemented
 
-    def __pow__(self, exponent: int):
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("exponent must be a non-negative integer")
-        result = PolySymbol.constant(1, self.dim, self.blocks)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base if e > 1 else base
-            e >>= 1
-        return result
-
     # -- calculus ----------------------------------------------------------
 
     def diff(self, var) -> "PolySymbol":
@@ -316,59 +316,84 @@ class PolySymbol:
 
     # -- substitution and reshaping ----------------------------------------
 
-    def substitute(self, mapping, blocks=None) -> "PolySymbol":
-        """Simultaneously replace variables by polynomials.
+    def _map(self, rows, dim: int, blocks: int) -> "PolySymbol":
+        """The one variable map: replace each variable v by the sum of ``rows(v)``.
 
-        Unmapped variables survive unchanged; the result has this symbol's dim
-        and ``blocks`` p-blocks (default: as many as this symbol), and must
-        accommodate every surviving variable and image.
+        ``rows(v)`` is a list of (monomial, coefficient) pairs in shape
+        (dim, blocks), or None to keep v, which must then lie in that shape
+        (checked once per call).  A one-term image folds into the monomial
+        and the coefficient; a longer one expands by :func:`_expand_power`.
+        Each (variable, exponent) is resolved once per call.
         """
-        dim = self.dim
-        blocks = self.blocks if blocks is None else blocks
-        images = {}
-        for var, image in mapping.items():
-            if isinstance(image, PolySymbol):
-                images[var] = image
-            else:
-                images[var] = PolySymbol.constant(image, dim, blocks)
-        power_cache = {}
+        memo = {}
         terms = {}
         for mono, coeff in self.terms.items():
-            fixed = []
-            factor = None
-            for var, exp in mono:
-                if var in images:
-                    piece = power_cache.get((var, exp))
-                    if piece is None:
-                        image = images[var]
-                        if image.dim != dim or image.blocks != blocks:
-                            raise ShapeError(
-                                f"shape mismatch: ({dim},{blocks}) vs ({image.dim},{image.blocks})"
-                            )
-                        piece = power_cache[(var, exp)] = image**exp
-                    factor = piece if factor is None else factor * piece
+            kept = []
+            folded = None
+            scale = 1
+            products = None
+            for pair in mono:
+                pieces = memo.get(pair)
+                if pieces is None:
+                    var, exp = pair
+                    row = rows(var)
+                    if row is None:
+                        _validate_var(var, dim, blocks)
+                        pieces = _KEPT
+                    else:
+                        pieces = _expand_power(row, exp)
+                    memo[pair] = pieces
+                if pieces is _KEPT:
+                    kept.append(pair)
+                elif len(pieces) == 1:
+                    m, c = pieces[0]
+                    if c != 1:
+                        scale = scale * c
+                    folded = m if folded is None else _mul_monomials(folded, m)
+                elif products is None:
+                    products = pieces  # a zero image leaves no pieces, so no terms
                 else:
-                    _validate_var(var, dim, blocks)
-                    fixed.append((var, exp))
-            if factor is None:
-                _accumulate(terms, ((tuple(fixed), coeff),))
+                    products = [
+                        (_mul_monomials(m, piece), k * c)
+                        for m, k in products
+                        for piece, c in pieces
+                    ]
+            mono = tuple(kept)
+            if folded is not None:
+                mono = _mul_monomials(mono, folded)
+            if scale != 1:
+                coeff = coeff * scale
+            if products is None:
+                _accumulate(terms, ((mono, coeff),))
             else:
-                _accumulate(terms, factor.terms.items(), coeff, tuple(fixed))
+                _accumulate(terms, products, coeff, mono)
         return PolySymbol._trusted(dim, blocks, terms)
+
+    def substitute(self, mapping, dim: int, blocks: int) -> "PolySymbol":
+        """Simultaneously replace variables by polynomials or constants.
+
+        The result has shape (dim, blocks); every image symbol must have that
+        shape and every unmapped variable must lie in it.
+        """
+        rows = {}
+        for var, image in mapping.items():
+            if isinstance(image, PolySymbol):
+                if image.dim != dim or image.blocks != blocks:
+                    raise ShapeError(
+                        f"shape mismatch: ({dim},{blocks}) vs ({image.dim},{image.blocks})"
+                    )
+                rows[var] = list(image.terms.items())
+            else:
+                image = Fraction(image)
+                rows[var] = [((), image)] if image else []
+        return self._map(rows.get, dim, blocks)
 
     def remap_variables(self, mapping, dim: int, blocks: int) -> "PolySymbol":
         """Rename variables via ``mapping`` (var -> var); unmapped vars kept."""
-        renamed = []
-        for mono, coeff in self.terms.items():
-            powers = {}
-            for var, exp in mono:
-                new = mapping.get(var, var)
-                _validate_var(new, dim, blocks)
-                powers[new] = powers.get(new, 0) + exp
-            renamed.append((tuple(sorted(powers.items())), coeff))
-        terms = {}
-        _accumulate(terms, renamed)
-        return PolySymbol._trusted(dim, blocks, terms)
+        for new in mapping.values():
+            _validate_var(new, dim, blocks)
+        rows = {var: [(((new, 1),), 1)] for var, new in mapping.items()}
+        return self._map(rows.get, dim, blocks)
 
     def map_blocks(self, rows, blocks: int) -> "PolySymbol":
         """Replace p[b][i] by sum(c * p[t][i] for t, c in rows[b]), for every i.
@@ -381,8 +406,7 @@ class PolySymbol:
 
         Each mapped power p[b][i]^e expands in closed form by the multinomial
         theorem (:func:`_expand_power`); its coefficients are integers unless a
-        row coefficient is a non-integer rational, and each output term
-        multiplies the monomial's coefficient once.
+        row coefficient is a non-integer rational.
         """
         targets = {}
         for b, row in rows.items():
@@ -394,34 +418,14 @@ class PolySymbol:
                     raise ShapeError(f"target p-block {t} out of range 1..{blocks}")
                 merged[t] = merged.get(t, 0) + (c if type(c) is int else Fraction(c))
             targets[b] = [(t, c) for t, c in sorted(merged.items()) if c]
-        terms = {}
-        for mono, coeff in self.terms.items():
-            kept = []
-            products = None
-            for var, exp in mono:
-                if var[0] == "p":
-                    b = var[1]
-                    if b in targets:
-                        pieces = _expand_power(targets[b], var[2], exp)
-                        if products is None:
-                            products = pieces
-                        else:
-                            products = [
-                                (_mul_monomials(m, piece), k * c)
-                                for m, k in products
-                                for piece, c in pieces
-                            ]
-                        continue
-                    if b > blocks:
-                        raise ShapeError(
-                            f"variable {var} outside shape dim={self.dim}, blocks={blocks}"
-                        )
-                kept.append((var, exp))
-            if products is None:
-                _accumulate(terms, ((mono, coeff),))
-            else:
-                _accumulate(terms, products, coeff, tuple(kept))
-        return PolySymbol._trusted(self.dim, blocks, terms)
+
+        def component_row(var):
+            row = targets.get(var[1]) if var[0] == "p" else None
+            if row is None:
+                return None
+            return [(((p_key(t, var[2]), 1),), c) for t, c in row]
+
+        return self._map(component_row, self.dim, blocks)
 
     # -- evaluation ----------------------------------------------------------
 
@@ -559,6 +563,10 @@ class FormalSeries:
     __slots__ = ("dim", "blocks", "orders", "graded")
 
     def __init__(self, dim: int, blocks: int, orders=None, graded: bool = True):
+        if dim < 1:
+            raise ShapeError(f"dim must be positive, got {dim}")
+        if blocks < 0:
+            raise ShapeError(f"blocks must be non-negative, got {blocks}")
         clean = {}
         if orders:
             for i, sym in orders.items():

@@ -154,6 +154,10 @@ def series_with_term(term):
         ("cobound", [series_with_term(SERIES_TERM)]),
         # a string is not a bool, however it reads
         ("cobound", {**series_with_term(SERIES_TERM), "graded": "false"}),
+        # a shape no series can have
+        ("cobound", {"arity": -1, "dim": 0, "orders": []}),
+        # two arity-0 operands would bracket to arity -1
+        ("bracket", {"arity": 0, "dim": 2, "graded": True, "orders": []}),
         (
             "validate",
             {"dim": 3, "entries": [{"i": 1, "j": 2, "terms": [{"coeff": 0.5, "x": [[3, 1]]}]}]},
@@ -170,6 +174,8 @@ def series_with_term(term):
         "series-scalar-p",
         "series-list-top-level",
         "series-string-graded",
+        "series-negative-shape",
+        "bracket-two-arity-0",
         "poisson-float-coeff",
         "poisson-scalar-x",
         "poisson-list-top-level",
@@ -183,6 +189,8 @@ def test_malformed_input_is_a_usage_error(tmp_path, capsys, command, obj):
     if command == "numeric-check":
         unit = write(tmp_path, "unit.json", series_dumps(FormalSeries.zero(1, 1)))
         argv = ["--outer", unit, "--inner", unit, "--point", path, "--eps", "0.01", "--order", "2"]
+    elif command == "bracket":
+        argv = ["--a", path, "--b", path, "--order", "9"]
     else:
         argv = ["--in" if command == "cobound" else "--poisson", path]
     assert main([command, *argv]) == 2

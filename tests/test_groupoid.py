@@ -111,7 +111,7 @@ def test_structure_maps_fix_zero_section():
     zero_p = {p_key(1, i): PolySymbol.zero(3, 1) for i in range(1, 4)}
     for comp in maps.source + maps.target:
         for sym in comp.orders.values():
-            assert sym.substitute(zero_p).is_zero()
+            assert sym.substitute(zero_p, 3, 1).is_zero()
 
 
 def test_structure_maps_require_sgs():

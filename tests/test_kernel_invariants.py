@@ -2,9 +2,10 @@
 
 Every kernel result must hold only canonical monomials (strictly increasing
 variables, exponents >= 1) with nonzero Fraction coefficients, in a terms dict
-of its own.  ``substitute`` and ``map_blocks`` are checked against a naive
-term-by-term fold that uses only the public constructors, ``*`` and ``+``, and
-the contractions against a naive sum over every index tuple.
+of its own.  ``substitute``, ``remap_variables`` and ``map_blocks`` are
+checked against a naive term-by-term fold that uses only the public
+constructors, ``*`` and ``+``, and the contractions against a naive sum over
+every index tuple.
 """
 
 import itertools
@@ -34,8 +35,8 @@ POLYS = st.dictionaries(MONOMIALS, COEFFS, max_size=5).map(
 SETTINGS = settings(max_examples=60, deadline=None)
 
 
-def assert_clean(result, *operands, blocks=BLOCKS):
-    assert (result.dim, result.blocks) == (DIM, blocks)
+def assert_clean(result, *operands, dim=DIM, blocks=BLOCKS):
+    assert (result.dim, result.blocks) == (dim, blocks)
     for mono, coeff in result.terms.items():
         assert type(coeff) is Fraction and coeff != 0
         names = [var for var, _ in mono]
@@ -45,13 +46,13 @@ def assert_clean(result, *operands, blocks=BLOCKS):
         assert result.terms is not operand.terms
 
 
-def naive_substitute(sym, mapping, blocks=BLOCKS):
-    """Fold term by term into a result of ``blocks`` p-blocks."""
-    result = PolySymbol.zero(DIM, blocks)
+def naive_substitute(sym, mapping, dim=DIM, blocks=BLOCKS):
+    """Fold term by term from the shape of ``sym`` into shape (dim, blocks)."""
+    result = PolySymbol.zero(dim, blocks)
     for mono, coeff in sym.terms.items():
-        term = PolySymbol.constant(coeff, DIM, blocks)
+        term = PolySymbol.constant(coeff, dim, blocks)
         for var, exp in mono:
-            image = mapping.get(var, PolySymbol.variable(var, DIM, blocks))
+            image = mapping[var] if var in mapping else PolySymbol.variable(var, dim, blocks)
             for _ in range(exp):
                 term = term * image
         result = result + term
@@ -77,10 +78,58 @@ def test_diff_and_map_blocks_keep_the_invariant(a, var):
 
 @SETTINGS
 @given(POLYS, st.dictionaries(st.sampled_from(VARIABLES), POLYS, max_size=3))
+@example(
+    # (1 + x1 + x1^2)^2 reaches x1^2 and x1^3 twice each
+    PolySymbol(DIM, BLOCKS, {((p_key(1, 1), 1), (x_key(1), 2)): 1}),
+    {x_key(1): PolySymbol(DIM, BLOCKS, {(): 1, ((x_key(1), 1),): 1, ((x_key(1), 2),): 1})},
+)
 def test_substitute_matches_naive_fold(a, mapping):
-    result = a.substitute(mapping)
+    result = a.substitute(mapping, DIM, BLOCKS)
     assert_clean(result, a, *mapping.values())
     assert result == naive_substitute(a, mapping)
+
+
+@st.composite
+def base_points(draw):
+    """(symbol, images, inner blocks B): the base point of an arity-2 outer.
+
+    The symbol lives in the composition workspace of shape (2*DIM, B+1): inner
+    blocks 1..B, the flattened outer p in block B+1 and two glue copies of x.
+    Slot s of inner arity a sends its outer p to the sum of its a blocks (zero
+    for a = 0, a rename for a = 1), and slot 2's glue x lands on x 1..DIM,
+    which slot 1 keeps.
+    """
+    arities = draw(st.tuples(st.integers(0, 3), st.integers(0, 3)))
+    inner = sum(arities)
+    variables = [p_key(b, i) for b in range(1, inner + 1) for i in range(1, DIM + 1)]
+    variables += [p_key(inner + 1, i) for i in range(1, 2 * DIM + 1)]
+    variables += [x_key(i) for i in range(1, 2 * DIM + 1)]
+    monomials = st.dictionaries(st.sampled_from(variables), st.integers(1, 3), max_size=4)
+    monomials = monomials.map(lambda powers: tuple(sorted(powers.items())))
+    terms = draw(st.dictionaries(monomials, COEFFS, max_size=5))
+    images = {}
+    offset = 0
+    for slot, arity in enumerate(arities, start=1):
+        for i in range(1, DIM + 1):
+            glue = (slot - 1) * DIM + i
+            block_sum = PolySymbol(
+                DIM, inner, {((p_key(offset + l, i), 1),): 1 for l in range(1, arity + 1)}
+            )
+            # a zero image may come as the constant 0
+            images[p_key(inner + 1, glue)] = block_sum if arity or draw(st.booleans()) else 0
+            if glue != i:
+                images[x_key(glue)] = PolySymbol.variable(x_key(i), DIM, inner)
+        offset += arity
+    return PolySymbol(2 * DIM, inner + 1, terms), images, inner
+
+
+@SETTINGS
+@given(base_points())
+def test_base_point_substitute_matches_naive_fold(case):
+    a, images, inner = case
+    result = a.substitute(images, DIM, inner)
+    assert_clean(result, a, blocks=inner)
+    assert result == naive_substitute(a, images, DIM, inner)
 
 
 # exponents up to 5 reach the binomials of the higher solver orders
@@ -126,7 +175,7 @@ def test_map_blocks_matches_naive_fold(a, rows_blocks):
             for t, c in row:
                 image = image + PolySymbol.variable(p_key(t, i), DIM, blocks).scale(c)
             images[p_key(b, i)] = image
-    assert result == naive_substitute(a, images, blocks)
+    assert result == naive_substitute(a, images, DIM, blocks)
 
 
 @SETTINGS

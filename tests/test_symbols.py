@@ -191,7 +191,7 @@ def test_check_grading():
 def test_substitute_binomial():
     f = sym(1, 2, {((p_key(1, 1), 2),): 1})
     image = var(p_key(1, 1), 1, 2) + var(p_key(2, 1), 1, 2)
-    out = f.substitute({p_key(1, 1): image})
+    out = f.substitute({p_key(1, 1): image}, 1, 2)
     expected = sym(
         1,
         2,
