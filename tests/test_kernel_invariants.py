@@ -35,8 +35,8 @@ POLYS = st.dictionaries(MONOMIALS, COEFFS, max_size=5).map(
 SETTINGS = settings(max_examples=60, deadline=None)
 
 
-def assert_clean(result, *operands, dim=DIM, blocks=BLOCKS):
-    assert (result.dim, result.blocks) == (dim, blocks)
+def assert_clean(result, *operands, blocks=BLOCKS):
+    assert (result.dim, result.blocks) == (DIM, blocks)
     for mono, coeff in result.terms.items():
         assert type(coeff) is Fraction and coeff != 0
         names = [var for var, _ in mono]
