@@ -41,6 +41,7 @@ from gfoperad.solver import (
 from gfoperad.symbols import (
     FormalSeries,
     check_grading,
+    json_dumps,
     random_graded_series,
     series_dumps,
     series_loads,
@@ -60,7 +61,8 @@ def _read(path: str) -> str:
 def _emit(text: str, out: str | None) -> None:
     if out:
         with open(out, "w", encoding="utf-8") as handle:
-            handle.write(text if text.endswith("\n") else text + "\n")
+            handle.write(text)
+            handle.write("\n")
     else:
         print(text)
 
@@ -215,12 +217,7 @@ def cmd_poisson(args) -> int:
 def cmd_maps(args) -> int:
     series = series_loads(_read(args.infile))
     maps = structure_maps(series, args.order)
-    obj = {
-        "dim": maps.dim,
-        "source": [json.loads(series_dumps(c)) for c in maps.source],
-        "target": [json.loads(series_dumps(c)) for c in maps.target],
-    }
-    _emit(json.dumps(obj, indent=2), args.out)
+    _emit(json_dumps({"dim": maps.dim, "source": maps.source, "target": maps.target}), args.out)
     return EXIT_OK
 
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from gfoperad.symbols import PolySymbol, _json_check, poly_from_obj, poly_to_obj, x_key
+from gfoperad.symbols import PolySymbol, _json_check, json_dumps, poly_from_obj, x_key
 
 
 @dataclass
@@ -100,16 +100,6 @@ def validate_poisson(alpha: PoissonStructure) -> PoissonReport:
     return PoissonReport(True, True, None)
 
 
-def poisson_to_obj(alpha: PoissonStructure):
-    return {
-        "dim": alpha.dim,
-        "entries": [
-            {"i": i, "j": j, "terms": poly_to_obj(sym)}
-            for (i, j), sym in sorted(alpha.entries.items())
-        ],
-    }
-
-
 def poisson_from_obj(obj) -> PoissonStructure:
     _json_check(obj, dict, "Poisson structure")
     dim = _json_check(obj["dim"], int, "dim")
@@ -125,7 +115,8 @@ def poisson_from_obj(obj) -> PoissonStructure:
 
 
 def poisson_dumps(alpha: PoissonStructure) -> str:
-    return json.dumps(poisson_to_obj(alpha), indent=2)
+    entries = [{"i": i, "j": j, "terms": sym} for (i, j), sym in sorted(alpha.entries.items())]
+    return json_dumps({"dim": alpha.dim, "entries": entries})
 
 
 def poisson_loads(text: str) -> PoissonStructure:

@@ -25,8 +25,10 @@ exactly scaling behavior F(mu*p, x) = mu^(i+1) F(p, x).
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 from math import comb
 
 
@@ -698,15 +700,6 @@ def random_graded_series(rng, arity, dim, orders, max_x_degree=2, terms_per_orde
 # -- JSON observation format ---------------------------------------------------
 
 
-def poly_to_obj(sym: PolySymbol):
-    terms = []
-    for mono, coeff in sym.ordered_terms():
-        p_part = sorted([v[1], v[2], e] for v, e in mono if v[0] == "p")
-        x_part = sorted([v[1], e] for v, e in mono if v[0] == "x")
-        terms.append({"coeff": str(coeff), "p": p_part, "x": x_part})
-    return terms
-
-
 def _json_check(value, kind, what):
     """``value`` if it has JSON type ``kind`` (int excludes bool), else ValueError."""
     if type(value) is not kind:
@@ -721,14 +714,25 @@ def _json_ints(row, length, what):
     return [_json_check(v, int, what) for v in row]
 
 
+#: the coefficient strings the writer emits: ASCII digits, an optional sign and denominator
+_FRACTION_STRING = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
+
+
 def _json_coeff(value) -> Fraction:
-    """An int or a fraction string such as "-3/4"; a JSON float is never exact."""
+    """An int or a fraction string such as "-3/4"; a JSON float is never exact.
+
+    Only the written grammar is read: ``Fraction`` alone would also take
+    decimals, underscores and exponents, and ``"1e999999999"`` would make it
+    build a billion-digit integer.
+    """
     if type(value) is int:
         return Fraction(value)
     if type(value) is not str:
         raise ValueError(
             f"coefficient must be an integer or a fraction string, got {type(value).__name__}"
         )
+    if not _FRACTION_STRING.fullmatch(value):
+        raise ValueError(f"coefficient {value[:40]!r} is not a fraction string such as \"-3/4\"")
     try:
         return Fraction(value)
     except ZeroDivisionError:
@@ -753,18 +757,6 @@ def poly_from_obj(terms, dim, blocks) -> PolySymbol:
     return PolySymbol(dim, blocks, acc)
 
 
-def series_to_obj(series: FormalSeries):
-    return {
-        "arity": series.blocks,
-        "dim": series.dim,
-        "graded": series.graded,
-        "orders": [
-            {"order": i, "terms": poly_to_obj(series.orders[i])}
-            for i in sorted(series.orders)
-        ],
-    }
-
-
 def series_from_obj(obj) -> FormalSeries:
     _json_check(obj, dict, "series")
     dim = _json_check(obj["dim"], int, "dim")
@@ -780,8 +772,104 @@ def series_from_obj(obj) -> FormalSeries:
     return FormalSeries(dim, arity, orders, graded=graded)
 
 
+def _indent(depth: int) -> str:
+    return "\n" + "  " * depth
+
+
+def _write_terms(out: list, sym: PolySymbol, depth: int) -> None:
+    """Append the term list of ``sym`` to ``out`` as a JSON array at nesting ``depth``.
+
+    Each term is ``{"coeff": <fraction string>, "p": [[block, comp, exp], ...],
+    "x": [[comp, exp], ...]}``.  A monomial holds its p variables before its x
+    variables, each kind in sorted order, so its rows come out sorted as they
+    are walked.  Each distinct row is rendered once per call.
+    """
+    if not sym.terms:
+        out.append("[]")
+        return
+    item, key, row, cell = (_indent(depth + k) for k in (1, 2, 3, 4))
+    rows = {}
+    open_term = "[" + item + "{" + key + '"coeff": '
+    next_term = "," + item + "{" + key + '"coeff": '
+    p_key_text = "," + key + '"p": '
+    x_key_text = "," + key + '"x": '
+    close_rows = key + "]"
+    for mono, coeff in sym.ordered_terms():
+        out.append(open_term)
+        open_term = next_term
+        out.append(_quote(str(coeff)))
+        p_rows = []
+        x_rows = []
+        for var_exp in mono:
+            text = rows.get(var_exp)
+            if text is None:
+                var, exp = var_exp
+                cells = ",".join(cell + str(n) for n in (*var[1:], exp))
+                text = rows[var_exp] = row + "[" + cells + row + "]"
+            (p_rows if var_exp[0][0] == "p" else x_rows).append(text)
+        for key_text, kind_rows in ((p_key_text, p_rows), (x_key_text, x_rows)):
+            out.append(key_text)
+            if kind_rows:
+                out.append("[")
+                out.append(",".join(kind_rows))
+                out.append(close_rows)
+            else:
+                out.append("[]")
+        out.append(item + "}")
+    out.append(_indent(depth) + "]")
+
+
+def _write_json(out: list, value, depth: int) -> None:
+    """Append ``value`` to ``out`` as ``json.dumps(value, indent=2)`` lays it out at ``depth``.
+
+    ``value`` nests dicts with str keys, lists, tuples, ints and bools; a
+    :class:`FormalSeries` in it stands for its series object and a
+    :class:`PolySymbol` for its term list.
+    """
+    kind = type(value)
+    if kind is PolySymbol:
+        _write_terms(out, value, depth)
+    elif kind is FormalSeries:
+        orders = [{"order": i, "terms": value.orders[i]} for i in sorted(value.orders)]
+        obj = {"arity": value.blocks, "dim": value.dim, "graded": value.graded, "orders": orders}
+        _write_json(out, obj, depth)
+    elif kind is bool:
+        out.append("true" if value else "false")
+    elif kind is int:
+        out.append(str(value))
+    elif kind is dict or kind is list or kind is tuple:
+        if kind is dict:
+            brackets, entries = "{}", [(_quote(k) + ": ", v) for k, v in value.items()]
+        else:
+            brackets, entries = "[]", [("", v) for v in value]
+        if not entries:
+            out.append(brackets)
+            return
+        inner = _indent(depth + 1)
+        sep = brackets[0] + inner
+        for prefix, entry in entries:
+            out.append(sep + prefix)
+            sep = "," + inner
+            _write_json(out, entry, depth + 1)
+        out.append(_indent(depth) + brackets[1])
+    else:
+        raise TypeError(f"{kind.__name__} is not JSON serializable")
+
+
+def json_dumps(obj) -> str:
+    """The text of ``json.dumps(obj, indent=2)``, byte for byte, written in one pass.
+
+    ``obj`` may also hold :class:`FormalSeries` and :class:`PolySymbol` values
+    (see :func:`_write_json`); this is the one writer of every JSON document
+    the CLI emits.
+    """
+    out = []
+    _write_json(out, obj, 0)
+    return "".join(out)
+
+
 def series_dumps(series: FormalSeries) -> str:
-    return json.dumps(series_to_obj(series), indent=2)
+    return json_dumps(series)
 
 
 def series_loads(text: str) -> FormalSeries:

@@ -150,6 +150,10 @@ def series_with_term(term):
     [
         # a JSON float is binary, never the exact decimal it shows
         ("cobound", series_with_term({**SERIES_TERM, "coeff": 0.1})),
+        # Fraction would read these strings, but no writer emits them
+        ("cobound", series_with_term({**SERIES_TERM, "coeff": "1e3"})),
+        ("cobound", series_with_term({**SERIES_TERM, "coeff": "0.5"})),
+        ("cobound", series_with_term({**SERIES_TERM, "coeff": "1_000"})),
         ("cobound", series_with_term({**SERIES_TERM, "p": 5})),
         ("cobound", [series_with_term(SERIES_TERM)]),
         # a string is not a bool, however it reads
@@ -171,6 +175,9 @@ def series_with_term(term):
     ],
     ids=[
         "series-float-coeff",
+        "series-exponent-coeff",
+        "series-decimal-coeff",
+        "series-underscore-coeff",
         "series-scalar-p",
         "series-list-top-level",
         "series-string-graded",

@@ -1,8 +1,13 @@
+import json
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from json_reference import poisson_to_obj, poly_to_obj, series_to_obj
 
+from gfoperad.poisson import PoissonStructure, poisson_dumps
 from gfoperad.symbols import (
     FormalSeries,
     PolySymbol,
@@ -10,9 +15,9 @@ from gfoperad.symbols import (
     check_grading,
     contracted_gradient,
     directional_contract,
+    json_dumps,
     p_key,
     poly_from_obj,
-    poly_to_obj,
     random_graded_series,
     series_dumps,
     series_eval,
@@ -231,6 +236,63 @@ def test_poly_obj_round_trip():
     rng = random.Random(17)
     f = random_poly(rng, 2, 2, terms=6, max_deg=4)
     assert poly_from_obj(poly_to_obj(f), 2, 2) == f
+
+
+# numerators and denominators of up to 36 digits
+JSON_COEFFS = st.builds(Fraction, st.integers(-(10**35), 10**35), st.integers(1, 10**35))
+
+
+def json_polys(dim, blocks):
+    variables = [p_key(b, i) for b in range(1, blocks + 1) for i in range(1, dim + 1)]
+    variables += [x_key(i) for i in range(1, dim + 1)]
+    monomials = st.dictionaries(st.sampled_from(variables), st.integers(1, 3), max_size=4)
+    monomials = monomials.map(lambda powers: tuple(sorted(powers.items())))
+    terms = st.dictionaries(monomials, JSON_COEFFS, max_size=4)
+    return terms.map(lambda t: PolySymbol(dim, blocks, t))
+
+
+@st.composite
+def json_series(draw):
+    dim, arity = draw(st.integers(1, 3)), draw(st.integers(0, 3))
+    orders = draw(st.dictionaries(st.integers(1, 4), json_polys(dim, arity), max_size=3))
+    return FormalSeries(dim, arity, orders, graded=draw(st.booleans()))
+
+
+@st.composite
+def json_poisson(draw):
+    dim = draw(st.integers(1, 3))
+    pairs = [(i, j) for i in range(1, dim + 1) for j in range(i + 1, dim + 1)]
+    entries = st.dictionaries(st.sampled_from(pairs), json_polys(dim, 0)) if pairs else st.just({})
+    return PoissonStructure(dim, draw(entries))
+
+
+HUGE = Fraction(-(10**31 + 7), 3**70)
+
+
+# no x, and one variable at two exponents
+P_ONLY = {((p_key(1, 3), 2), (p_key(2, 1), 1)): 5, ((p_key(1, 3), 3),): -1}
+
+
+@settings(max_examples=80, deadline=None)
+@given(json_series())
+@example(FormalSeries.zero(2, 2))
+@example(FormalSeries(2, 1, {1: sym(2, 1, {((x_key(1), 2), (x_key(2), 1)): Fraction(-3, 4)})}))
+@example(FormalSeries(3, 2, {2: sym(3, 2, P_ONLY)}, graded=False))
+@example(FormalSeries(1, 1, {3: sym(1, 1, {((p_key(1, 1), 4), (x_key(1), 1)): HUGE})}))
+def test_series_writer_matches_the_stdlib_encoder(series):
+    assert series_dumps(series) == json.dumps(series_to_obj(series), indent=2)
+    # the maps document nests series two levels deep, next to an empty list
+    maps = {"dim": series.dim, "source": (series, series), "target": ()}
+    reference = {**maps, "source": [series_to_obj(series)] * 2, "target": []}
+    assert json_dumps(maps) == json.dumps(reference, indent=2)
+
+
+@settings(max_examples=40, deadline=None)
+@given(json_poisson())
+@example(PoissonStructure(3, {}))
+@example(PoissonStructure(2, {(1, 2): sym(2, 0, {(): HUGE, ((x_key(1), 2),): 1})}))
+def test_poisson_writer_matches_the_stdlib_encoder(alpha):
+    assert poisson_dumps(alpha) == json.dumps(poisson_to_obj(alpha), indent=2)
 
 
 def test_random_graded_series_is_graded():
