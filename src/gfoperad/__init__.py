@@ -9,13 +9,7 @@ from gfoperad.deformation import (
     obstruction,
     verify_product,
 )
-from gfoperad.elementary import (
-    SeriesPair,
-    SlotVector,
-    elementary_differential,
-    elementary_function,
-    pair,
-)
+from gfoperad.elementary import elementary_differential, elementary_function
 from gfoperad.groupoid import (
     SgsError,
     SgsReport,

@@ -1,18 +1,18 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 numerical
-non-convergence.  Structured data is JSON (series, bivectors, points), tree
-listings are tab-separated text; identical inputs and seed produce
-byte-identical output.
+non-convergence or overflow.  Structured data is JSON (series, bivectors,
+points), tree listings are tab-separated text; identical inputs and seed
+produce byte-identical output.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import random
 import sys
-from fractions import Fraction
 
 from gfoperad import trees as trees_mod
 from gfoperad.deformation import bracket, coboundary, verify_product
@@ -30,7 +30,6 @@ from gfoperad.operad import (
     compose,
     identity,
     numeric_phi,
-    trivial_product,
 )
 from gfoperad.poisson import poisson_dumps, poisson_loads, validate_poisson
 from gfoperad.solver import (
@@ -40,7 +39,6 @@ from gfoperad.solver import (
 )
 from gfoperad.symbols import (
     FormalSeries,
-    check_grading,
     json_dumps,
     random_graded_series,
     series_dumps,
@@ -102,13 +100,13 @@ def cmd_compose(args) -> int:
 
 
 def _numbers(row, length: int, what: str) -> list[float]:
-    """``row`` as floats if it is a list of ``length`` JSON numbers (no bool)."""
+    """``row`` as floats if it is a list of ``length`` finite JSON numbers (no bool)."""
     if (
         type(row) is not list
         or len(row) != length
-        or any(type(v) not in (int, float) for v in row)
+        or any(type(v) not in (int, float) or not abs(v) < math.inf for v in row)
     ):
-        raise ValueError(f"{what} must be a list of {length} numbers")
+        raise ValueError(f"{what} must be a list of {length} finite numbers")
     return [float(v) for v in row]
 
 
@@ -125,8 +123,8 @@ def _load_point(path: str, blocks: int, dim: int):
 
 
 def cmd_numeric_check(args) -> int:
-    if args.tol <= 0:
-        raise ValueError("--tol must be positive")
+    if not 0 < args.tol < math.inf:
+        raise ValueError("--tol must be positive and finite")
     outer = _load_genfunction(args.outer)
     inners = _load_inners(args.inner)
     p_blocks, x_point = _load_point(args.point, sum(g.arity for g in inners), outer.dim)
@@ -446,6 +444,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except NonConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NONCONVERGENCE
+    except OverflowError as exc:
+        print(f"error: numerical overflow: {exc}", file=sys.stderr)
         return EXIT_NONCONVERGENCE
     except (SgsError, ProductPreconditionError) as exc:
         print(f"verification failure: {exc}", file=sys.stderr)

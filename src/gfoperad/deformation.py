@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from gfoperad.operad import GenFunction, compose, identity, trivial_product
+from gfoperad.operad import GenFunction, compose, identity
 from gfoperad.symbols import FormalSeries, PolySymbol, _accumulate
 
 

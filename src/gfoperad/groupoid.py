@@ -112,12 +112,6 @@ class StructureMaps:
     source: tuple  # FormalSeries per component, arity 1
     target: tuple  # FormalSeries per component, arity 1
 
-    def source_value(self, p, x, eps):
-        return [x[i] + series_eval(self.source[i], [p], x, eps) for i in range(self.dim)]
-
-    def target_value(self, p, x, eps):
-        return [x[i] + series_eval(self.target[i], [p], x, eps) for i in range(self.dim)]
-
 
 def structure_maps(deformation: FormalSeries, order: int) -> StructureMaps:
     """Source x + grad_{p2} S~(p,0,x) and target x + grad_{p1} S~(0,p,x)."""

@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from gfoperad.elementary import SeriesPair, elementary_function
+from gfoperad.elementary import elementary_function
 from gfoperad.symbols import (
     FormalSeries,
     PolySymbol,
@@ -169,17 +169,14 @@ def compose(outer: GenFunction, inners, order: int) -> GenFunction:
     outer_w = _embed(outer.deformation.truncate(order), outer_map, w_dim, w_blocks)
 
     allowed = {BLACK: set(outer_w.orders), WHITE: set(composite.orders)}
-    data = SeriesPair(outer_w, composite, p_block=K + 1)
-
     sums = {}
-    if allowed[BLACK] or allowed[WHITE]:
-        memo = {}
-        for top in enumerate_unrooted(order, weight_cap=order, allowed_weights=allowed):
-            value = elementary_function(top, data, memo)
-            if value.is_zero():
-                continue
-            weight_terms = sums.setdefault(top.total_weight, {})
-            _accumulate(weight_terms, value.terms.items(), Fraction(1, symmetry_coefficient(top)))
+    memo = {}
+    for top in enumerate_unrooted(order, allowed_weights=allowed):
+        value = elementary_function(top, outer_w, composite, K + 1, memo)
+        if value.is_zero():
+            continue
+        weight_terms = sums.setdefault(top.total_weight, {})
+        _accumulate(weight_terms, value.terms.items(), Fraction(1, symmetry_coefficient(top)))
 
     result_orders = {
         weight: PolySymbol._trusted(w_dim, w_blocks, terms).substitute(images, d, K)
@@ -223,8 +220,8 @@ def numeric_phi(
     value is stationary in the internal variables, so an O(tol) fixed-point
     error perturbs Phi only at O(tol^2).
     """
-    if abs(eps) > eps_limit:
-        raise ValueError(f"|eps| = {abs(eps)} exceeds limit {eps_limit}")
+    if not abs(eps) <= eps_limit:
+        raise ValueError(f"|eps| = {abs(eps)} is not within limit {eps_limit}")
     d = outer.dim
     n = outer.arity
     if len(p_points) != n:

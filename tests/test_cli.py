@@ -70,7 +70,10 @@ def test_solve_validate_poisson_round_trip(tmp_path, capsys):
         assert json.loads(back.read_text()) == json.load(handle)
 
 
-def test_validate_rejects_bad_structure(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "command", [["validate"], ["solve", "--order", "2"]], ids=["validate", "solve"]
+)
+def test_validate_rejects_bad_structure(tmp_path, capsys, command):
     bad = {
         "dim": 3,
         "entries": [
@@ -80,7 +83,7 @@ def test_validate_rejects_bad_structure(tmp_path, capsys):
         ],
     }
     path = write(tmp_path, "bad.json", json.dumps(bad))
-    assert main(["validate", "--poisson", path]) == 1
+    assert main([*command, "--poisson", path]) == 1
     assert "(1, 2, 3)" in capsys.readouterr().out
 
 
@@ -172,6 +175,9 @@ def series_with_term(term):
         ("numeric-check", {"p": 5, "x": [0.1]}),
         ("numeric-check", [{"p": [[0.5]], "x": [0.25]}]),
         ("numeric-check", {"p": [[0.5, 0.1]], "x": [0.25]}),
+        # json reads NaN and Infinity, but no point has them
+        ("numeric-check", {"p": [[float("nan")]], "x": [0.25]}),
+        ("numeric-check", {"p": [[0.5]], "x": [float("inf")]}),
     ],
     ids=[
         "series-float-coeff",
@@ -189,6 +195,8 @@ def series_with_term(term):
         "point-scalar-p",
         "point-list-top-level",
         "point-wrong-block-length",
+        "point-nan-p",
+        "point-infinity-x",
     ],
 )
 def test_malformed_input_is_a_usage_error(tmp_path, capsys, command, obj):
@@ -255,6 +263,14 @@ def test_nonconvergence_exit_code(tmp_path, capsys):
     assert code == 3
 
 
+def test_overflow_exit_code(tmp_path, capsys):
+    argv = order_argvs(tmp_path)["numeric-check"]
+    big = write(tmp_path, "big.json", json.dumps({"p": [[1e200]], "x": [0.5]}))
+    assert main([*argv, "--order", "3", "--point", big]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: numerical overflow") and err.count("\n") == 1
+
+
 def test_selftest_passes(capsys):
     assert main(["selftest", "--seed", "0"]) == 0
     out = capsys.readouterr().out
@@ -294,3 +310,24 @@ def test_order_above_the_cap_is_a_usage_error(tmp_path, capsys, command):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.count("\n") == 1 and "exceeds cap 8" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["numeric-check", "--eps", "nan"],
+        ["numeric-check", "--tol", "nan"],
+        ["numeric-check", "--tol", "inf"],
+        ["numeric-check", "--tol", "0"],
+        ["trees", "enum", "--max-order", "2", "--root-color", "b"],
+    ],
+    ids=["eps-nan", "tol-nan", "tol-inf", "tol-zero", "root-color-unrooted"],
+)
+def test_bad_option_value_is_a_usage_error(tmp_path, capsys, argv):
+    if argv[0] == "numeric-check":
+        # argparse keeps the last value of a repeated option
+        argv = [*order_argvs(tmp_path)["numeric-check"], "--order", "2", *argv[1:]]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1

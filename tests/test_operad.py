@@ -130,6 +130,9 @@ def test_numeric_phi_trivial_is_exact():
 def test_numeric_phi_rejects_large_eps():
     with pytest.raises(ValueError):
         numeric_phi(identity(1), [identity(1)], [[[1.0]]], [1.0], eps=0.5)
+    # NaN compares false against any limit, so the check must not be "eps > limit"
+    with pytest.raises(ValueError):
+        numeric_phi(identity(1), [identity(1)], [[[1.0]]], [1.0], eps=float("nan"))
 
 
 def test_oracle_agreement_simple_pair():
@@ -196,6 +199,13 @@ def test_numeric_phi_nonconvergence_signalled():
     )
     with pytest.raises(NonConvergenceError):
         numeric_phi(f, [g], [[[4.0]]], [4.0], eps=0.1, max_iter=30)
+
+
+def test_compose_with_arity_zero_outer_truncates_it():
+    x1, x2 = (PolySymbol.variable(x_key(i), 2, 0) for i in (1, 2))
+    outer = wrap(FormalSeries(2, 0, {1: x1 * x1, 2: x1 * x2, 3: x2}))
+    h = compose(outer, [], 2)
+    assert h == wrap(FormalSeries(2, 0, {1: x1 * x1, 2: x1 * x2}))
 
 
 def test_compose_with_arity_zero_inner():
