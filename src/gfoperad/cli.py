@@ -76,15 +76,11 @@ def _load_inners(paths: str) -> list[GenFunction]:
 
 def cmd_trees_enum(args) -> int:
     if args.rooted:
-        listing = trees_mod.enumerate_rooted(
-            args.max_order, root_color=args.root_color, weight_cap=args.max_tree_weight
-        )
+        listing = trees_mod.enumerate_rooted(args.max_order, root_color=args.root_color)
     else:
         if args.root_color:
             raise ValueError("--root-color needs --rooted")
-        listing = trees_mod.enumerate_unrooted(
-            args.max_order, weight_cap=args.max_tree_weight
-        )
+        listing = trees_mod.enumerate_unrooted(args.max_order)
     for t in listing:
         sigma = trees_mod.symmetry_coefficient(t)
         print(f"{t.encoding}\t{sigma}\t{t.size}\t{t.total_weight}")
@@ -357,7 +353,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_enum.add_argument("--max-order", type=int, required=True, help="max total weight")
     p_enum.add_argument("--rooted", action="store_true", help="list rooted classes")
     p_enum.add_argument("--root-color", choices=["w", "b"], default=None)
-    p_enum.add_argument("--max-tree-weight", type=int, default=trees_mod.DEFAULT_WEIGHT_CAP)
     p_enum.set_defaults(func=cmd_trees_enum)
 
     p_compose = sub.add_parser("compose", help="compose generating functions")

@@ -7,10 +7,11 @@ arity-n function with inner functions of arities k_1..k_n is done two ways:
 * formally, by the weighted-bipartite-tree expansion: the deformation of the
   composite is the sum over unrooted topological trees t (weight ``||t||`` =
   epsilon order, 1/sigma(t) coefficient) of the elementary function C_t built
-  from the outer orders (black vertices, differentiated in the flattened outer
-  p-block) and the block-sum of the inner orders (white vertices,
-  differentiated in the glue x-variables), evaluated at the trivial base point
-  p_outer = (sum of each inner block's p, ...), x_inner = (x, ..., x);
+  from the outer orders (black vertices, differentiated in the outer's n
+  p-blocks) and the inner orders (white vertices, each slot differentiated in
+  the one shared x and contracted against its own components), evaluated at
+  the trivial base point p_outer = (sum of each inner block's p, ...), a
+  linear map on p alone;
 
 * numerically, by solving the implicit system p_F = grad_x G(p_G, x_G),
   x_G = grad_p F(p_F, x_F) by fixed-point iteration (a contraction for small
@@ -101,12 +102,12 @@ def trivial_product(arity: int, dim: int) -> GenFunction:
     return GenFunction(arity, dim, FormalSeries.zero(dim, arity))
 
 
-def _embed(series: FormalSeries, mapping, w_dim, w_blocks) -> FormalSeries:
-    """Rename every order of ``series`` into the composition workspace."""
+def _move_blocks(series: FormalSeries, rows, blocks: int, order: int) -> FormalSeries:
+    """The orders <= ``order`` of ``series``, each moved by ``map_blocks(rows, blocks)``."""
     return FormalSeries(
-        w_dim,
-        w_blocks,
-        {o: s.remap_variables(mapping, w_dim, w_blocks) for o, s in series.orders.items()},
+        series.dim,
+        blocks,
+        {o: s.map_blocks(rows, blocks) for o, s in series.orders.items() if o <= order},
         graded=False,
     )
 
@@ -116,16 +117,13 @@ def compose(outer: GenFunction, inners, order: int) -> GenFunction:
 
     Sums C_t over unrooted topological trees with total weight <= order; tree
     vertex weights are restricted to the orders actually present in the outer
-    (black) and combined inner (white) deformations.
+    (black) and inner (white) deformations.
 
-    The expansion runs in a workspace of dim n*d with K+1 p-blocks: blocks
-    1..K hold the inner p-blocks at their output numbers, block K+1 the
-    flattened outer p (slot b at components (b-1)d+1..bd), and x-variables
-    (b-1)d+1..bd inner slot b's x (the glue); the outer's x, which no vertex
-    differentiates, shares x 1..d with slot 1's glue.  At the base point one
-    ``substitute`` per weight maps into shape (d, K): slot b's outer p goes to
-    the sum of its inner blocks (one block for arity 1, zero for arity 0) and
-    glue x to x.
+    The expansion runs in shape (d, K+n), K the sum of the inner arities, and
+    every input keeps the one x: slot b's inner p-blocks move to blocks
+    offset_b+1..offset_b+k_b, its output numbers, and the outer's p_b to block
+    K+b.  At the base point one ``map_blocks`` per weight sends block K+b to
+    the sum of slot b's inner blocks (one block for arity 1, zero for arity 0).
     """
     if order < 1:
         raise ValueError("truncation order must be >= 1")
@@ -142,44 +140,35 @@ def compose(outer: GenFunction, inners, order: int) -> GenFunction:
         return GenFunction(0, d, outer.deformation.truncate(order))
 
     K = sum(g.arity for g in inners)
-    w_dim = d * n
-    w_blocks = K + 1
+    blocks = K + n
     inputs_graded = check_grading(outer.deformation).ok and all(
         check_grading(g.deformation).ok for g in inners
     )
 
-    # workspace maps and the base point's images (see docstring)
-    outer_map = {}
-    images = {}
-    composite = FormalSeries.zero(w_dim, w_blocks, graded=False)
+    whites = []
+    base_point = {}
     offset = 0
     for b, g in enumerate(inners, start=1):
-        inner_map = {}
-        for i in range(1, d + 1):
-            glue = (b - 1) * d + i
-            block_vars = [p_key(offset + l, i) for l in range(1, g.arity + 1)]
-            inner_map.update((p_key(l, i), var) for l, var in enumerate(block_vars, start=1))
-            inner_map[x_key(i)] = x_key(glue)
-            outer_map[p_key(b, i)] = p_key(K + 1, glue)
-            images[p_key(K + 1, glue)] = PolySymbol(d, K, {((v, 1),): 1 for v in block_vars})
-            if glue != i:
-                images[x_key(glue)] = PolySymbol.variable(x_key(i), d, K)
-        composite = composite + _embed(g.deformation.truncate(order), inner_map, w_dim, w_blocks)
+        rows = {l: [(offset + l, 1)] for l in range(1, g.arity + 1)}
+        whites.append(_move_blocks(g.deformation, rows, blocks, order))
+        base_point[K + b] = [row[0] for row in rows.values()]
         offset += g.arity
-    outer_w = _embed(outer.deformation.truncate(order), outer_map, w_dim, w_blocks)
+    whites = tuple(whites)
+    rows = {b: [(K + b, 1)] for b in range(1, n + 1)}
+    black = _move_blocks(outer.deformation, rows, blocks, order)
 
-    allowed = {BLACK: set(outer_w.orders), WHITE: set(composite.orders)}
+    allowed = {BLACK: set(black.orders), WHITE: {o for g in whites for o in g.orders}}
     sums = {}
     memo = {}
     for top in enumerate_unrooted(order, allowed_weights=allowed):
-        value = elementary_function(top, outer_w, composite, K + 1, memo)
+        value = elementary_function(top, black, whites, K + 1, memo)
         if value.is_zero():
             continue
         weight_terms = sums.setdefault(top.total_weight, {})
         _accumulate(weight_terms, value.terms.items(), Fraction(1, symmetry_coefficient(top)))
 
     result_orders = {
-        weight: PolySymbol._trusted(w_dim, w_blocks, terms).substitute(images, d, K)
+        weight: PolySymbol._trusted(d, blocks, terms).map_blocks(base_point, K)
         for weight, terms in sums.items()
     }
 

@@ -15,7 +15,8 @@ goes through :meth:`PolySymbol._trusted`, which wraps an already-clean dict
 without copying or checking, and every sum is built by :func:`_accumulate`, the
 one accumulation path: it adds terms into a dict in place and drops zeros.
 Every change of variables (``substitute``, ``remap_variables``, ``map_blocks``)
-goes through one variable map, :meth:`PolySymbol._map`.
+goes through one variable map, :meth:`PolySymbol._map`; the library itself
+changes variables only by ``map_blocks``.
 
 :class:`FormalSeries` collects an order-indexed family of symbols.  A graded
 series of arity n keeps its order-i term homogeneous of p-degree i+1, which is
@@ -375,7 +376,8 @@ class PolySymbol:
         """Simultaneously replace variables by polynomials or constants.
 
         The result has shape (dim, blocks); every image symbol must have that
-        shape and every unmapped variable must lie in it.
+        shape and every unmapped variable must lie in it.  No library code
+        calls it; ``perfbench/tracer.py`` patches it by name (ROADMAP item 3).
         """
         rows = {}
         for var, image in mapping.items():
@@ -391,7 +393,10 @@ class PolySymbol:
         return self._map(rows.get, dim, blocks)
 
     def remap_variables(self, mapping, dim: int, blocks: int) -> "PolySymbol":
-        """Rename variables via ``mapping`` (var -> var); unmapped vars kept."""
+        """Rename variables via ``mapping`` (var -> var); unmapped vars kept.
+
+        No library code calls it; ``perfbench/tracer.py`` patches it by name.
+        """
         for new in mapping.values():
             _validate_var(new, dim, blocks)
         rows = {var: [(((new, 1),), 1)] for var, new in mapping.items()}
@@ -485,20 +490,15 @@ class PolySymbol:
 def _contract_variables(f: PolySymbol, directions, against):
     """The variables ``against`` selects; each direction needs one component per variable."""
     if against == "x":
-        variables = [x_key(i) for i in range(1, f.dim + 1)]
-    else:
-        kind, block = against
-        if kind != "p":
-            raise ValueError(f"against must be 'x' or ('p', block), got {against!r}")
-        if not (1 <= block <= f.blocks):
-            raise ShapeError(f"p-block {block} out of range 1..{f.blocks}")
-        variables = [p_key(block, i) for i in range(1, f.dim + 1)]
+        against = [x_key(i) for i in range(1, f.dim + 1)]
+    elif not isinstance(against, list):
+        raise ValueError(f"against must be 'x' or a list of variables, got {against!r}")
+    for var in against:
+        _validate_var(var, f.dim, f.blocks)
     for d in directions:
-        if len(d) != len(variables):
-            raise ShapeError(
-                f"direction length {len(d)} != variable count {len(variables)}"
-            )
-    return variables
+        if len(d) != len(against):
+            raise ShapeError(f"direction length {len(d)} != variable count {len(against)}")
+    return against
 
 
 def _contract(f: PolySymbol, variables, directions) -> PolySymbol:
@@ -526,10 +526,11 @@ def _contract(f: PolySymbol, variables, directions) -> PolySymbol:
 def directional_contract(f: PolySymbol, directions, against) -> PolySymbol:
     """Contract the m-th derivative of ``f`` against m direction vectors.
 
-    ``directions`` is a list of m sequences of symbols, each of length dim;
-    ``against`` selects the x-variables or one p-block.  The directions are
-    multiplied in, never differentiated, so they may depend on the contracted
-    variables.  The result is symmetric and multilinear in the directions.
+    ``against`` is ``"x"`` (the dim x-variables) or a list of variables, and
+    ``directions`` a list of m sequences of symbols, one per variable.  The
+    directions are multiplied in, never differentiated, so they may depend on
+    the contracted variables.  The result is symmetric and multilinear in the
+    directions.
     """
     return _contract(f, _contract_variables(f, directions, against), directions)
 
@@ -537,7 +538,8 @@ def directional_contract(f: PolySymbol, directions, against) -> PolySymbol:
 def contracted_gradient(f: PolySymbol, directions, against):
     """Contract the (m+1)-th derivative against m directions, one index free.
 
-    Returns the length-dim vector of symbols corresponding to the free index.
+    Returns the vector of symbols corresponding to the free index, one per
+    variable that ``against`` selects.
     """
     variables = _contract_variables(f, directions, against)
     return tuple(_contract(f.diff(v), variables, directions) for v in variables)
@@ -673,7 +675,12 @@ def series_eval(series: FormalSeries, p_values, x_values, eps, truncation=None):
 
 
 def random_graded_series(rng, arity, dim, orders, max_x_degree=2, terms_per_order=3):
-    """Random graded series for property tests; deterministic given ``rng``."""
+    """Random graded series for property tests; deterministic given ``rng``.
+
+    Order i needs p-degree i+1, so arity 0 gives the zero series.
+    """
+    if arity == 0:
+        return FormalSeries.zero(dim, 0)
     p_vars = [p_key(b, i) for b in range(1, arity + 1) for i in range(1, dim + 1)]
     out = {}
     for order in orders:

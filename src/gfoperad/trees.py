@@ -311,7 +311,6 @@ def enumerate_rooted(
     max_total_weight: int,
     root_color: str | None = None,
     *,
-    weight_cap: int = DEFAULT_WEIGHT_CAP,
     allowed_weights: dict[str, set[int] | None] | None = None,
 ) -> list[RootedTree]:
     """All rooted isomorphism classes with total weight <= ``max_total_weight``.
@@ -319,9 +318,9 @@ def enumerate_rooted(
     ``allowed_weights`` optionally restricts vertex weights per color (used to
     prune expansions where some series orders vanish identically).
     """
-    if max_total_weight > weight_cap:
+    if max_total_weight > DEFAULT_WEIGHT_CAP:
         raise ValueError(
-            f"max total weight {max_total_weight} exceeds cap {weight_cap}"
+            f"max total weight {max_total_weight} exceeds cap {DEFAULT_WEIGHT_CAP}"
         )
     if max_total_weight < 1:
         return []
@@ -338,14 +337,11 @@ def enumerate_rooted(
 def enumerate_unrooted(
     max_total_weight: int,
     *,
-    weight_cap: int = DEFAULT_WEIGHT_CAP,
     allowed_weights: dict[str, set[int] | None] | None = None,
 ) -> list[TopTree]:
     """Unrooted classes of total weight <= ``max_total_weight``, each canonicalized once."""
     classes = {}
-    for t in enumerate_rooted(
-        max_total_weight, weight_cap=weight_cap, allowed_weights=allowed_weights
-    ):
+    for t in enumerate_rooted(max_total_weight, allowed_weights=allowed_weights):
         if t.encoding not in classes:
             roots = rerootings(t)
             top = _top_tree(roots)

@@ -31,6 +31,18 @@ def test_trees_enum_unrooted(capsys):
     assert len(lines) == 5  # 2 at weight 1, 3 at weight 2
 
 
+@pytest.mark.parametrize("rooted", [[], ["--rooted"]], ids=["unrooted", "rooted"])
+def test_trees_enum_above_the_weight_cap_is_a_usage_error(capsys, rooted):
+    assert main(["trees", "enum", "--max-order", "11", *rooted]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "exceeds cap 10" in captured.err
+    # the cap is a constant: no option raises it
+    with pytest.raises(SystemExit) as exit_info:
+        main(["trees", "enum", "--max-order", "11", "--max-tree-weight", "40", *rooted])
+    assert exit_info.value.code == 2
+
+
 def test_verify_sga_pass_and_fail(tmp_path, capsys):
     good = write(tmp_path, "good.json", series_dumps(constant_poisson_first_order()))
     assert main(["verify-sga", "--in", good, "--order", "4"]) == 0

@@ -86,7 +86,7 @@ def random_series(seed, arity):
 #: dim 2.  The cases cover inner arities (2, 1), inner arities (1, 3) (an
 #: arity-1 slot first, then a three-block sum in the base point), a nonzero
 #: outer with an arity-0 inner in one slot, and every inner of arity 0 (an
-#: arity-0 result).
+#: arity-0 result).  Two of them also run at the order cap 8.
 COMPOSE_GOLDEN = {
     "arities-2-1": (
         lambda: random_series(1, 2),
@@ -100,11 +100,23 @@ COMPOSE_GOLDEN = {
         6,
         "9e7ef1522e8f35b87a998ad2d56e75a0620a32de5b7560448265e7d793acc793",
     ),
+    "arities-1-3-order-8": (
+        lambda: random_series(13, 2),
+        lambda: [random_series(14, 1), random_series(15, 3)],
+        8,
+        "1b2e3f85405ddb6dfb8985214358a0a18510d47fdcaff1975580f9a91ed26ddd",
+    ),
     "arity-0-slot": (
         lambda: random_series(12, 2),
         lambda: [FormalSeries.zero(2, 0), random_series(5, 2)],
         4,
         "c0b1859c6c30d884b27f52e6a78edd480aadefe948ff26c176b40332db5cdecd",
+    ),
+    "arity-0-slot-order-8": (
+        lambda: random_series(12, 2),
+        lambda: [FormalSeries.zero(2, 0), random_series(5, 2)],
+        8,
+        "1939d97c8fdf08dc57ba14c3c60b40c422eff7a779d593b6c53bdcfdff9a0dda",
     ),
     "all-arity-0": (
         lambda: random_series(6, 2),
@@ -129,6 +141,17 @@ def test_compose_output_digest(tmp_path, name):
     argv = ["compose", "--outer", str(outer_path), "--inner", ",".join(inner_paths)]
     assert main([*argv, "--order", str(order), "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("name", ["arity-0-slot", "arities-1-3"])
+def test_compose_changes_variables_only_by_block_maps(tmp_path, monkeypatch, name):
+    # compose maps its inputs and its base point with map_blocks alone
+    def refuse(*args, **kwargs):
+        raise AssertionError("compose must not call substitute or remap_variables")
+
+    monkeypatch.setattr(PolySymbol, "substitute", refuse)
+    monkeypatch.setattr(PolySymbol, "remap_variables", refuse)
+    test_compose_output_digest(tmp_path, name)
 
 
 #: argv after ``trees enum`` -> sha256 of stdout.  The unrooted listing pins

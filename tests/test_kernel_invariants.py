@@ -193,7 +193,7 @@ def test_remap_variables_keeps_the_invariant(a, renaming):
 def test_contractions_keep_the_invariant(f, directions):
     result = directional_contract(f, directions, "x")
     assert_clean(result, f)
-    for comp in contracted_gradient(f, directions, ("p", 1)):
+    for comp in contracted_gradient(f, directions, [p_key(1, 1), p_key(1, 2)]):
         assert_clean(comp, f)
 
 
@@ -214,13 +214,17 @@ def naive_contract(f, directions, variables):
 @given(
     POLYS,
     st.lists(st.tuples(POLYS, POLYS), max_size=3),
-    st.sampled_from(["x", ("p", 1), ("p", 2)]),
+    st.sampled_from(
+        [
+            "x",
+            [p_key(1, 1), p_key(1, 2)],
+            [p_key(2, 1), p_key(2, 2)],
+            [p_key(2, 2), x_key(1)],
+        ]
+    ),
 )
 def test_contractions_match_naive_oracle(f, directions, against):
-    if against == "x":
-        variables = [x_key(1), x_key(2)]
-    else:
-        variables = [p_key(against[1], 1), p_key(against[1], 2)]
+    variables = [x_key(1), x_key(2)] if against == "x" else against
     # every direction depends on the contracted variables: they are multiplied
     # in, never differentiated
     lead = PolySymbol.variable(variables[0], DIM, BLOCKS)

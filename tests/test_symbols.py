@@ -106,11 +106,12 @@ def test_directional_contract_hessian_example():
     f = sym(2, 1, {((p_key(1, 1), 2), (p_key(1, 2), 1)): 1})
     u = [PolySymbol.constant(c, 2, 1) for c in (1, 2)]
     v = [PolySymbol.constant(c, 2, 1) for c in (3, 5)]
-    out = directional_contract(f, [u, v], ("p", 1))
+    block_1 = [p_key(1, 1), p_key(1, 2)]
+    out = directional_contract(f, [u, v], block_1)
     # 2*p2*u1*v1 + 2*p1*(u1*v2 + u2*v1) = 6 p2 + 22 p1
     expected = sym(2, 1, {((p_key(1, 2), 1),): 6, ((p_key(1, 1), 1),): 22})
     assert out == expected
-    assert directional_contract(f, [v, u], ("p", 1)) == out
+    assert directional_contract(f, [v, u], block_1) == out
 
 
 def test_directional_contract_symmetric_and_multilinear():
@@ -137,6 +138,19 @@ def test_contracted_gradient_matches_full_contract():
     ]
     for i in range(2):
         assert directional_contract(f, [u, basis[i]], "x") == grad_vec[i]
+
+
+def test_contraction_variables_must_lie_in_the_shape():
+    f = sym(2, 1, {((p_key(1, 1), 2),): 1})
+    u = [PolySymbol.constant(1, 2, 1)] * 2
+    with pytest.raises(ShapeError):
+        directional_contract(f, [u], [p_key(2, 1), p_key(2, 2)])
+    with pytest.raises(ShapeError):
+        contracted_gradient(f, [u], [p_key(1, 1), p_key(1, 3)])
+    with pytest.raises(ShapeError):
+        directional_contract(f, [u], [p_key(1, 1)])  # direction longer than the list
+    with pytest.raises(ValueError):
+        directional_contract(f, [u], ("p", 1))  # the block form is gone
 
 
 def test_eval_examples():
@@ -300,3 +314,10 @@ def test_random_graded_series_is_graded():
     for arity in (1, 2, 3):
         series = random_graded_series(rng, arity, 2, [1, 2])
         assert check_grading(series).ok
+
+
+def test_random_graded_series_of_arity_zero_is_zero():
+    # order i needs p-degree i+1, and an arity-0 series has no p-variables
+    series = random_graded_series(random.Random(3), 0, 2, [1, 2, 3])
+    assert series == FormalSeries.zero(2, 0)
+    assert series.graded
