@@ -6,12 +6,21 @@ The coboundary d sends an arity-n series to the arity-(n+1) series
                           + sum_j (-1)^(n+j-1) F(p_1.., p_j + p_{j+1}, .., p_{n+1}, x)
                           + (-1)^(n-1) F(p_2..p_{n+1}, x),
 
-realized as n+2 face maps, each one ``PolySymbol.map_blocks`` call: it sends
-each p-block to a sum of p-blocks and expands the merged powers
-(p_j + p_{j+1})^e by integer binomials.  The Gerstenhaber-type bracket is
-assembled from slot insertions through :func:`gfoperad.operad.compose` with
-identity fillers, with the classical slot signs (-1)^((i-1)(l-1)); the
-convention is pinned by bracket(0_2, F) = dF, which holds for every arity.
+the signed sum of n+2 face maps.  On a monomial whose p-block k has exponent
+vector a_k, neighbouring faces cancel exactly: dropping p_1 against the c = 0
+term of merge 1, the c = a_k term of merge k against the c = 0 term of merge
+k+1, and dropping p_{n+1} against the c = a_n term of merge n, where merge k
+expands (p_k + p_{k+1})^{a_k} = sum_c C(a_k, c) p_k^c p_{k+1}^{a_k - c}.
+What is left is the reduced coproduct: for each block k, its proper
+splittings 0 != c != a_k with the integer weight prod_i C(a_{k,i}, c_i) and
+the sign (-1)^(n+k+1) of merge k, and for each block with a_k = 0, whose one
+merge term had to cancel both neighbours, a single correction term with the
+opposite sign.  ``coboundary_monomial`` writes these integer terms directly.
+
+The Gerstenhaber-type bracket is assembled from slot insertions through
+:func:`gfoperad.operad.compose` with identity fillers, with the classical slot
+signs (-1)^((i-1)(l-1)); the convention is pinned by bracket(0_2, F) = dF,
+which holds for every arity.
 
 For an arity-2 deformation S~ the product equation is the vanishing of
 S(S,I) - S(I,S) order by order; ``verify_product`` reports those residuals.
@@ -23,10 +32,11 @@ product equation at order n reads dS_n + H_n = 0.  For arity 2, bracket(S, S)
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from gfoperad.operad import GenFunction, compose, identity
-from gfoperad.symbols import FormalSeries, PolySymbol, _accumulate
+from gfoperad.symbols import FormalSeries, PolySymbol, _accumulate, p_key
 
 
 @dataclass
@@ -47,24 +57,53 @@ class CochainReport:
         return None
 
 
-def coboundary_symbol(sym: PolySymbol, arity: int) -> PolySymbol:
-    """Apply the coboundary to one arity-``arity`` symbol, face map by face map.
+def coboundary_monomial(mono, arity: int) -> list:
+    """d of one arity-``arity`` monomial as (monomial, nonzero int) pairs.
 
-    Face k of the n+2 drops p_1 (k = 0), merges p_k + p_{k+1} (1 <= k <= n)
-    or drops p_{n+1} (k = n+1), shifting the blocks above k up by one; it
-    enters with sign (-1)^(n+k+1).
+    The reduced coproduct of the module docstring; the x-part rides along.  A
+    monomial may appear in more than one pair.
     """
+    n = arity
+    blocks = [[] for _ in range(n + 1)]  # blocks[k]: the (component, exponent) of p_k
+    x_part = ()
+    for index, (var, exp) in enumerate(mono):
+        if var[0] != "p":
+            x_part = mono[index:]  # x-variables sort after every p-variable
+            break
+        blocks[var[1]].append((var[2], exp))
+    out = []
+    for k in range(1, n + 1):
+        sign = -1 if (n + k) % 2 == 0 else 1
+        below = tuple((p_key(j, i), e) for j in range(1, k) for i, e in blocks[j])
+        above = tuple((p_key(j + 1, i), e) for j in range(k + 1, n + 1) for i, e in blocks[j])
+        above += x_part
+        if not blocks[k]:
+            out.append((below + above, -sign))
+            continue
+        splits = [((), (), sign)]  # (p_k part, p_{k+1} part, signed weight)
+        for i, e in blocks[k]:
+            low_var, high_var = p_key(k, i), p_key(k + 1, i)
+            splits = [
+                (
+                    low + ((low_var, c),) if c else low,
+                    high + ((high_var, e - c),) if c < e else high,
+                    weight * math.comb(e, c),
+                )
+                for low, high, weight in splits
+                for c in range(e + 1)
+            ]
+        out.extend((below + low + high + above, w) for low, high, w in splits if low and high)
+    return out
+
+
+def coboundary_symbol(sym: PolySymbol, arity: int) -> PolySymbol:
+    """Apply the coboundary to one arity-``arity`` symbol, monomial by monomial."""
     if sym.blocks != arity:
         raise ValueError(f"symbol has {sym.blocks} blocks, expected {arity}")
-    n = arity
     total = {}
-    for k in range(n + 2):
-        rows = {b: [(b + 1, 1)] for b in range(k + 1, n + 1)}
-        if 1 <= k <= n:
-            rows[k] = [(k, 1), (k + 1, 1)]
-        face = sym.map_blocks(rows, n + 1)
-        _accumulate(total, face.terms.items(), -1 if (n + k + 1) % 2 else None)
-    return PolySymbol._trusted(sym.dim, n + 1, total)
+    for mono, coeff in sym.terms.items():
+        _accumulate(total, coboundary_monomial(mono, arity), coeff)
+    return PolySymbol._trusted(sym.dim, arity + 1, total)
 
 
 def coboundary(series: FormalSeries) -> FormalSeries:
@@ -114,16 +153,25 @@ def bracket(F: FormalSeries, G: FormalSeries, order: int) -> FormalSeries:
     return circ(F, G, order) - circ(G, F, order).scale(sign)
 
 
-def verify_product(deformation: FormalSeries, order: int) -> CochainReport:
-    """Residuals of S(S, I) - S(I, S) for S = S0 + S~, per order up to ``order``."""
-    if deformation.blocks != 2:
-        raise ValueError("a product candidate must have arity 2")
+def _product_residual(deformation: FormalSeries, order: int, trees, min_weight: int = 1):
+    """S(S, I) - S(I, S) for S = S0 + S~, from the trees of total weight
+    ``min_weight``..``order`` (``trees``: a TreeTable, or None to enumerate)."""
     dim = deformation.dim
     S = GenFunction(2, dim, deformation)
     one = identity(dim)
-    left = compose(S, [S, one], order).deformation
-    right = compose(S, [one, S], order).deformation
-    diff = left - right
+    left = compose(S, [S, one], order, _trees=trees, _min_weight=min_weight)
+    right = compose(S, [one, S], order, _trees=trees, _min_weight=min_weight)
+    return left.deformation - right.deformation
+
+
+def verify_product(deformation: FormalSeries, order: int, *, _trees=None) -> CochainReport:
+    """Residuals of S(S, I) - S(I, S) for S = S0 + S~, per order up to ``order``.
+
+    The private ``_trees`` is the solver's TreeTable (see ``compose``).
+    """
+    if deformation.blocks != 2:
+        raise ValueError("a product candidate must have arity 2")
+    diff = _product_residual(deformation, order, _trees)
     residuals = {n: diff.order(n) for n in range(1, order + 1)}
     return CochainReport(residuals, order)
 
@@ -137,21 +185,27 @@ class ProductPreconditionError(ValueError):
         super().__init__(f"product equation already fails at order {order}: {residual}")
 
 
-def obstruction(partial: FormalSeries, n: int, verified: bool = False) -> PolySymbol:
+def obstruction(
+    partial: FormalSeries, n: int, verified: bool = False, *, _trees=None
+) -> PolySymbol:
     """H_n: the order-n product residual of S_{<n}, the orders of ``partial`` below n.
 
     H_n is the order-n part of (1/2)[S~, S~], since bracket(S, S) = 2 circ(S, S)
     for arity 2.  Unless ``verified``, the first nonzero lower residual of the
     same report raises :class:`ProductPreconditionError`; dS_n + H_n = 0 is
-    then the order-n equation.
+    then the order-n equation.  A ``verified`` call expands only the trees of
+    total weight n, the only ones that reach order n.  The private ``_trees``
+    is the solver's TreeTable (see ``compose``).
     """
     if partial.blocks != 2:
         raise ValueError("expected an arity-2 deformation")
     if n <= 1:
         return PolySymbol.zero(partial.dim, 3)
-    report = verify_product(partial.truncate(n - 1), n)
-    if not verified:
-        failure = report.first_failure()
-        if failure is not None and failure[0] < n:
-            raise ProductPreconditionError(*failure)
+    truncated = partial.truncate(n - 1)
+    if verified:
+        return _product_residual(truncated, n, _trees, min_weight=n).order(n)
+    report = verify_product(truncated, n, _trees=_trees)
+    failure = report.first_failure()
+    if failure is not None and failure[0] < n:
+        raise ProductPreconditionError(*failure)
     return report.residuals[n]

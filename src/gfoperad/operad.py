@@ -102,6 +102,46 @@ def trivial_product(arity: int, dim: int) -> GenFunction:
     return GenFunction(arity, dim, FormalSeries.zero(dim, arity))
 
 
+def _vertex_labels(t) -> frozenset:
+    """The (colour, weight) labels of the vertices of a rooted tree."""
+    labels = {(t.color, t.weight)}
+    for child in t.children:
+        labels |= _vertex_labels(child)
+    return frozenset(labels)
+
+
+class TreeTable:
+    """The unrooted trees of total weight <= ``max_weight``, enumerated once.
+
+    Each tree is kept with the (colour, weight) labels of its vertices, so
+    :meth:`select` returns what ``enumerate_unrooted`` would for a smaller
+    weight and restricted vertex weights, in the same order, without
+    enumerating again.  ``solve_deformation`` builds one table per solve and
+    passes it to every ``compose`` of the solve; nothing keeps it between
+    calls.
+    """
+
+    __slots__ = ("max_weight", "entries")
+
+    def __init__(self, max_weight: int):
+        self.max_weight = max_weight
+        self.entries = [
+            (top, _vertex_labels(top.canonical)) for top in enumerate_unrooted(max_weight)
+        ]
+
+    def select(self, max_weight: int, allowed_weights: dict) -> list:
+        """``enumerate_unrooted(max_weight, allowed_weights=allowed_weights)``,
+        read from the table; every colour must be a key of ``allowed_weights``."""
+        if max_weight > self.max_weight:
+            raise ValueError(f"table holds weights <= {self.max_weight}, asked for {max_weight}")
+        allowed = {(color, w) for color, weights in allowed_weights.items() for w in weights}
+        return [
+            top
+            for top, labels in self.entries
+            if top.total_weight <= max_weight and labels <= allowed
+        ]
+
+
 def _move_blocks(series: FormalSeries, rows, blocks: int, order: int) -> FormalSeries:
     """The orders <= ``order`` of ``series``, each moved by ``map_blocks(rows, blocks)``."""
     return FormalSeries(
@@ -112,7 +152,14 @@ def _move_blocks(series: FormalSeries, rows, blocks: int, order: int) -> FormalS
     )
 
 
-def compose(outer: GenFunction, inners, order: int) -> GenFunction:
+def compose(
+    outer: GenFunction,
+    inners,
+    order: int,
+    *,
+    _trees: TreeTable | None = None,
+    _min_weight: int = 1,
+) -> GenFunction:
     """Operadic composition, truncated at epsilon^order <= DEFAULT_ORDER_CAP.
 
     Sums C_t over unrooted topological trees with total weight <= order; tree
@@ -124,6 +171,11 @@ def compose(outer: GenFunction, inners, order: int) -> GenFunction:
     offset_b+1..offset_b+k_b, its output numbers, and the outer's p_b to block
     K+b.  At the base point one ``map_blocks`` per weight sends block K+b to
     the sum of slot b's inner blocks (one block for arity 1, zero for arity 0).
+
+    The private ``_trees`` (a :class:`TreeTable` reaching ``order``) takes the
+    place of the enumeration, and ``_min_weight`` skips the trees of smaller
+    total weight, so the orders below it come out zero.  The solver uses both
+    to expand only the trees of H_n.
     """
     if order < 1:
         raise ValueError("truncation order must be >= 1")
@@ -160,7 +212,13 @@ def compose(outer: GenFunction, inners, order: int) -> GenFunction:
     allowed = {BLACK: set(black.orders), WHITE: {o for g in whites for o in g.orders}}
     sums = {}
     memo = {}
-    for top in enumerate_unrooted(order, allowed_weights=allowed):
+    if _trees is None:
+        trees = enumerate_unrooted(order, allowed_weights=allowed)
+    else:
+        trees = _trees.select(order, allowed)
+    for top in trees:
+        if top.total_weight < _min_weight:
+            continue
         value = elementary_function(top, black, whites, K + 1, memo)
         if value.is_zero():
             continue

@@ -11,7 +11,15 @@ S_n(p,-p,x) = 0.  The coboundary d touches only p-variables, so every
 x-monomial of H_n poses the same small exact linear system with its own
 right-hand side; one deterministic Gauss-Jordan elimination per order
 (smallest-monomial pivots, free unknowns set to zero) carries all of them and
-picks a reproducible representative of the gauge freedom.
+picks a reproducible representative of the gauge freedom.  The coboundary
+columns of that system are the integer terms of the closed-form coboundary
+(:func:`gfoperad.deformation.coboundary_monomial`).
+
+A solve enumerates its trees once: one :class:`gfoperad.operad.TreeTable` up
+to the target order, which every ``compose`` of the solve selects from.  H_n
+comes from the trees of total weight exactly n, the only ones that reach
+order n; the final ``verify_product`` and ``check_sgs`` check every order of
+the result, from every tree, as the independent postcondition.
 
 ``bch_generating_function`` provides an independent construction for linear
 (Lie-Poisson) structures: S0 + S~ = x . bch(p1, p2), with the series computed
@@ -25,9 +33,9 @@ import itertools
 import math
 from fractions import Fraction
 
-from gfoperad.deformation import coboundary_symbol, obstruction, verify_product
+from gfoperad.deformation import coboundary_monomial, obstruction, verify_product
 from gfoperad.groupoid import check_sgs
-from gfoperad.operad import DEFAULT_ORDER_CAP
+from gfoperad.operad import DEFAULT_ORDER_CAP, TreeTable
 from gfoperad.poisson import PoissonStructure, validate_poisson
 from gfoperad.symbols import FormalSeries, PolySymbol, _accumulate, p_key, x_key
 
@@ -116,13 +124,19 @@ def _linsolve(equations):
 
 
 def _order_columns(n: int, d: int):
-    """Per unknown basis monomial: its coboundary image and inverse-condition image."""
+    """Per unknown basis monomial: its coboundary image and inverse-condition image.
+
+    The coboundary columns hold the integer terms of the reduced coproduct
+    (:func:`coboundary_monomial`), summed per monomial.
+    """
     basis = _p_basis(n, d)
     d_cols = []
     sgs_cols = []
     for mono in basis:
+        col = {}
+        _accumulate(col, coboundary_monomial(mono, 2))
+        d_cols.append(col)
         sym = PolySymbol._trusted(d, 2, {mono: Fraction(1)})
-        d_cols.append(coboundary_symbol(sym, 2).terms)
         sgs_cols.append(sym.map_blocks({2: [(1, -1)]}, 2).terms)
     return basis, d_cols, sgs_cols
 
@@ -167,8 +181,9 @@ def solve_deformation(alpha: PoissonStructure, order: int) -> FormalSeries:
     d = alpha.dim
     series = first_order_deformation(alpha)
     degree = alpha.max_degree
+    trees = TreeTable(order)
     for n in range(2, order + 1):
-        h_n = obstruction(series, n, verified=True)
+        h_n = obstruction(series, n, verified=True, _trees=trees)
         for mono in h_n.terms:
             _, x_part = _split_monomial(mono)
             x_deg = sum(e for _, e in x_part)
@@ -179,7 +194,7 @@ def solve_deformation(alpha: PoissonStructure, order: int) -> FormalSeries:
         s_n = _solve_order(h_n, n, d)
         if not s_n.is_zero():
             series = series.with_order(n, s_n)
-    if not verify_product(series, order).all_zero:
+    if not verify_product(series, order, _trees=trees).all_zero:
         raise AssertionError("solver output fails the product equation")
     if not check_sgs(series, order).passed:
         raise AssertionError("solver output fails the structure conditions")

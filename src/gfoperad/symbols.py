@@ -31,6 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 from math import comb
+from operator import itemgetter
 
 
 class ShapeError(ValueError):
@@ -140,17 +141,12 @@ def _expand_power(row, exp):
 #: memo value of a variable that a variable map leaves in place
 _KEPT = object()
 
-
-def monomial_degree(monomial) -> int:
-    return sum(e for _, e in monomial)
+#: the exponent of a (variable, exponent) pair
+_exponent = itemgetter(1)
 
 
 def monomial_p_degree(monomial) -> int:
     return sum(e for v, e in monomial if v[0] == "p")
-
-
-def monomial_sort_key(monomial):
-    return (monomial_degree(monomial), monomial)
 
 
 class PolySymbol:
@@ -225,8 +221,18 @@ class PolySymbol:
         return self.dim == other.dim and self.blocks == other.blocks
 
     def ordered_terms(self):
-        """Terms in the canonical (degree-major, variable-major) order."""
-        return sorted(self.terms.items(), key=lambda kv: monomial_sort_key(kv[0]))
+        """Terms in the canonical (degree-major, variable-major) order.
+
+        Each monomial's total degree is computed once, to bucket its term;
+        each bucket then sorts by monomial.
+        """
+        by_degree = {}
+        for term in self.terms.items():
+            by_degree.setdefault(sum(map(_exponent, term[0])), []).append(term)
+        ordered = []
+        for degree in sorted(by_degree):
+            ordered += sorted(by_degree[degree])  # monomials are distinct keys
+        return ordered
 
     def max_x_degree(self) -> int:
         degs = [sum(e for v, e in m if v[0] == "x") for m in self.terms]
@@ -406,8 +412,10 @@ class PolySymbol:
         """Replace p[b][i] by sum(c * p[t][i] for t, c in rows[b]), for every i.
 
         An empty row sets block b to zero, a block absent from ``rows`` keeps
-        its variables, and the result has ``blocks`` p-blocks.  Every face map
-        of the coboundary and every structure condition is such a map.  A
+        its variables, and the result has ``blocks`` p-blocks.  Every structure
+        condition, every move of a ``compose`` input and its base point are
+        such maps, and so is each face of the coboundary, which the library
+        sums in closed form instead (``deformation``).  A
         source block outside 1..self.blocks, a target block outside 1..blocks
         or a kept variable outside the result shape raises :class:`ShapeError`.
 

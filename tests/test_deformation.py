@@ -2,7 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from coboundary_reference import face_map_coboundary
 from gfoperad.deformation import (
     ProductPreconditionError,
     bracket,
@@ -11,13 +14,14 @@ from gfoperad.deformation import (
     obstruction,
     verify_product,
 )
-from gfoperad.solver import lie_poisson_structure, solve_deformation
+from gfoperad.solver import _order_columns, _p_basis, lie_poisson_structure, solve_deformation
 from gfoperad.symbols import (
     FormalSeries,
     PolySymbol,
     check_grading,
     p_key,
     random_graded_series,
+    x_key,
 )
 from sample_series import (
     constant_poisson_first_order,
@@ -26,6 +30,7 @@ from sample_series import (
     poly,
     symmetric_band_first_order,
 )
+from test_golden import quadratic, so3
 
 
 def test_coboundary_arity_one_example():
@@ -33,6 +38,44 @@ def test_coboundary_arity_one_example():
     df = coboundary(f)
     expected = poly(1, 2, {((p_key(1, 1), 1), (p_key(2, 1), 1)): -2})
     assert df.order(1) == expected
+
+
+@st.composite
+def symbols_of_any_arity(draw):
+    """Arity 0-4, d 1-3; whole p-blocks often zero, x-parts and non-integer coefficients."""
+    arity = draw(st.integers(0, 4))
+    dim = draw(st.integers(1, 3))
+    terms = {}
+    for _ in range(draw(st.integers(0, 4))):
+        powers = {}
+        for block in range(1, arity + 1):
+            if draw(st.booleans()):  # leave the whole block at exponent zero
+                continue
+            for i in range(1, dim + 1):
+                powers[p_key(block, i)] = draw(st.integers(0, 3))
+        for i in range(1, dim + 1):
+            powers[x_key(i)] = draw(st.integers(0, 2))
+        mono = tuple(sorted((v, e) for v, e in powers.items() if e))
+        terms[mono] = Fraction(draw(st.integers(-4, 4)), draw(st.integers(1, 5)))
+    return PolySymbol(dim, arity, terms), arity
+
+
+@settings(max_examples=200, deadline=None)
+@given(symbols_of_any_arity())
+def test_coboundary_matches_the_face_maps(case):
+    sym, arity = case
+    assert coboundary_symbol(sym, arity) == face_map_coboundary(sym, arity)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_order_columns_match_the_face_maps(n, d):
+    basis, d_cols, _ = _order_columns(n, d)
+    assert basis == _p_basis(n, d)
+    for mono, col in zip(basis, d_cols):
+        reference = face_map_coboundary(PolySymbol(d, 2, {mono: 1}), 2)
+        assert col == reference.terms, mono
+        assert all(type(c) is int and c for c in col.values())
 
 
 def test_coboundary_of_zero():
@@ -149,6 +192,19 @@ def test_residual_equals_dSn_plus_Hn_for_arbitrary_series():
         h_n = obstruction(series.truncate(n - 1), n, verified=True)
         d_sn = coboundary_symbol(series.order(n), 2)
         assert residual == d_sn + h_n, n
+
+
+@pytest.mark.parametrize(
+    "structure, solved", [(so3, 5), (quadratic, 5)], ids=["so3", "quadratic"]
+)
+def test_weight_exact_obstruction_is_the_full_residual(structure, solved):
+    # the verified path expands only the trees of weight n; the full report
+    # of the truncation, from every tree of weight <= n, must agree at order n
+    series = solve_deformation(structure(), solved)
+    for n in range(2, solved + 2):
+        full = verify_product(series.truncate(n - 1), n).residuals[n]
+        assert obstruction(series, n, verified=True) == full, n
+        assert not full.is_zero(), n
 
 
 def test_obstruction_checks_precondition():

@@ -50,6 +50,8 @@ GOLDEN = {
     "so3-order-5": (so3, 5, "68b136a9d7be2c24cd0e302f44a37ce61e19fd46f081c3eae46b547d3e7856cb"),
     "heisenberg": (heisenberg_structure, 6, "ccf31a75d31e170e809c32a035263917f8302efa4d96460866ff3b699be34a5f"),
     "quadratic": (quadratic, 6, "aacbf40fac5a44cb6d668e0c6bfb615d5ab8634a6a3b50c95b78c5f1d9fb18c1"),
+    # every order is nonzero up to the cap, so every weight of the tree table is used
+    "quadratic-order-8": (quadratic, 8, "9c0349611eef4718718c2f02307a81b4fd3ef598eef6028ec4913cddcee3a3a0"),
 }
 
 

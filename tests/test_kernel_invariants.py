@@ -70,6 +70,14 @@ def test_ring_operations_keep_the_invariant(a, b, k):
 
 
 @SETTINGS
+@given(POLYS)
+def test_ordered_terms_sort_by_total_degree_then_monomial(a):
+    # the order the JSON writer emits terms in
+    reference = sorted(a.terms.items(), key=lambda kv: (sum(e for _, e in kv[0]), kv[0]))
+    assert a.ordered_terms() == reference
+
+
+@SETTINGS
 @given(POLYS, st.sampled_from(VARIABLES))
 def test_diff_and_map_blocks_keep_the_invariant(a, var):
     assert_clean(a.diff(var), a)
