@@ -33,6 +33,7 @@ from gfoperad.operad import (
 )
 from gfoperad.poisson import poisson_dumps, poisson_loads, validate_poisson
 from gfoperad.solver import (
+    InfeasibleOrderError,
     bch_generating_function,
     heisenberg_structure,
     solve_deformation,
@@ -443,7 +444,7 @@ def main(argv=None) -> int:
     except OverflowError as exc:
         print(f"error: numerical overflow: {exc}", file=sys.stderr)
         return EXIT_NONCONVERGENCE
-    except (SgsError, ProductPreconditionError) as exc:
+    except (SgsError, ProductPreconditionError, InfeasibleOrderError) as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return EXIT_VERIFICATION
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:

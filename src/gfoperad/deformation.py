@@ -36,7 +36,7 @@ import math
 from dataclasses import dataclass
 
 from gfoperad.operad import GenFunction, compose, identity
-from gfoperad.symbols import FormalSeries, PolySymbol, _accumulate, p_key
+from gfoperad.symbols import FormalSeries, PolySymbol, p_key
 
 
 @dataclass
@@ -102,8 +102,9 @@ def coboundary_symbol(sym: PolySymbol, arity: int) -> PolySymbol:
         raise ValueError(f"symbol has {sym.blocks} blocks, expected {arity}")
     total = {}
     for mono, coeff in sym.terms.items():
-        _accumulate(total, coboundary_monomial(mono, arity), coeff)
-    return PolySymbol._trusted(sym.dim, arity + 1, total)
+        for image, weight in coboundary_monomial(mono, arity):
+            total[image] = total.get(image, 0) + coeff * weight
+    return PolySymbol(sym.dim, arity + 1, total)
 
 
 def coboundary(series: FormalSeries) -> FormalSeries:

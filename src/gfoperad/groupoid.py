@@ -24,7 +24,6 @@ from gfoperad.operad import (
     DEFAULT_ORDER_CAP,
     GenFunction,
     NonConvergenceError,
-    _series_gradient,
     compose,
 )
 from gfoperad.poisson import PoissonStructure
@@ -198,8 +197,8 @@ def psi_numeric(
     if morphism.blocks != 1:
         raise ValueError("psi is generated by arity-1 functions")
     d = morphism.dim
-    grad_p = [_series_gradient(morphism, p_key(1, i)) for i in range(1, d + 1)]
-    grad_x = [_series_gradient(morphism, x_key(i)) for i in range(1, d + 1)]
+    grad_p = [morphism.diff(p_key(1, i)) for i in range(1, d + 1)]
+    grad_x = [morphism.diff(x_key(i)) for i in range(1, d + 1)]
     p1 = [float(v) for v in p1]
     x1 = [float(v) for v in x1]
     x2 = list(x1)

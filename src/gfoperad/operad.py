@@ -23,13 +23,14 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import groupby
+from operator import attrgetter
 
 from gfoperad.elementary import elementary_function
 from gfoperad.symbols import (
     FormalSeries,
     PolySymbol,
     ShapeError,
-    _accumulate,
     check_grading,
     p_key,
     series_eval,
@@ -169,8 +170,10 @@ def compose(
     The expansion runs in shape (d, K+n), K the sum of the inner arities, and
     every input keeps the one x: slot b's inner p-blocks move to blocks
     offset_b+1..offset_b+k_b, its output numbers, and the outer's p_b to block
-    K+b.  At the base point one ``map_blocks`` per weight sends block K+b to
-    the sum of slot b's inner blocks (one block for arity 1, zero for arity 0).
+    K+b.  The trees of one total weight are summed by one
+    ``PolySymbol.linear_combination``, and at the base point one ``map_blocks``
+    per weight sends block K+b to the sum of slot b's inner blocks (one block
+    for arity 1, zero for arity 0).
 
     The private ``_trees`` (a :class:`TreeTable` reaching ``order``) takes the
     place of the enumeration, and ``_min_weight`` skips the trees of smaller
@@ -210,24 +213,22 @@ def compose(
     black = _move_blocks(outer.deformation, rows, blocks, order)
 
     allowed = {BLACK: set(black.orders), WHITE: {o for g in whites for o in g.orders}}
-    sums = {}
     memo = {}
     if _trees is None:
         trees = enumerate_unrooted(order, allowed_weights=allowed)
     else:
         trees = _trees.select(order, allowed)
-    for top in trees:
-        if top.total_weight < _min_weight:
-            continue
-        value = elementary_function(top, black, whites, K + 1, memo)
-        if value.is_zero():
-            continue
-        weight_terms = sums.setdefault(top.total_weight, {})
-        _accumulate(weight_terms, value.terms.items(), Fraction(1, symmetry_coefficient(top)))
 
+    def weighted(group):
+        for top in group:
+            value = elementary_function(top, black, whites, K + 1, memo)
+            yield Fraction(1, symmetry_coefficient(top)), value
+
+    # the trees come sorted by total weight, so each weight is one group
     result_orders = {
-        weight: PolySymbol._trusted(d, blocks, terms).map_blocks(base_point, K)
-        for weight, terms in sums.items()
+        weight: PolySymbol.linear_combination(d, blocks, weighted(group)).map_blocks(base_point, K)
+        for weight, group in groupby(trees, key=attrgetter("total_weight"))
+        if weight >= _min_weight
     }
 
     series = FormalSeries(d, K, result_orders, graded=True)
@@ -237,15 +238,6 @@ def compose(
         if not report.ok:
             raise AssertionError(f"composition broke the grading: {report.violations[:3]}")
     return GenFunction(K, d, series)
-
-
-def _series_gradient(series: FormalSeries, var) -> FormalSeries:
-    return FormalSeries(
-        series.dim,
-        series.blocks,
-        {o: s.diff(var) for o, s in series.orders.items()},
-        graded=False,
-    )
 
 
 def numeric_phi(
@@ -284,11 +276,11 @@ def numeric_phi(
     x0 = [float(v) for v in x_point]
 
     outer_grads = [
-        [_series_gradient(outer.deformation, p_key(b, i)) for i in range(1, d + 1)]
+        [outer.deformation.diff(p_key(b, i)) for i in range(1, d + 1)]
         for b in range(1, n + 1)
     ]
     inner_grads = [
-        [_series_gradient(g.deformation, x_key(i)) for i in range(1, d + 1)]
+        [g.deformation.diff(x_key(i)) for i in range(1, d + 1)]
         for g in inners
     ]
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from gfoperad.symbols import PolySymbol, _json_check, json_dumps, poly_from_obj, x_key
+from gfoperad.symbols import PolySymbol, json_check, json_dumps, poly_from_obj, x_key
 
 
 @dataclass
@@ -101,13 +101,13 @@ def validate_poisson(alpha: PoissonStructure) -> PoissonReport:
 
 
 def poisson_from_obj(obj) -> PoissonStructure:
-    _json_check(obj, dict, "Poisson structure")
-    dim = _json_check(obj["dim"], int, "dim")
+    json_check(obj, dict, "Poisson structure")
+    dim = json_check(obj["dim"], int, "dim")
     entries = {}
-    for e in _json_check(obj["entries"], list, "entries"):
-        _json_check(e, dict, "entry")
-        i = _json_check(e["i"], int, "entry index i")
-        j = _json_check(e["j"], int, "entry index j")
+    for e in json_check(obj["entries"], list, "entries"):
+        json_check(e, dict, "entry")
+        i = json_check(e["i"], int, "entry index i")
+        j = json_check(e["j"], int, "entry index j")
         sym = poly_from_obj(e["terms"], dim, 0)
         # entries that share (i, j) add, as repeated monomials do
         entries[(i, j)] = entries[(i, j)] + sym if (i, j) in entries else sym

@@ -13,7 +13,12 @@ right-hand side; one deterministic Gauss-Jordan elimination per order
 (smallest-monomial pivots, free unknowns set to zero) carries all of them and
 picks a reproducible representative of the gauge freedom.  The coboundary
 columns of that system are the integer terms of the closed-form coboundary
-(:func:`gfoperad.deformation.coboundary_monomial`).
+(:func:`gfoperad.deformation.coboundary_monomial`), and the inverse-condition
+column of a basis monomial p1^a p2^b is the one signed monomial
+(-1)^|b| p1^(a+b), written directly.  The rows and columns are sparse
+``Fraction`` vectors, not polynomials, so they are summed by the solver's own
+row helper :func:`_add_row`; the solution becomes a symbol only through the
+public ``PolySymbol`` constructor.
 
 A solve enumerates its trees once: one :class:`gfoperad.operad.TreeTable` up
 to the target order, which every ``compose`` of the solve selects from.  H_n
@@ -37,7 +42,7 @@ from gfoperad.deformation import coboundary_monomial, obstruction, verify_produc
 from gfoperad.groupoid import check_sgs
 from gfoperad.operad import DEFAULT_ORDER_CAP, TreeTable
 from gfoperad.poisson import PoissonStructure, validate_poisson
-from gfoperad.symbols import FormalSeries, PolySymbol, _accumulate, p_key, x_key
+from gfoperad.symbols import FormalSeries, PolySymbol, p_key, x_key
 
 
 class InfeasibleOrderError(RuntimeError):
@@ -83,6 +88,27 @@ def _p_basis(n: int, d: int):
     return sorted(basis)
 
 
+def _add_row(acc, items, factor=None):
+    """Add ``factor * v`` into ``acc[k]`` for each ``(k, v)`` of ``items``, in place.
+
+    ``acc`` is a sparse row (key -> nonzero number); entries that cancel are
+    deleted.  ``factor`` None means 1.
+    """
+    get = acc.get
+    for k, v in items:
+        if factor is not None:
+            v = v * factor
+        old = get(k)
+        if old is None:
+            acc[k] = v
+        else:
+            v = old + v
+            if v:
+                acc[k] = v
+            else:
+                del acc[k]
+
+
 def _linsolve(equations):
     """Exact Gauss-Jordan with deterministic pivoting; free unknowns are zero.
 
@@ -103,8 +129,8 @@ def _linsolve(equations):
         for col in sorted(c for c in row if c in pivots):
             factor = -row.pop(col)
             prow, prhs = pivots[col]
-            _accumulate(row, prow.items(), factor)
-            _accumulate(rhs, prhs.items(), factor)
+            _add_row(row, prow.items(), factor)
+            _add_row(rhs, prhs.items(), factor)
         if not row:
             if rhs:
                 message = "inconsistent equation (nonzero rhs on a zero row)"
@@ -117,10 +143,21 @@ def _linsolve(equations):
         for orow, orhs in pivots.values():
             if col in orow:
                 factor = -orow.pop(col)
-                _accumulate(orow, prow.items(), factor)
-                _accumulate(orhs, prhs.items(), factor)
+                _add_row(orow, prow.items(), factor)
+                _add_row(orhs, prhs.items(), factor)
         pivots[col] = (prow, prhs)
     return {col: prhs for col, (_, prhs) in pivots.items()}
+
+
+def _inverse_column(mono) -> dict:
+    """S(p, -p, x) of one basis monomial p1^a p2^b: {p1^(a+b): (-1)^|b|}."""
+    exponents = {}
+    sign = 1
+    for (_, block, comp), exp in mono:
+        exponents[comp] = exponents.get(comp, 0) + exp
+        if block == 2 and exp % 2:
+            sign = -sign
+    return {tuple((p_key(1, comp), exp) for comp, exp in sorted(exponents.items())): sign}
 
 
 def _order_columns(n: int, d: int):
@@ -131,14 +168,11 @@ def _order_columns(n: int, d: int):
     """
     basis = _p_basis(n, d)
     d_cols = []
-    sgs_cols = []
     for mono in basis:
         col = {}
-        _accumulate(col, coboundary_monomial(mono, 2))
+        _add_row(col, coboundary_monomial(mono, 2))
         d_cols.append(col)
-        sym = PolySymbol._trusted(d, 2, {mono: Fraction(1)})
-        sgs_cols.append(sym.map_blocks({2: [(1, -1)]}, 2).terms)
-    return basis, d_cols, sgs_cols
+    return basis, d_cols, [_inverse_column(mono) for mono in basis]
 
 
 def _solve_order(h_n: PolySymbol, n: int, d: int) -> PolySymbol:
@@ -167,8 +201,8 @@ def _solve_order(h_n: PolySymbol, n: int, d: int) -> PolySymbol:
     terms = {}
     for idx, values in solution.items():
         for x_part, value in values.items():
-            terms[tuple(sorted(basis[idx] + x_part))] = value
-    return PolySymbol._trusted(d, 2, terms)
+            terms[basis[idx] + x_part] = value
+    return PolySymbol(d, 2, terms)
 
 
 def solve_deformation(alpha: PoissonStructure, order: int) -> FormalSeries:
@@ -184,13 +218,9 @@ def solve_deformation(alpha: PoissonStructure, order: int) -> FormalSeries:
     trees = TreeTable(order)
     for n in range(2, order + 1):
         h_n = obstruction(series, n, verified=True, _trees=trees)
-        for mono in h_n.terms:
-            _, x_part = _split_monomial(mono)
-            x_deg = sum(e for _, e in x_part)
-            if x_deg > n * degree + 1:
-                raise AssertionError(
-                    f"H_{n} has x-degree {x_deg} > bound {n * degree + 1}"
-                )
+        x_deg = h_n.max_x_degree()
+        if x_deg > n * degree + 1:
+            raise AssertionError(f"H_{n} has x-degree {x_deg} > bound {n * degree + 1}")
         s_n = _solve_order(h_n, n, d)
         if not s_n.is_zero():
             series = series.with_order(n, s_n)

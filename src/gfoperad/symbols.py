@@ -8,15 +8,21 @@ so serialized output is byte-stable.
 
 Term invariant: every ``PolySymbol.terms`` dict maps a monomial with strictly
 increasing variables, each in the symbol's shape and with exponent >= 1, to a
-nonzero :class:`fractions.Fraction`; no two symbols share one dict.  The public
-constructor ``PolySymbol(dim, blocks, terms)`` establishes it for outside input
-(it copies, sorts, validates and converts).  Everything built inside the kernel
-goes through :meth:`PolySymbol._trusted`, which wraps an already-clean dict
+nonzero :class:`fractions.Fraction`; no two symbols share one dict.
+
+This module owns that representation.  Other modules build and sum symbols only
+through the public surface: the validating constructor ``PolySymbol(dim,
+blocks, terms)`` (it copies, sorts, validates and converts), the ring
+operations, ``map_blocks``, and :meth:`PolySymbol.linear_combination`, which
+sums (factor, symbol) pairs in one pass.  Inside the kernel, every symbol is
+wrapped by :meth:`PolySymbol._trusted`, which takes an already-clean dict
 without copying or checking, and every sum is built by :func:`_accumulate`, the
 one accumulation path: it adds terms into a dict in place and drops zeros.
-Every change of variables (``substitute``, ``remap_variables``, ``map_blocks``)
-goes through one variable map, :meth:`PolySymbol._map`; the library itself
-changes variables only by ``map_blocks``.
+Both are private to this module; ``tests/test_unused_imports.py`` fails on a
+library module that reaches them.  Every change of variables (``substitute``,
+``remap_variables``, ``map_blocks``) goes through one variable map,
+:meth:`PolySymbol._map`; the library itself changes variables only by
+``map_blocks``.
 
 :class:`FormalSeries` collects an order-indexed family of symbols.  A graded
 series of arity n keeps its order-i term homogeneous of p-degree i+1, which is
@@ -211,6 +217,26 @@ class PolySymbol:
     @staticmethod
     def variable(var, dim: int, blocks: int) -> "PolySymbol":
         return PolySymbol(dim, blocks, {((var, 1),): Fraction(1)})
+
+    @staticmethod
+    def linear_combination(dim: int, blocks: int, pairs) -> "PolySymbol":
+        """sum(factor * sym for factor, sym in pairs), in shape (dim, blocks).
+
+        ``pairs`` may be any iterable, a generator included: every pair is
+        added into one accumulator as it arrives and is not kept.  Each symbol
+        must have shape (dim, blocks), else :class:`ShapeError`; each factor is
+        taken as ``Fraction(factor)``, as :meth:`scale` takes it.
+        """
+        terms = {}
+        for factor, sym in pairs:
+            if sym.dim != dim or sym.blocks != blocks:
+                raise ShapeError(
+                    f"shape mismatch: ({dim},{blocks}) vs ({sym.dim},{sym.blocks})"
+                )
+            factor = Fraction(factor)
+            if factor:
+                _accumulate(terms, sym.terms.items(), None if factor == 1 else factor)
+        return PolySymbol._trusted(dim, blocks, terms)
 
     # -- basic queries -----------------------------------------------------
 
@@ -609,6 +635,15 @@ class FormalSeries:
     def max_order(self) -> int:
         return max(self.orders, default=0)
 
+    def diff(self, var) -> "FormalSeries":
+        """The partial derivative in ``var``, order by order; the result is ungraded."""
+        return FormalSeries(
+            self.dim,
+            self.blocks,
+            {o: s.diff(var) for o, s in self.orders.items()},
+            graded=False,
+        )
+
     def is_zero(self) -> bool:
         return not self.orders
 
@@ -715,7 +750,7 @@ def random_graded_series(rng, arity, dim, orders, max_x_degree=2, terms_per_orde
 # -- JSON observation format ---------------------------------------------------
 
 
-def _json_check(value, kind, what):
+def json_check(value, kind, what):
     """``value`` if it has JSON type ``kind`` (int excludes bool), else ValueError."""
     if type(value) is not kind:
         raise ValueError(f"{what} must be a JSON {kind.__name__}, got {type(value).__name__}")
@@ -723,10 +758,10 @@ def _json_check(value, kind, what):
 
 
 def _json_ints(row, length, what):
-    _json_check(row, list, what)
+    json_check(row, list, what)
     if len(row) != length:
         raise ValueError(f"{what} must have {length} entries, got {len(row)}")
-    return [_json_check(v, int, what) for v in row]
+    return [json_check(v, int, what) for v in row]
 
 
 #: the coefficient strings the writer emits: ASCII digits, an optional sign and denominator
@@ -756,14 +791,14 @@ def _json_coeff(value) -> Fraction:
 
 def poly_from_obj(terms, dim, blocks) -> PolySymbol:
     acc = {}
-    for term in _json_check(terms, list, "terms"):
-        _json_check(term, dict, "term")
+    for term in json_check(terms, list, "terms"):
+        json_check(term, dict, "term")
         mono = {}
-        for row in _json_check(term.get("p", []), list, "p"):
+        for row in json_check(term.get("p", []), list, "p"):
             block, comp, exp = _json_ints(row, 3, "p entry")
             var = p_key(block, comp)
             mono[var] = mono.get(var, 0) + exp
-        for row in _json_check(term.get("x", []), list, "x"):
+        for row in json_check(term.get("x", []), list, "x"):
             comp, exp = _json_ints(row, 2, "x entry")
             var = x_key(comp)
             mono[var] = mono.get(var, 0) + exp
@@ -773,17 +808,17 @@ def poly_from_obj(terms, dim, blocks) -> PolySymbol:
 
 
 def series_from_obj(obj) -> FormalSeries:
-    _json_check(obj, dict, "series")
-    dim = _json_check(obj["dim"], int, "dim")
-    arity = _json_check(obj["arity"], int, "arity")
+    json_check(obj, dict, "series")
+    dim = json_check(obj["dim"], int, "dim")
+    arity = json_check(obj["arity"], int, "arity")
     orders = {}
-    for entry in _json_check(obj["orders"], list, "orders"):
-        _json_check(entry, dict, "order entry")
-        order = _json_check(entry["order"], int, "order")
+    for entry in json_check(obj["orders"], list, "orders"):
+        json_check(entry, dict, "order entry")
+        order = json_check(entry["order"], int, "order")
         sym = poly_from_obj(entry["terms"], dim, arity)
         # entries that share an order add, as repeated monomials do
         orders[order] = orders[order] + sym if order in orders else sym
-    graded = _json_check(obj.get("graded", True), bool, "graded")
+    graded = json_check(obj.get("graded", True), bool, "graded")
     return FormalSeries(dim, arity, orders, graded=graded)
 
 

@@ -30,7 +30,6 @@ from gfoperad.operad import GenFunction
 from gfoperad.symbols import (
     FormalSeries,
     PolySymbol,
-    _accumulate,
     monomial_p_degree,
     p_key,
     x_key,
@@ -89,17 +88,16 @@ def workspace_compose(outer: GenFunction, inners, order: int) -> GenFunction:
     outer_w = _embed(outer.deformation, outer_map, w_dim, w_blocks, order)
 
     allowed = {BLACK: set(outer_w.orders), WHITE: set(composite.orders)}
-    sums = {}
+    pairs = {}
     memo = {}
     for top in enumerate_unrooted(order, allowed_weights=allowed):
         # one slot of dimension n*d: the glue x carries every inner slot
         value = elementary_function(top, outer_w, (composite,), K + 1, memo)
-        weight_terms = sums.setdefault(top.total_weight, {})
-        _accumulate(weight_terms, value.terms.items(), Fraction(1, symmetry_coefficient(top)))
+        pairs.setdefault(top.total_weight, []).append((Fraction(1, symmetry_coefficient(top)), value))
 
     result_orders = {
-        weight: PolySymbol._trusted(w_dim, w_blocks, terms).substitute(images, d, K)
-        for weight, terms in sums.items()
+        weight: PolySymbol.linear_combination(w_dim, w_blocks, weighted).substitute(images, d, K)
+        for weight, weighted in pairs.items()
     }
     return GenFunction(K, d, FormalSeries(d, K, result_orders, graded=True))
 

@@ -275,6 +275,23 @@ def test_nonconvergence_exit_code(tmp_path, capsys):
     assert code == 3
 
 
+def test_infeasible_solve_is_a_verification_failure(tmp_path, monkeypatch, capsys):
+    from gfoperad import cli
+    from gfoperad.solver import InfeasibleOrderError
+
+    def infeasible(alpha, order):
+        raise InfeasibleOrderError(3, "x-monomial (): inconsistent equation")
+
+    monkeypatch.setattr(cli, "solve_deformation", infeasible)
+    path = write(tmp_path, "h.json", poisson_dumps(heisenberg_structure()))
+    assert main(["solve", "--poisson", path, "--order", "3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "verification failure: no solution at order 3: x-monomial (): inconsistent equation\n"
+    )
+
+
 def test_overflow_exit_code(tmp_path, capsys):
     argv = order_argvs(tmp_path)["numeric-check"]
     big = write(tmp_path, "big.json", json.dumps({"p": [[1e200]], "x": [0.5]}))

@@ -4,18 +4,21 @@ Every kernel result must hold only canonical monomials (strictly increasing
 variables, exponents >= 1) with nonzero Fraction coefficients, in a terms dict
 of its own.  ``substitute``, ``remap_variables`` and ``map_blocks`` are
 checked against a naive term-by-term fold that uses only the public
-constructors, ``*`` and ``+``, and the contractions against a naive sum over
-every index tuple.
+constructors, ``*`` and ``+``, ``linear_combination`` against the fold of
+``scale`` and ``+``, and the contractions against a naive sum over every index
+tuple.
 """
 
 import itertools
 from fractions import Fraction
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gfoperad.symbols import (
     PolySymbol,
+    ShapeError,
     contracted_gradient,
     directional_contract,
     p_key,
@@ -67,6 +70,34 @@ def test_ring_operations_keep_the_invariant(a, b, k):
     assert_clean(a.scale(k), a)
     assert (a - a).is_zero()
     assert a + b == b + a and a * b == b * a
+
+
+@st.composite
+def combinations(draw):
+    """(factor, symbol) pairs; half of the draws append the negated pairs, which cancel."""
+    pairs = draw(st.lists(st.tuples(COEFFS, POLYS), max_size=4))
+    if draw(st.booleans()):
+        pairs += [(-factor, sym) for factor, sym in draw(st.permutations(pairs))]
+    return pairs
+
+
+@SETTINGS
+@given(combinations())
+def test_linear_combination_matches_the_fold_of_scale_and_add(pairs):
+    result = PolySymbol.linear_combination(DIM, BLOCKS, iter(pairs))
+    assert_clean(result, *(sym for _, sym in pairs))
+    fold = PolySymbol.zero(DIM, BLOCKS)
+    for factor, sym in pairs:
+        fold = fold + sym.scale(factor)
+    assert result == fold
+
+
+@SETTINGS
+@given(st.lists(st.tuples(COEFFS, POLYS), max_size=2), POLYS, st.sampled_from(["dim", "blocks"]))
+def test_linear_combination_rejects_a_pair_of_the_wrong_shape(pairs, a, wrong):
+    other = PolySymbol.zero(DIM + 1, BLOCKS) if wrong == "dim" else a.map_blocks({}, BLOCKS + 1)
+    with pytest.raises(ShapeError):
+        PolySymbol.linear_combination(DIM, BLOCKS, pairs + [(1, other)])
 
 
 @SETTINGS

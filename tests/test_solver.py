@@ -284,3 +284,15 @@ def test_order_columns_expand_without_substitute(monkeypatch):
     basis, d_cols, sgs_cols = solver._order_columns(4, 3)
     assert len(basis) == len(d_cols) == len(sgs_cols) > 0
     assert calls == []
+
+
+def test_inverse_columns_match_map_blocks():
+    # the closed-form S(p, -p, x) column of every basis monomial of orders 2-6
+    count = 0
+    for n in range(2, 7):
+        for d in (2, 3):
+            for mono in solver._p_basis(n, d):
+                reference = PolySymbol(d, 2, {mono: 1}).map_blocks({2: [(1, -1)]}, 2)
+                assert solver._inverse_column(mono) == reference.terms, mono
+                count += 1
+    assert count == 1723

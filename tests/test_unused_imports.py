@@ -1,6 +1,10 @@
-"""Every name a library module imports is used in that module.
+"""Every name a library module imports is used in that module, and no private
+name crosses a module boundary.
 
-``__init__.py`` is skipped: it imports names to re-export them.
+``__init__.py`` is skipped: it imports names to re-export them.  The kernel's
+term representation belongs to ``symbols``: no other module imports an
+underscore name from a ``gfoperad`` module or names a single-underscore
+attribute of ``PolySymbol`` or ``FormalSeries``.
 """
 
 import ast
@@ -34,3 +38,85 @@ def test_the_check_sees_an_unused_name():
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+KERNEL_CLASSES = ("PolySymbol", "FormalSeries")
+
+
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def kernel_private_methods(source: str) -> set[str]:
+    """The single-underscore methods of the kernel classes defined in ``source``."""
+    return {
+        item.name
+        for node in ast.parse(source).body
+        if isinstance(node, ast.ClassDef) and node.name in KERNEL_CLASSES
+        for item in node.body
+        if isinstance(item, ast.FunctionDef) and _is_private(item.name)
+    }
+
+
+KERNEL_PRIVATE = kernel_private_methods((PACKAGE / "symbols.py").read_text(encoding="utf-8"))
+
+
+def private_reaches(source: str, module: str, kernel_private=KERNEL_PRIVATE) -> list[str]:
+    """The private names that library module ``module`` (e.g. "solver") reaches in others.
+
+    Flagged: an underscore name imported from another ``gfoperad`` module or
+    read from one imported whole (``from gfoperad import trees``), and,
+    outside ``symbols``, a single-underscore attribute of ``PolySymbol`` or
+    ``FormalSeries`` or any attribute named like one of their private methods.
+    """
+    tree = ast.parse(source)
+    found = []
+    modules = set()  # names bound to gfoperad modules by ``from gfoperad import ...``
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "gfoperad":
+            modules.update(alias.asname or alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("gfoperad."):
+            if node.module != f"gfoperad.{module}":
+                found += [
+                    (node.lineno, f"{alias.name} from {node.module}")
+                    for alias in node.names
+                    if _is_private(alias.name)
+                ]
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Attribute) or not _is_private(node.attr):
+            continue
+        owner = node.value.id if isinstance(node.value, ast.Name) else None
+        if owner in modules:
+            found.append((node.lineno, f"{owner}.{node.attr}"))
+        elif module != "symbols" and (owner in KERNEL_CLASSES or node.attr in kernel_private):
+            found.append((node.lineno, f".{node.attr}"))
+    return [f"line {line}: {text}" for line, text in sorted(found)]
+
+
+def test_the_check_sees_a_private_reach():
+    source = (
+        "from gfoperad import trees as trees_mod\n"
+        "from gfoperad.symbols import PolySymbol, _accumulate, p_key\n"
+        "from gfoperad.operad import compose as _compose\n"
+        "a = PolySymbol._trusted(1, 0, {})\n"
+        "b = a._map(None, 1, 0)\n"
+        "c = trees_mod._top_tree\n"
+        "self._hash = 0\n"
+    )
+    assert private_reaches(source, "solver", {"_map", "_trusted"}) == [
+        "line 2: _accumulate from gfoperad.symbols",
+        "line 4: ._trusted",
+        "line 5: ._map",
+        "line 6: trees_mod._top_tree",
+    ]
+    # the kernel may use its own private names
+    assert private_reaches("x = PolySymbol._trusted(1, 0, {})\n", "symbols") == []
+
+
+def test_the_kernel_classes_have_private_methods():
+    assert {"_trusted", "_map"} <= KERNEL_PRIVATE
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_module_reaches_no_private_name_of_another(path):
+    assert private_reaches(path.read_text(encoding="utf-8"), path.stem) == []
