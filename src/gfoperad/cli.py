@@ -76,6 +76,8 @@ def _load_inners(paths: str) -> list[GenFunction]:
 
 
 def cmd_trees_enum(args) -> int:
+    if args.max_order < 1:
+        raise ValueError("--max-order must be >= 1")
     if args.rooted:
         listing = trees_mod.enumerate_rooted(args.max_order, root_color=args.root_color)
     else:

@@ -23,11 +23,12 @@ signs (-1)^((i-1)(l-1)); the convention is pinned by bracket(0_2, F) = dF,
 which holds for every arity.
 
 For an arity-2 deformation S~ the product equation is the vanishing of
-S(S,I) - S(I,S) order by order; ``verify_product`` reports those residuals.
-The inhomogeneity H_n is the order-n residual of the truncation S_{<n}, so the
-product equation at order n reads dS_n + H_n = 0.  For arity 2, bracket(S, S)
-= 2 circ(S, S) = 2 (S(S,I) - S(I,S)), so H_n is also the order-n part of
-(1/2)[S~, S~], which ``bracket`` computes by a second route.
+S(S,I) - S(I,S) = circ(S~, S~) order by order; ``verify_product`` reports
+those residuals.  The inhomogeneity H_n is the order-n residual of the
+truncation S_{<n}, so the product equation at order n reads dS_n + H_n = 0.
+Since bracket(S, S) = 2 circ(S, S), H_n is the order-n part of (1/2)[S~, S~]
+by the same ``circ`` route; the independent oracles are the tree-free Picard
+composition (``tests/compose_reference.py``) and ``numeric_phi``.
 """
 
 from __future__ import annotations
@@ -120,28 +121,26 @@ def coboundary(series: FormalSeries) -> FormalSeries:
     )
 
 
-def _insert(outer: FormalSeries, inner: FormalSeries, slot: int, order: int) -> FormalSeries:
-    """Deformation of outer composed with ``inner`` in one slot, identities elsewhere."""
-    dim = outer.dim
-    fillers = []
-    for position in range(1, outer.blocks + 1):
-        if position == slot:
-            fillers.append(GenFunction(inner.blocks, dim, inner))
-        else:
-            fillers.append(identity(dim))
-    return compose(GenFunction(outer.blocks, dim, outer), fillers, order).deformation
+def circ(
+    F: FormalSeries, G: FormalSeries, order: int, *, _trees=None, _min_weight: int = 1
+) -> FormalSeries:
+    """Sum of slot insertions F(0_1,..,G,..,0_1) with signs (-1)^((i-1)(l-1)).
 
-
-def circ(F: FormalSeries, G: FormalSeries, order: int) -> FormalSeries:
-    """Sum of slot insertions F(0_1,..,G,..,0_1) with signs (-1)^((i-1)(l-1))."""
+    Each insertion is one ``compose`` with identity fillers, which gets the
+    private ``_trees`` and ``_min_weight`` (see there).
+    """
     k, l = F.blocks, G.blocks
     if k + l < 1:
         raise ValueError("circ needs an operand of positive arity, got two of arity 0")
+    outer, inner, one = GenFunction(k, F.dim, F), GenFunction(l, F.dim, G), identity(F.dim)
     total = FormalSeries.zero(F.dim, k + l - 1)
     for i in range(1, k + 1):
-        piece = _insert(F, G, i, order)
-        sign = -1 if ((i - 1) * (l - 1)) % 2 else 1
-        total = total + piece.scale(sign)
+        fillers = [inner if position == i else one for position in range(1, k + 1)]
+        piece = compose(outer, fillers, order, _trees=_trees, _min_weight=_min_weight)
+        if ((i - 1) * (l - 1)) % 2:
+            total = total - piece.deformation
+        else:
+            total = total + piece.deformation
     return total
 
 
@@ -150,29 +149,19 @@ def bracket(F: FormalSeries, G: FormalSeries, order: int) -> FormalSeries:
     if F.dim != G.dim:
         raise ValueError("bracket operands must share the base dimension")
     k, l = F.blocks, G.blocks
-    sign = -1 if ((k - 1) * (l - 1)) % 2 else 1
-    return circ(F, G, order) - circ(G, F, order).scale(sign)
-
-
-def _product_residual(deformation: FormalSeries, order: int, trees, min_weight: int = 1):
-    """S(S, I) - S(I, S) for S = S0 + S~, from the trees of total weight
-    ``min_weight``..``order`` (``trees``: a TreeTable, or None to enumerate)."""
-    dim = deformation.dim
-    S = GenFunction(2, dim, deformation)
-    one = identity(dim)
-    left = compose(S, [S, one], order, _trees=trees, _min_weight=min_weight)
-    right = compose(S, [one, S], order, _trees=trees, _min_weight=min_weight)
-    return left.deformation - right.deformation
+    if ((k - 1) * (l - 1)) % 2:
+        return circ(F, G, order) + circ(G, F, order)
+    return circ(F, G, order) - circ(G, F, order)
 
 
 def verify_product(deformation: FormalSeries, order: int, *, _trees=None) -> CochainReport:
-    """Residuals of S(S, I) - S(I, S) for S = S0 + S~, per order up to ``order``.
+    """Residuals of S(S, I) - S(I, S) = circ(S~, S~), per order up to ``order``.
 
     The private ``_trees`` is the solver's TreeTable (see ``compose``).
     """
     if deformation.blocks != 2:
         raise ValueError("a product candidate must have arity 2")
-    diff = _product_residual(deformation, order, _trees)
+    diff = circ(deformation, deformation, order, _trees=_trees)
     residuals = {n: diff.order(n) for n in range(1, order + 1)}
     return CochainReport(residuals, order)
 
@@ -191,22 +180,20 @@ def obstruction(
 ) -> PolySymbol:
     """H_n: the order-n product residual of S_{<n}, the orders of ``partial`` below n.
 
-    H_n is the order-n part of (1/2)[S~, S~], since bracket(S, S) = 2 circ(S, S)
-    for arity 2.  Unless ``verified``, the first nonzero lower residual of the
-    same report raises :class:`ProductPreconditionError`; dS_n + H_n = 0 is
-    then the order-n equation.  A ``verified`` call expands only the trees of
-    total weight n, the only ones that reach order n.  The private ``_trees``
-    is the solver's TreeTable (see ``compose``).
+    H_n is the order-n part of circ(S_{<n}, S_{<n}) = (1/2)[S~, S~], from the
+    trees of total weight n, the only ones that reach order n.  Unless
+    ``verified``, the first nonzero residual of ``verify_product`` below n
+    raises :class:`ProductPreconditionError` first; dS_n + H_n = 0 is then the
+    order-n equation.  The private ``_trees`` is the solver's TreeTable (see
+    ``compose``).
     """
     if partial.blocks != 2:
         raise ValueError("expected an arity-2 deformation")
     if n <= 1:
         return PolySymbol.zero(partial.dim, 3)
     truncated = partial.truncate(n - 1)
-    if verified:
-        return _product_residual(truncated, n, _trees, min_weight=n).order(n)
-    report = verify_product(truncated, n, _trees=_trees)
-    failure = report.first_failure()
-    if failure is not None and failure[0] < n:
-        raise ProductPreconditionError(*failure)
-    return report.residuals[n]
+    if not verified:
+        failure = verify_product(truncated, n - 1, _trees=_trees).first_failure()
+        if failure is not None:
+            raise ProductPreconditionError(*failure)
+    return circ(truncated, truncated, n, _trees=_trees, _min_weight=n).order(n)

@@ -24,6 +24,7 @@ from gfoperad.operad import (
     DEFAULT_ORDER_CAP,
     GenFunction,
     NonConvergenceError,
+    TreeTable,
     compose,
 )
 from gfoperad.poisson import PoissonStructure
@@ -34,6 +35,10 @@ from gfoperad.symbols import (
     series_eval,
     x_key,
 )
+
+
+#: psi_numeric gives up after this many fixed-point steps.
+_PSI_MAX_ITER = 200
 
 
 class SgsError(ValueError):
@@ -114,6 +119,8 @@ class StructureMaps:
 
 def structure_maps(deformation: FormalSeries, order: int) -> StructureMaps:
     """Source x + grad_{p2} S~(p,0,x) and target x + grad_{p1} S~(0,p,x)."""
+    if order < 1:
+        raise ValueError("order must be >= 1")
     report = check_sgs(deformation, order)
     if not report.passed:
         name, n, residual = report.first_failure()
@@ -138,20 +145,24 @@ def invert_morphism(morphism: FormalSeries, order: int) -> FormalSeries:
     """The arity-1 series G~ with F(G) = I up to the given order.
 
     Order n of F(G) is F~_n + G~_n + (tree terms in lower orders), so G~ is
-    built order by order; the same series is automatically a left and right
-    inverse.
+    built order by order, every ``compose`` selecting from one tree table; the
+    same series is automatically a left and right inverse.
     """
     if morphism.blocks != 1:
         raise ValueError("only arity-1 morphisms can be inverted")
+    if order < 1:
+        raise ValueError("order must be >= 1")
     if order > DEFAULT_ORDER_CAP:
         raise ValueError(f"order {order} exceeds cap {DEFAULT_ORDER_CAP}")
     dim = morphism.dim
     inverse = FormalSeries.zero(dim, 1)
+    trees = TreeTable(order)
     for n in range(1, order + 1):
         current = compose(
             GenFunction(1, dim, morphism.truncate(order)),
             [GenFunction(1, dim, inverse)],
             n,
+            _trees=trees,
         ).deformation
         residual = current.order(n)
         if not residual.is_zero():
@@ -187,7 +198,6 @@ def psi_numeric(
     x1,
     eps: float,
     tol: float = 1e-12,
-    max_iter: int = 200,
 ):
     """The symplectomorphism generated by F = p.x + F~ at one point.
 
@@ -202,7 +212,7 @@ def psi_numeric(
     p1 = [float(v) for v in p1]
     x1 = [float(v) for v in x1]
     x2 = list(x1)
-    for _ in range(max_iter):
+    for _ in range(_PSI_MAX_ITER):
         new_x2 = [
             x1[i] - series_eval(grad_p[i], [p1], x2, eps) for i in range(d)
         ]
@@ -213,6 +223,6 @@ def psi_numeric(
         if delta <= tol:
             break
     else:
-        raise NonConvergenceError(f"psi did not converge within {max_iter} iterations")
+        raise NonConvergenceError(f"psi did not converge within {_PSI_MAX_ITER} iterations")
     p2 = [p1[i] + series_eval(grad_x[i], [p1], x2, eps) for i in range(d)]
     return p2, x2

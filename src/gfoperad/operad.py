@@ -115,9 +115,10 @@ class TreeTable:
     """The unrooted trees of total weight <= ``max_weight``, enumerated once.
 
     Each tree is kept with the (colour, weight) labels of its vertices, so
-    :meth:`select` returns what ``enumerate_unrooted`` would for a smaller
-    weight and restricted vertex weights, in the same order, without
-    enumerating again.  ``solve_deformation`` builds one table per solve and
+    :meth:`select` returns, in enumeration order, the trees of a smaller
+    weight whose vertex weights are restricted per colour; this is the one
+    way trees are selected.  ``compose`` builds a table per call unless it
+    is handed one, and ``solve_deformation`` builds one table per solve and
     passes it to every ``compose`` of the solve; nothing keeps it between
     calls.
     """
@@ -131,8 +132,8 @@ class TreeTable:
         ]
 
     def select(self, max_weight: int, allowed_weights: dict) -> list:
-        """``enumerate_unrooted(max_weight, allowed_weights=allowed_weights)``,
-        read from the table; every colour must be a key of ``allowed_weights``."""
+        """The trees of total weight <= ``max_weight`` whose every vertex weight
+        is in ``allowed_weights[colour]``; every colour must be a key."""
         if max_weight > self.max_weight:
             raise ValueError(f"table holds weights <= {self.max_weight}, asked for {max_weight}")
         allowed = {(color, w) for color, weights in allowed_weights.items() for w in weights}
@@ -165,7 +166,8 @@ def compose(
 
     Sums C_t over unrooted topological trees with total weight <= order; tree
     vertex weights are restricted to the orders actually present in the outer
-    (black) and inner (white) deformations.
+    (black) and inner (white) deformations, by :meth:`TreeTable.select`, since
+    a vertex of an absent order makes C_t zero.
 
     The expansion runs in shape (d, K+n), K the sum of the inner arities, and
     every input keeps the one x: slot b's inner p-blocks move to blocks
@@ -176,9 +178,9 @@ def compose(
     for arity 1, zero for arity 0).
 
     The private ``_trees`` (a :class:`TreeTable` reaching ``order``) takes the
-    place of the enumeration, and ``_min_weight`` skips the trees of smaller
-    total weight, so the orders below it come out zero.  The solver uses both
-    to expand only the trees of H_n.
+    place of the table built here, and ``_min_weight`` skips the trees of
+    smaller total weight, so the orders below it come out zero.  The solver
+    uses both to expand only the trees of H_n.
     """
     if order < 1:
         raise ValueError("truncation order must be >= 1")
@@ -213,11 +215,8 @@ def compose(
     black = _move_blocks(outer.deformation, rows, blocks, order)
 
     allowed = {BLACK: set(black.orders), WHITE: {o for g in whites for o in g.orders}}
+    trees = (TreeTable(order) if _trees is None else _trees).select(order, allowed)
     memo = {}
-    if _trees is None:
-        trees = enumerate_unrooted(order, allowed_weights=allowed)
-    else:
-        trees = _trees.select(order, allowed)
 
     def weighted(group):
         for top in group:
@@ -248,7 +247,6 @@ def numeric_phi(
     eps: float,
     tol: float = 1e-12,
     max_iter: int = 200,
-    eps_limit: float = DEFAULT_EPS_LIMIT,
 ) -> float:
     """Solve the implicit composition equations numerically and return Phi.
 
@@ -259,8 +257,8 @@ def numeric_phi(
     value is stationary in the internal variables, so an O(tol) fixed-point
     error perturbs Phi only at O(tol^2).
     """
-    if not abs(eps) <= eps_limit:
-        raise ValueError(f"|eps| = {abs(eps)} is not within limit {eps_limit}")
+    if not abs(eps) <= DEFAULT_EPS_LIMIT:
+        raise ValueError(f"|eps| = {abs(eps)} is not within limit {DEFAULT_EPS_LIMIT}")
     d = outer.dim
     n = outer.arity
     if len(p_points) != n:

@@ -27,7 +27,7 @@ class PoissonStructure:
     def __init__(self, dim: int, entries: dict):
         clean = {}
         for (i, j), sym in entries.items():
-            if not (1 <= i < j <= dim):
+            if type(i) is not int or type(j) is not int or not (1 <= i < j <= dim):
                 raise ValueError(f"entries must be indexed with 1 <= i < j <= dim, got {(i, j)}")
             if sym.blocks != 0 or sym.dim != dim:
                 raise ValueError(f"entry {(i, j)} must be an x-only symbol of dim {dim}")

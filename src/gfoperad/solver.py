@@ -21,10 +21,11 @@ row helper :func:`_add_row`; the solution becomes a symbol only through the
 public ``PolySymbol`` constructor.
 
 A solve enumerates its trees once: one :class:`gfoperad.operad.TreeTable` up
-to the target order, which every ``compose`` of the solve selects from.  H_n
-comes from the trees of total weight exactly n, the only ones that reach
-order n; the final ``verify_product`` and ``check_sgs`` check every order of
-the result, from every tree, as the independent postcondition.
+to the target order, which every ``compose`` of the solve selects from (a
+``compose`` outside a solve selects from a table of its own).  H_n is the
+order-n part of ``circ``, from the trees of total weight exactly n, the only
+ones that reach order n; the final ``verify_product`` (the same ``circ``) and
+``check_sgs`` check every order of the result as the postcondition.
 
 ``bch_generating_function`` provides an independent construction for linear
 (Lie-Poisson) structures: S0 + S~ = x . bch(p1, p2), with the series computed
@@ -240,7 +241,7 @@ def lie_poisson_structure(dim: int, constants: dict) -> PoissonStructure:
     for (i, j, k), value in constants.items():
         if not (1 <= i < j <= dim):
             raise ValueError(f"store constants with i < j, got {(i, j, k)}")
-        term = PolySymbol.variable(x_key(k), dim, 0).scale(Fraction(value))
+        term = PolySymbol.variable(x_key(k), dim, 0).scale(value)
         entries[(i, j)] = entries.get((i, j), PolySymbol.zero(dim, 0)) + term
     return PoissonStructure(dim, entries)
 

@@ -65,6 +65,13 @@ def _validate_var(var, dim, blocks):
         raise ValueError(f"unknown variable kind {var!r}")
 
 
+def _exact(value, what: str):
+    """``value`` as a Fraction if it is an int (not a bool) or a Fraction, else ValueError."""
+    if type(value) is int or isinstance(value, Fraction):
+        return Fraction(value)
+    raise ValueError(f"{what} must be an int or a Fraction, got {value!r}")
+
+
 def _mul_monomials(m1, m2):
     """Merge two sorted (variable, exponent) tuples."""
     if not m1 or not m2 or m1[-1][0] < m2[0][0]:
@@ -162,8 +169,11 @@ class PolySymbol:
     outside input: it accepts any monomial order and int or Fraction
     coefficients, adds terms that sort to one monomial, drops zeros, and raises
     :class:`ShapeError` or ``ValueError`` on a variable outside the shape, a
-    repeated variable or an exponent below 1.  :meth:`_trusted` is the kernel's
-    path for dicts that already hold the term invariant (module docstring).
+    repeated variable, an exponent below 1, an index or exponent that is not
+    an int (bools and floats are not) or a coefficient that is neither an int
+    nor a Fraction; no entry takes a float coefficient or factor.
+    :meth:`_trusted` is the kernel's path for dicts that already hold the term
+    invariant (module docstring).
     """
 
     __slots__ = ("dim", "blocks", "terms")
@@ -179,12 +189,14 @@ class PolySymbol:
             for mono, coeff in terms.items():
                 mono = tuple(sorted(mono))
                 for k, (var, exp) in enumerate(mono):
-                    if exp < 1:
-                        raise ValueError(f"exponent must be >= 1 in {mono}")
+                    if type(exp) is not int or exp < 1:
+                        raise ValueError(f"exponent must be an int >= 1 in {mono}")
                     if k and mono[k - 1][0] == var:
                         raise ValueError(f"repeated variable {var} in {mono}")
+                    if any(type(index) is not int for index in var[1:]):
+                        raise ValueError(f"variable indices must be ints in {var}")
                     _validate_var(var, dim, blocks)
-                coeff = Fraction(coeff)
+                coeff = _exact(coeff, "coefficient")
                 if coeff:
                     checked.append((mono, coeff))
             _accumulate(clean, checked)
@@ -212,11 +224,11 @@ class PolySymbol:
 
     @staticmethod
     def constant(value, dim: int, blocks: int) -> "PolySymbol":
-        return PolySymbol(dim, blocks, {(): Fraction(value)})
+        return PolySymbol(dim, blocks, {(): value})
 
     @staticmethod
     def variable(var, dim: int, blocks: int) -> "PolySymbol":
-        return PolySymbol(dim, blocks, {((var, 1),): Fraction(1)})
+        return PolySymbol(dim, blocks, {((var, 1),): 1})
 
     @staticmethod
     def linear_combination(dim: int, blocks: int, pairs) -> "PolySymbol":
@@ -224,8 +236,8 @@ class PolySymbol:
 
         ``pairs`` may be any iterable, a generator included: every pair is
         added into one accumulator as it arrives and is not kept.  Each symbol
-        must have shape (dim, blocks), else :class:`ShapeError`; each factor is
-        taken as ``Fraction(factor)``, as :meth:`scale` takes it.
+        must have shape (dim, blocks), else :class:`ShapeError`; each factor
+        must be an int or a Fraction, as for :meth:`scale`.
         """
         terms = {}
         for factor, sym in pairs:
@@ -233,7 +245,7 @@ class PolySymbol:
                 raise ShapeError(
                     f"shape mismatch: ({dim},{blocks}) vs ({sym.dim},{sym.blocks})"
                 )
-            factor = Fraction(factor)
+            factor = _exact(factor, "factor")
             if factor:
                 _accumulate(terms, sym.terms.items(), None if factor == 1 else factor)
         return PolySymbol._trusted(dim, blocks, terms)
@@ -283,7 +295,7 @@ class PolySymbol:
             )
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, PolySymbol):
             other = PolySymbol.constant(other, self.dim, self.blocks)
         self._require_shape(other)
         terms = dict(self.terms)
@@ -296,12 +308,12 @@ class PolySymbol:
         )
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, PolySymbol):
             other = PolySymbol.constant(other, self.dim, self.blocks)
         return self + (-other)
 
     def scale(self, factor) -> "PolySymbol":
-        factor = Fraction(factor)
+        factor = _exact(factor, "factor")
         if factor == 0:
             return PolySymbol.zero(self.dim, self.blocks)
         return PolySymbol._trusted(
@@ -309,7 +321,7 @@ class PolySymbol:
         )
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, PolySymbol):
             return self.scale(other)
         self._require_shape(other)
         terms = {}
@@ -318,9 +330,7 @@ class PolySymbol:
         return PolySymbol._trusted(self.dim, self.blocks, terms)
 
     def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        return NotImplemented
+        return self.scale(other)
 
     # -- calculus ----------------------------------------------------------
 
@@ -420,7 +430,7 @@ class PolySymbol:
                     )
                 rows[var] = list(image.terms.items())
             else:
-                image = Fraction(image)
+                image = _exact(image, "constant image")
                 rows[var] = [((), image)] if image else []
         return self._map(rows.get, dim, blocks)
 
@@ -443,7 +453,9 @@ class PolySymbol:
         such maps, and so is each face of the coboundary, which the library
         sums in closed form instead (``deformation``).  A
         source block outside 1..self.blocks, a target block outside 1..blocks
-        or a kept variable outside the result shape raises :class:`ShapeError`.
+        or a kept variable outside the result shape raises :class:`ShapeError`;
+        a block that is not an int, or a coefficient that is neither an int nor
+        a Fraction, raises ``ValueError``.
 
         Each mapped power p[b][i]^e expands in closed form by the multinomial
         theorem (:func:`_expand_power`); its coefficients are integers unless a
@@ -451,13 +463,18 @@ class PolySymbol:
         """
         targets = {}
         for b, row in rows.items():
+            if type(b) is not int:
+                raise ValueError(f"source p-block must be an int, got {b!r}")
             if not 1 <= b <= self.blocks:
                 raise ShapeError(f"source p-block {b} out of range 1..{self.blocks}")
             merged = {}
             for t, c in row:
+                if type(t) is not int:
+                    raise ValueError(f"target p-block must be an int, got {t!r}")
                 if not 1 <= t <= blocks:
                     raise ShapeError(f"target p-block {t} out of range 1..{blocks}")
-                merged[t] = merged.get(t, 0) + (c if type(c) is int else Fraction(c))
+                c = c if type(c) is int else _exact(c, "row coefficient")
+                merged[t] = merged.get(t, 0) + c
             targets[b] = [(t, c) for t, c in sorted(merged.items()) if c]
 
         def component_row(var):
@@ -608,7 +625,7 @@ class FormalSeries:
         clean = {}
         if orders:
             for i, sym in orders.items():
-                if not isinstance(i, int) or i < 1:
+                if type(i) is not int or i < 1:
                     raise ValueError(f"order index must be a positive integer, got {i!r}")
                 if sym.dim != dim or sym.blocks != blocks:
                     raise ShapeError(f"order {i} symbol has wrong shape")
@@ -669,7 +686,9 @@ class FormalSeries:
         return FormalSeries(self.dim, self.blocks, orders, self.graded and other.graded)
 
     def __neg__(self):
-        return self.scale(-1)
+        return FormalSeries(
+            self.dim, self.blocks, {i: -s for i, s in self.orders.items()}, self.graded
+        )
 
     def __sub__(self, other):
         return self + (-other)
@@ -707,12 +726,10 @@ def check_grading(series: FormalSeries) -> GradingReport:
     return GradingReport(not violations, violations)
 
 
-def series_eval(series: FormalSeries, p_values, x_values, eps, truncation=None):
-    """Sum eps^i * order_i(point) over stored orders i <= truncation."""
+def series_eval(series: FormalSeries, p_values, x_values, eps):
+    """Sum eps^i * order_i(point) over the stored orders i."""
     total = 0
     for i, sym in series.orders.items():
-        if truncation is not None and i > truncation:
-            continue
         total = total + eps**i * sym.eval(p_values, x_values)
     return total
 

@@ -7,7 +7,9 @@ structural equality coincides with isomorphism of weighted bipartite rooted
 trees.  Unrooted isomorphism classes are represented by :class:`TopTree`,
 whose canonical representative minimizes the rooted encoding over all
 re-rootings; enumeration canonicalizes each class once and counts its
-automorphisms in the same rerooting walk.
+automorphisms in the same rerooting walk.  Enumeration takes every vertex
+weight; a caller that needs only some weights per color selects them from one
+enumeration (:class:`gfoperad.operad.TreeTable`).
 """
 
 from __future__ import annotations
@@ -279,69 +281,47 @@ def _multisets_with_weight(pool, target):
     return results
 
 
-def _rooted_table(max_total_weight, allowed_weights):
+def _rooted_table(max_total_weight):
     """All rooted classes keyed by (color, exact total weight)."""
     table = {}
     for total in range(1, max_total_weight + 1):
         for color in COLORS:
-            out = []
-            child_color = opposite(color)
+            out = [RootedTree(color, total)]
             pool = [
                 t
                 for w in range(1, total)
-                for t in table.get((child_color, w), ())
+                for t in table[(opposite(color), w)]
             ]
             pool.sort(key=lambda t: (t.total_weight, t.encoding))
-            allowed = allowed_weights.get(color) if allowed_weights else None
-            root_weights = range(1, total + 1) if allowed is None else sorted(allowed)
-            for rw in root_weights:
-                if rw > total:
-                    break
-                rest = total - rw
-                if rest == 0:
-                    out.append(RootedTree(color, rw))
-                    continue
-                for combo in _multisets_with_weight(pool, rest):
+            for rw in range(1, total):
+                for combo in _multisets_with_weight(pool, total - rw):
                     out.append(RootedTree(color, rw, combo))
             table[(color, total)] = out
     return table
 
 
-def enumerate_rooted(
-    max_total_weight: int,
-    root_color: str | None = None,
-    *,
-    allowed_weights: dict[str, set[int] | None] | None = None,
-) -> list[RootedTree]:
-    """All rooted isomorphism classes with total weight <= ``max_total_weight``.
-
-    ``allowed_weights`` optionally restricts vertex weights per color (used to
-    prune expansions where some series orders vanish identically).
-    """
+def enumerate_rooted(max_total_weight: int, root_color: str | None = None) -> list[RootedTree]:
+    """All rooted isomorphism classes with total weight <= ``max_total_weight``."""
     if max_total_weight > DEFAULT_WEIGHT_CAP:
         raise ValueError(
             f"max total weight {max_total_weight} exceeds cap {DEFAULT_WEIGHT_CAP}"
         )
     if max_total_weight < 1:
         return []
-    table = _rooted_table(max_total_weight, allowed_weights or {})
+    table = _rooted_table(max_total_weight)
     colors = COLORS if root_color is None else (root_color,)
     out = []
     for total in range(1, max_total_weight + 1):
         for color in colors:
-            out.extend(table.get((color, total), ()))
+            out.extend(table[(color, total)])
     out.sort(key=lambda t: (t.total_weight, t.encoding))
     return out
 
 
-def enumerate_unrooted(
-    max_total_weight: int,
-    *,
-    allowed_weights: dict[str, set[int] | None] | None = None,
-) -> list[TopTree]:
+def enumerate_unrooted(max_total_weight: int) -> list[TopTree]:
     """Unrooted classes of total weight <= ``max_total_weight``, each canonicalized once."""
     classes = {}
-    for t in enumerate_rooted(max_total_weight, allowed_weights=allowed_weights):
+    for t in enumerate_rooted(max_total_weight):
         if t.encoding not in classes:
             roots = rerootings(t)
             top = _top_tree(roots)

@@ -3,7 +3,10 @@
 * :func:`workspace_compose` is the earlier tree expansion.  It embeds every
   input into an (n*d)-dimensional workspace with one set of glue x-variables
   per slot, so a white vertex reads one combined inner series, and maps each
-  weight's sum to the base point with one general ``substitute``.
+  weight's sum to the base point with one general ``substitute``.  It sums
+  every tree, with no weight filter, and asserts that each tree that
+  ``TreeTable.select`` drops (a vertex of an order absent from its series)
+  has C_t = 0.
 
 * :func:`picard_compose` uses no trees.  It iterates the implicit equations
   p_F = p_sigma + grad_x G~(q, x_G) and x_G = x + grad_p F~(p_F, x) over exact
@@ -26,7 +29,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from gfoperad.elementary import elementary_function
-from gfoperad.operad import GenFunction
+from gfoperad.operad import GenFunction, TreeTable
 from gfoperad.symbols import (
     FormalSeries,
     PolySymbol,
@@ -88,11 +91,14 @@ def workspace_compose(outer: GenFunction, inners, order: int) -> GenFunction:
     outer_w = _embed(outer.deformation, outer_map, w_dim, w_blocks, order)
 
     allowed = {BLACK: set(outer_w.orders), WHITE: set(composite.orders)}
+    selected = set(TreeTable(order).select(order, allowed))
     pairs = {}
     memo = {}
-    for top in enumerate_unrooted(order, allowed_weights=allowed):
+    for top in enumerate_unrooted(order):
         # one slot of dimension n*d: the glue x carries every inner slot
         value = elementary_function(top, outer_w, (composite,), K + 1, memo)
+        if top not in selected:
+            assert value.is_zero(), f"select drops {top.encoding}, whose C_t is not zero"
         pairs.setdefault(top.total_weight, []).append((Fraction(1, symmetry_coefficient(top)), value))
 
     result_orders = {

@@ -324,6 +324,7 @@ def order_argvs(tmp_path):
         "solve": ["solve", "--poisson", alpha],
         "transform": ["transform", "--in", s, "--morphism", m],
         "invert": ["invert", "--in", m],
+        "maps": ["maps", "--in", s],
     }
 
 
@@ -339,6 +340,27 @@ def test_order_above_the_cap_is_a_usage_error(tmp_path, capsys, command):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.count("\n") == 1 and "exceeds cap 8" in captured.err
+
+
+@pytest.mark.parametrize("order", ["0", "-3"])
+@pytest.mark.parametrize(
+    "command",
+    ["compose", "numeric-check", "bracket", "verify-sga", "solve", "transform", "invert", "maps"],
+)
+def test_order_below_one_is_a_usage_error(tmp_path, capsys, command, order):
+    assert main([*order_argvs(tmp_path)[command], "--order", order]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("max_order", ["0", "-1"])
+@pytest.mark.parametrize("rooted", [[], ["--rooted"]], ids=["unrooted", "rooted"])
+def test_trees_enum_below_weight_one_is_a_usage_error(capsys, rooted, max_order):
+    assert main(["trees", "enum", "--max-order", max_order, *rooted]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --max-order must be >= 1\n"
 
 
 @pytest.mark.parametrize(

@@ -204,6 +204,7 @@ def test_weight_exact_obstruction_is_the_full_residual(structure, solved):
     for n in range(2, solved + 2):
         full = verify_product(series.truncate(n - 1), n).residuals[n]
         assert obstruction(series, n, verified=True) == full, n
+        assert obstruction(series, n) == full, n
         assert not full.is_zero(), n
 
 

@@ -119,6 +119,14 @@ def test_structure_maps_require_sgs():
         structure_maps(symmetric_band_first_order(), 2)
 
 
+@pytest.mark.parametrize("order", [0, -3])
+def test_orders_below_one_are_refused(order):
+    with pytest.raises(ValueError):
+        invert_morphism(FormalSeries.zero(1, 1), order)
+    with pytest.raises(ValueError):
+        structure_maps(FormalSeries.zero(2, 2), order)
+
+
 def test_invert_trivial_and_first_order():
     assert invert_morphism(FormalSeries.zero(1, 1), 3).is_zero()
     f1 = poly(1, 1, {((p_key(1, 1), 2), (x_key(1), 1)): 1})

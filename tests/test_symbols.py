@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from json_reference import poisson_to_obj, poly_to_obj, series_to_obj
 
 from gfoperad.poisson import PoissonStructure, poisson_dumps
+from gfoperad.solver import lie_poisson_structure
 from gfoperad.symbols import (
     FormalSeries,
     PolySymbol,
@@ -70,6 +71,92 @@ def test_shape_mismatch_rejected():
         var(x_key(1), 1, 0) + var(x_key(1), 2, 0)
     with pytest.raises(ShapeError):
         PolySymbol(1, 1, {((p_key(2, 1), 1),): Fraction(1)})
+
+
+ONE_X = PolySymbol.variable(x_key(1), 1, 0)
+P1 = PolySymbol.variable(p_key(1, 1), 1, 1)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: PolySymbol(2, 2, {((("p", 1.5, 1), 1),): 1}),
+        lambda: PolySymbol(2, 2, {((("p", 1, 1.0), 1),): 1}),
+        lambda: PolySymbol(2, 2, {((("p", True, 1), 1),): 1}),
+        lambda: PolySymbol(1, 0, {((("x", 1.0), 1),): 1}),
+        lambda: PolySymbol(1, 0, {((x_key(1), 1.5),): 1}),
+        lambda: PolySymbol(1, 0, {((x_key(1), 2.0),): 1}),
+        lambda: PolySymbol(1, 0, {((x_key(1), True),): 1}),
+        lambda: PolySymbol(1, 0, {((x_key(1), 1),): 0.1}),
+        lambda: PolySymbol(1, 0, {((x_key(1), 1),): True}),
+        lambda: PolySymbol(1, 0, {((x_key(1), 1),): "1/2"}),
+        lambda: PolySymbol.constant(0.1, 1, 0),
+        lambda: PolySymbol.variable(("x", 1.0), 1, 0),
+        lambda: ONE_X.scale(0.1),
+        lambda: ONE_X * 0.5,
+        lambda: 0.5 * ONE_X,
+        lambda: ONE_X + 0.5,
+        lambda: ONE_X - 0.5,
+        lambda: PolySymbol.linear_combination(1, 0, [(0.1, ONE_X)]),
+        lambda: P1.map_blocks({1: [(1, 0.5)]}, 1),
+        lambda: P1.map_blocks({1: [(1.0, 1)]}, 1),
+        lambda: P1.map_blocks({1.0: [(1, 1)]}, 1),
+        lambda: P1.substitute({p_key(1, 1): 0.5}, 1, 1),
+        lambda: FormalSeries(1, 0, {True: ONE_X}),
+    ],
+    ids=[
+        "float-block",
+        "float-component",
+        "bool-block",
+        "float-x-component",
+        "float-exponent",
+        "integral-float-exponent",
+        "bool-exponent",
+        "float-coefficient",
+        "bool-coefficient",
+        "string-coefficient",
+        "float-constant",
+        "float-variable",
+        "float-scale",
+        "float-product",
+        "float-left-product",
+        "float-sum",
+        "float-difference",
+        "float-factor",
+        "float-row-coefficient",
+        "float-target-block",
+        "float-source-block",
+        "float-substitution",
+        "bool-order",
+    ],
+)
+def test_no_float_or_bool_becomes_an_exact_value(build):
+    # Fraction(0.1) would be 3602879701896397/36028797018963968, and an
+    # exponent 1.5 would square to 3.0
+    with pytest.raises(ValueError):
+        build()
+
+
+def test_ints_and_fractions_stay_exact_inputs():
+    half = Fraction(1, 2)
+    a = PolySymbol(2, 2, {((p_key(2, 1), 1), (x_key(2), 3)): half, ((x_key(1), 1),): 3})
+    assert a.terms == {((p_key(2, 1), 1), (x_key(2), 3)): half, ((x_key(1), 1),): Fraction(3)}
+    assert PolySymbol.constant(half, 1, 0) + 1 == PolySymbol.constant(Fraction(3, 2), 1, 0)
+    assert ONE_X.scale(3) == ONE_X * 3 == 3 * ONE_X == ONE_X.scale(Fraction(3))
+    pairs = [(half, ONE_X), (1, ONE_X)]
+    assert PolySymbol.linear_combination(1, 0, pairs) == ONE_X.scale(Fraction(3, 2))
+    assert P1.map_blocks({1: [(1, half)]}, 1) == P1.scale(half)
+    assert P1.substitute({p_key(1, 1): half}, 1, 1) == PolySymbol.constant(half, 1, 1)
+    alpha = lie_poisson_structure(3, {(1, 2, 3): half})
+    assert alpha.entry(1, 2) == PolySymbol(3, 0, {((x_key(3), 1),): half})
+
+
+@pytest.mark.parametrize(
+    "constants", [{(1, 2, 3): 0.1}, {(1.0, 2, 3): 1}, {(1, 2.0, 3): 1}, {(1, 2, 3.0): 1}]
+)
+def test_lie_poisson_structure_rejects_floats(constants):
+    with pytest.raises(ValueError):
+        lie_poisson_structure(3, constants)
 
 
 def test_ring_axioms_random():
@@ -164,11 +251,12 @@ def test_eval_examples():
         {
             1: sym(1, 1, {((x_key(1), 1),): 1}),
             2: sym(1, 1, {((x_key(1), 2),): 1}),
+            3: sym(1, 1, {((x_key(1), 3),): 1}),
         },
         graded=False,
     )
-    val = series_eval(series, [[0]], [2], Fraction(1, 2), truncation=2)
-    assert val == 2
+    assert series_eval(series, [[0]], [2], Fraction(1, 2)) == 3
+    assert series_eval(series.truncate(2), [[0]], [2], Fraction(1, 2)) == 2
 
 
 def test_gradient_matches_finite_differences():

@@ -5,9 +5,11 @@ from collections import Counter
 import pytest
 
 import gfoperad.trees
+from gfoperad.operad import TreeTable
 from gfoperad.trees import (
     BLACK,
     WHITE,
+    _flatten,
     automorphism_count,
     butcher_product,
     canonical_encoding,
@@ -111,6 +113,11 @@ def test_enumerate_rooted_counts():
     assert len(exactly3) == 10
 
 
+def test_enumeration_below_weight_one_is_empty():
+    for w in (0, -1):
+        assert enumerate_rooted(w) == [] and enumerate_unrooted(w) == []
+
+
 def test_enumerate_rooted_root_color_and_cap():
     whites = enumerate_rooted(3, root_color=WHITE)
     assert all(t.color == WHITE for t in whites)
@@ -180,20 +187,6 @@ def test_forget_root_of_butcher_products_random():
         assert forget_root(butcher_product(u, v)) == forget_root(butcher_product(v, u))
 
 
-def test_enumeration_with_allowed_weights_matches_filter():
-    from gfoperad.trees import _flatten
-
-    allowed = {WHITE: {1, 2}, BLACK: {1}}
-    pruned = {t.encoding for t in enumerate_rooted(5, allowed_weights=allowed)}
-
-    def admissible(t):
-        nodes, _ = _flatten(t)
-        return all(w in allowed[c] for c, w in nodes)
-
-    filtered = {t.encoding for t in enumerate_rooted(5) if admissible(t)}
-    assert pruned == filtered and pruned
-
-
 def test_reroot_orbit_lemma():
     # |sym(t)| / |sym(t_v)| counts the vertices whose rooting is isomorphic to t_v.
     for top in enumerate_unrooted(6):
@@ -205,6 +198,23 @@ def test_reroot_orbit_lemma():
 
 
 RESTRICTED = {WHITE: {1, 2}, BLACK: {1, 3}}
+
+
+def admissible(t, allowed):
+    """Every vertex of the rooted tree ``t`` has a weight in ``allowed[colour]``;
+    a vertex walk of its own, not the labels that ``TreeTable`` keeps."""
+    nodes, _ = _flatten(t)
+    return all(w in allowed[c] for c, w in nodes)
+
+
+def rooted_classes(w, allowed):
+    """The rooted classes of total weight <= ``w``, all or the admissible ones."""
+    return [t for t in enumerate_rooted(w) if allowed is None or admissible(t, allowed)]
+
+
+def unrooted_classes(w, allowed):
+    """The unrooted classes of total weight <= ``w``, all or selected from a table."""
+    return enumerate_unrooted(w) if allowed is None else TreeTable(w).select(w, allowed)
 
 
 @pytest.mark.parametrize(
@@ -221,10 +231,8 @@ def test_unrooted_counts_match_otter(allowed, counts):
     # classes minus rooted edges: rooted_w(w) + rooted_b(w) - sum_a
     # rooted_w(a) * rooted_b(w - a).
     top = len(counts)
-    rooted = Counter(
-        (t.color, t.total_weight) for t in enumerate_rooted(top, allowed_weights=allowed)
-    )
-    unrooted = Counter(t.total_weight for t in enumerate_unrooted(top, allowed_weights=allowed))
+    rooted = Counter((t.color, t.total_weight) for t in rooted_classes(top, allowed))
+    unrooted = Counter(t.total_weight for t in unrooted_classes(top, allowed))
     for w in range(1, top + 1):
         edges = sum(rooted[WHITE, a] * rooted[BLACK, w - a] for a in range(1, w))
         otter = rooted[WHITE, w] + rooted[BLACK, w] - edges
@@ -235,9 +243,8 @@ def test_unrooted_counts_match_otter(allowed, counts):
 def test_unrooted_classes_match_forget_root_of_every_rooted_tree(allowed):
     # the canonicalize-every-rooted-tree algorithm as the oracle
     for w in range(1, 8):
-        rooted = enumerate_rooted(w, allowed_weights=allowed)
-        expected = {forget_root(t).encoding for t in rooted}
-        assert {top.encoding for top in enumerate_unrooted(w, allowed_weights=allowed)} == expected
+        expected = {forget_root(t).encoding for t in rooted_classes(w, allowed)}
+        assert {top.encoding for top in unrooted_classes(w, allowed)} == expected
 
 
 def rerooting_sigma(top):
@@ -249,10 +256,9 @@ def rerooting_sigma(top):
 
 @pytest.mark.parametrize("allowed", [None, RESTRICTED], ids=["all-weights", "restricted"])
 def test_carried_sigma_matches_rerooting_count(allowed):
-    tops = enumerate_unrooted(8, allowed_weights=allowed)
-    for top in tops:
+    for top in unrooted_classes(8, allowed):
         assert top.sigma == rerooting_sigma(top), top.encoding
-    for t in enumerate_rooted(6, allowed_weights=allowed):
+    for t in rooted_classes(6, allowed):
         top = forget_root(t)
         assert top.sigma == rerooting_sigma(top), t.encoding
 
