@@ -446,7 +446,7 @@ def main(argv=None) -> int:
     except OverflowError as exc:
         print(f"error: numerical overflow: {exc}", file=sys.stderr)
         return EXIT_NONCONVERGENCE
-    except (SgsError, ProductPreconditionError, InfeasibleOrderError) as exc:
+    except (SgsError, ProductPreconditionError, InfeasibleOrderError, AssertionError) as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return EXIT_VERIFICATION
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:

@@ -121,13 +121,11 @@ def coboundary(series: FormalSeries) -> FormalSeries:
     )
 
 
-def circ(
-    F: FormalSeries, G: FormalSeries, order: int, *, _trees=None, _min_weight: int = 1
-) -> FormalSeries:
+def circ(F: FormalSeries, G: FormalSeries, order: int, *, _min_weight: int = 1) -> FormalSeries:
     """Sum of slot insertions F(0_1,..,G,..,0_1) with signs (-1)^((i-1)(l-1)).
 
     Each insertion is one ``compose`` with identity fillers, which gets the
-    private ``_trees`` and ``_min_weight`` (see there).
+    private ``_min_weight`` (see there).
     """
     k, l = F.blocks, G.blocks
     if k + l < 1:
@@ -136,7 +134,7 @@ def circ(
     total = FormalSeries.zero(F.dim, k + l - 1)
     for i in range(1, k + 1):
         fillers = [inner if position == i else one for position in range(1, k + 1)]
-        piece = compose(outer, fillers, order, _trees=_trees, _min_weight=_min_weight)
+        piece = compose(outer, fillers, order, _min_weight=_min_weight)
         if ((i - 1) * (l - 1)) % 2:
             total = total - piece.deformation
         else:
@@ -154,14 +152,11 @@ def bracket(F: FormalSeries, G: FormalSeries, order: int) -> FormalSeries:
     return circ(F, G, order) - circ(G, F, order)
 
 
-def verify_product(deformation: FormalSeries, order: int, *, _trees=None) -> CochainReport:
-    """Residuals of S(S, I) - S(I, S) = circ(S~, S~), per order up to ``order``.
-
-    The private ``_trees`` is the solver's TreeTable (see ``compose``).
-    """
+def verify_product(deformation: FormalSeries, order: int) -> CochainReport:
+    """Residuals of S(S, I) - S(I, S) = circ(S~, S~), per order up to ``order``."""
     if deformation.blocks != 2:
         raise ValueError("a product candidate must have arity 2")
-    diff = circ(deformation, deformation, order, _trees=_trees)
+    diff = circ(deformation, deformation, order)
     residuals = {n: diff.order(n) for n in range(1, order + 1)}
     return CochainReport(residuals, order)
 
@@ -175,17 +170,14 @@ class ProductPreconditionError(ValueError):
         super().__init__(f"product equation already fails at order {order}: {residual}")
 
 
-def obstruction(
-    partial: FormalSeries, n: int, verified: bool = False, *, _trees=None
-) -> PolySymbol:
+def obstruction(partial: FormalSeries, n: int, verified: bool = False) -> PolySymbol:
     """H_n: the order-n product residual of S_{<n}, the orders of ``partial`` below n.
 
     H_n is the order-n part of circ(S_{<n}, S_{<n}) = (1/2)[S~, S~], from the
     trees of total weight n, the only ones that reach order n.  Unless
     ``verified``, the first nonzero residual of ``verify_product`` below n
     raises :class:`ProductPreconditionError` first; dS_n + H_n = 0 is then the
-    order-n equation.  The private ``_trees`` is the solver's TreeTable (see
-    ``compose``).
+    order-n equation.
     """
     if partial.blocks != 2:
         raise ValueError("expected an arity-2 deformation")
@@ -193,7 +185,7 @@ def obstruction(
         return PolySymbol.zero(partial.dim, 3)
     truncated = partial.truncate(n - 1)
     if not verified:
-        failure = verify_product(truncated, n - 1, _trees=_trees).first_failure()
+        failure = verify_product(truncated, n - 1).first_failure()
         if failure is not None:
             raise ProductPreconditionError(*failure)
-    return circ(truncated, truncated, n, _trees=_trees, _min_weight=n).order(n)
+    return circ(truncated, truncated, n, _min_weight=n).order(n)

@@ -24,7 +24,6 @@ from gfoperad.operad import (
     DEFAULT_ORDER_CAP,
     GenFunction,
     NonConvergenceError,
-    TreeTable,
     compose,
 )
 from gfoperad.poisson import PoissonStructure
@@ -121,6 +120,8 @@ def structure_maps(deformation: FormalSeries, order: int) -> StructureMaps:
     """Source x + grad_{p2} S~(p,0,x) and target x + grad_{p1} S~(0,p,x)."""
     if order < 1:
         raise ValueError("order must be >= 1")
+    if order > DEFAULT_ORDER_CAP:
+        raise ValueError(f"order {order} exceeds cap {DEFAULT_ORDER_CAP}")
     report = check_sgs(deformation, order)
     if not report.passed:
         name, n, residual = report.first_failure()
@@ -145,8 +146,8 @@ def invert_morphism(morphism: FormalSeries, order: int) -> FormalSeries:
     """The arity-1 series G~ with F(G) = I up to the given order.
 
     Order n of F(G) is F~_n + G~_n + (tree terms in lower orders), so G~ is
-    built order by order, every ``compose`` selecting from one tree table; the
-    same series is automatically a left and right inverse.
+    built order by order, each step expanding only the trees of total weight
+    n; the same series is automatically a left and right inverse.
     """
     if morphism.blocks != 1:
         raise ValueError("only arity-1 morphisms can be inverted")
@@ -156,13 +157,12 @@ def invert_morphism(morphism: FormalSeries, order: int) -> FormalSeries:
         raise ValueError(f"order {order} exceeds cap {DEFAULT_ORDER_CAP}")
     dim = morphism.dim
     inverse = FormalSeries.zero(dim, 1)
-    trees = TreeTable(order)
     for n in range(1, order + 1):
         current = compose(
             GenFunction(1, dim, morphism.truncate(order)),
             [GenFunction(1, dim, inverse)],
             n,
-            _trees=trees,
+            _min_weight=n,
         ).deformation
         residual = current.order(n)
         if not residual.is_zero():

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 from itertools import groupby
 from operator import attrgetter
 
@@ -103,6 +104,7 @@ def trivial_product(arity: int, dim: int) -> GenFunction:
     return GenFunction(arity, dim, FormalSeries.zero(dim, arity))
 
 
+@lru_cache(maxsize=None)
 def _vertex_labels(t) -> frozenset:
     """The (colour, weight) labels of the vertices of a rooted tree."""
     labels = {(t.color, t.weight)}
@@ -111,37 +113,17 @@ def _vertex_labels(t) -> frozenset:
     return frozenset(labels)
 
 
-class TreeTable:
-    """The unrooted trees of total weight <= ``max_weight``, enumerated once.
+def select_trees(max_weight: int, allowed_weights: dict) -> list:
+    """The unrooted trees of total weight <= ``max_weight``, in enumeration
+    order, whose every vertex weight is in ``allowed_weights[colour]``.
 
-    Each tree is kept with the (colour, weight) labels of its vertices, so
-    :meth:`select` returns, in enumeration order, the trees of a smaller
-    weight whose vertex weights are restricted per colour; this is the one
-    way trees are selected.  ``compose`` builds a table per call unless it
-    is handed one, and ``solve_deformation`` builds one table per solve and
-    passes it to every ``compose`` of the solve; nothing keeps it between
-    calls.
+    This is the one way trees are selected; the enumeration and each tree's
+    labels are cached, so a selection repeats no enumeration.
     """
-
-    __slots__ = ("max_weight", "entries")
-
-    def __init__(self, max_weight: int):
-        self.max_weight = max_weight
-        self.entries = [
-            (top, _vertex_labels(top.canonical)) for top in enumerate_unrooted(max_weight)
-        ]
-
-    def select(self, max_weight: int, allowed_weights: dict) -> list:
-        """The trees of total weight <= ``max_weight`` whose every vertex weight
-        is in ``allowed_weights[colour]``; every colour must be a key."""
-        if max_weight > self.max_weight:
-            raise ValueError(f"table holds weights <= {self.max_weight}, asked for {max_weight}")
-        allowed = {(color, w) for color, weights in allowed_weights.items() for w in weights}
-        return [
-            top
-            for top, labels in self.entries
-            if top.total_weight <= max_weight and labels <= allowed
-        ]
+    allowed = {(color, w) for color, weights in allowed_weights.items() for w in weights}
+    return [
+        top for top in enumerate_unrooted(max_weight) if _vertex_labels(top.canonical) <= allowed
+    ]
 
 
 def _move_blocks(series: FormalSeries, rows, blocks: int, order: int) -> FormalSeries:
@@ -159,15 +141,14 @@ def compose(
     inners,
     order: int,
     *,
-    _trees: TreeTable | None = None,
     _min_weight: int = 1,
 ) -> GenFunction:
     """Operadic composition, truncated at epsilon^order <= DEFAULT_ORDER_CAP.
 
     Sums C_t over unrooted topological trees with total weight <= order; tree
     vertex weights are restricted to the orders actually present in the outer
-    (black) and inner (white) deformations, by :meth:`TreeTable.select`, since
-    a vertex of an absent order makes C_t zero.
+    (black) and inner (white) deformations, by :func:`select_trees`, since a
+    vertex of an absent order makes C_t zero.
 
     The expansion runs in shape (d, K+n), K the sum of the inner arities, and
     every input keeps the one x: slot b's inner p-blocks move to blocks
@@ -177,10 +158,9 @@ def compose(
     per weight sends block K+b to the sum of slot b's inner blocks (one block
     for arity 1, zero for arity 0).
 
-    The private ``_trees`` (a :class:`TreeTable` reaching ``order``) takes the
-    place of the table built here, and ``_min_weight`` skips the trees of
-    smaller total weight, so the orders below it come out zero.  The solver
-    uses both to expand only the trees of H_n.
+    The private ``_min_weight`` skips the trees of smaller total weight, so
+    the orders below it come out zero; the solver and ``invert_morphism`` use
+    it to expand only the trees of the one order they read.
     """
     if order < 1:
         raise ValueError("truncation order must be >= 1")
@@ -215,7 +195,7 @@ def compose(
     black = _move_blocks(outer.deformation, rows, blocks, order)
 
     allowed = {BLACK: set(black.orders), WHITE: {o for g in whites for o in g.orders}}
-    trees = (TreeTable(order) if _trees is None else _trees).select(order, allowed)
+    trees = select_trees(order, allowed)
     memo = {}
 
     def weighted(group):

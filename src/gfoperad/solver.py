@@ -20,12 +20,12 @@ column of a basis monomial p1^a p2^b is the one signed monomial
 row helper :func:`_add_row`; the solution becomes a symbol only through the
 public ``PolySymbol`` constructor.
 
-A solve enumerates its trees once: one :class:`gfoperad.operad.TreeTable` up
-to the target order, which every ``compose`` of the solve selects from (a
-``compose`` outside a solve selects from a table of its own).  H_n is the
-order-n part of ``circ``, from the trees of total weight exactly n, the only
-ones that reach order n; the final ``verify_product`` (the same ``circ``) and
-``check_sgs`` check every order of the result as the postcondition.
+Every ``compose`` of a solve selects its trees from the one cached
+enumeration (:func:`gfoperad.operad.select_trees`), so each tree weight is
+enumerated at most once per process.  H_n is the order-n part of ``circ``,
+from the trees of total weight exactly n, the only ones that reach order n;
+the final ``verify_product`` (the same ``circ``) and ``check_sgs`` check every
+order of the result as the postcondition.
 
 ``bch_generating_function`` provides an independent construction for linear
 (Lie-Poisson) structures: S0 + S~ = x . bch(p1, p2), with the series computed
@@ -41,7 +41,7 @@ from fractions import Fraction
 
 from gfoperad.deformation import coboundary_monomial, obstruction, verify_product
 from gfoperad.groupoid import check_sgs
-from gfoperad.operad import DEFAULT_ORDER_CAP, TreeTable
+from gfoperad.operad import DEFAULT_ORDER_CAP
 from gfoperad.poisson import PoissonStructure, validate_poisson
 from gfoperad.symbols import FormalSeries, PolySymbol, p_key, x_key
 
@@ -216,16 +216,15 @@ def solve_deformation(alpha: PoissonStructure, order: int) -> FormalSeries:
     d = alpha.dim
     series = first_order_deformation(alpha)
     degree = alpha.max_degree
-    trees = TreeTable(order)
     for n in range(2, order + 1):
-        h_n = obstruction(series, n, verified=True, _trees=trees)
+        h_n = obstruction(series, n, verified=True)
         x_deg = h_n.max_x_degree()
         if x_deg > n * degree + 1:
             raise AssertionError(f"H_{n} has x-degree {x_deg} > bound {n * degree + 1}")
         s_n = _solve_order(h_n, n, d)
         if not s_n.is_zero():
             series = series.with_order(n, s_n)
-    if not verify_product(series, order, _trees=trees).all_zero:
+    if not verify_product(series, order).all_zero:
         raise AssertionError("solver output fails the product equation")
     if not check_sgs(series, order).passed:
         raise AssertionError("solver output fails the structure conditions")

@@ -7,9 +7,12 @@ structural equality coincides with isomorphism of weighted bipartite rooted
 trees.  Unrooted isomorphism classes are represented by :class:`TopTree`,
 whose canonical representative minimizes the rooted encoding over all
 re-rootings; enumeration canonicalizes each class once and counts its
-automorphisms in the same rerooting walk.  Enumeration takes every vertex
-weight; a caller that needs only some weights per color selects them from one
-enumeration (:class:`gfoperad.operad.TreeTable`).
+automorphisms in the same rerooting walk.  The classes of each total weight
+are enumerated once per process and cached (one entry per colour and weight
+up to the cap), so every enumeration to a maximum weight joins cached
+per-weight tuples.  Enumeration takes every vertex weight; a caller that needs
+only some weights per color selects them from it
+(:func:`gfoperad.operad.select_trees`).
 """
 
 from __future__ import annotations
@@ -281,49 +284,59 @@ def _multisets_with_weight(pool, target):
     return results
 
 
-def _rooted_table(max_total_weight):
-    """All rooted classes keyed by (color, exact total weight)."""
-    table = {}
-    for total in range(1, max_total_weight + 1):
-        for color in COLORS:
-            out = [RootedTree(color, total)]
-            pool = [
-                t
-                for w in range(1, total)
-                for t in table[(opposite(color), w)]
-            ]
-            pool.sort(key=lambda t: (t.total_weight, t.encoding))
-            for rw in range(1, total):
-                for combo in _multisets_with_weight(pool, total - rw):
-                    out.append(RootedTree(color, rw, combo))
-            table[(color, total)] = out
-    return table
-
-
-def enumerate_rooted(max_total_weight: int, root_color: str | None = None) -> list[RootedTree]:
-    """All rooted isomorphism classes with total weight <= ``max_total_weight``."""
+def _weights(max_total_weight):
+    """The total weights 1..``max_total_weight``; a maximum above the cap raises."""
     if max_total_weight > DEFAULT_WEIGHT_CAP:
         raise ValueError(
             f"max total weight {max_total_weight} exceeds cap {DEFAULT_WEIGHT_CAP}"
         )
-    if max_total_weight < 1:
-        return []
-    table = _rooted_table(max_total_weight)
+    return range(1, max_total_weight + 1)
+
+
+@lru_cache(maxsize=None)
+def _rooted_classes(color: str, total: int) -> tuple:
+    """The rooted classes with root colour ``color`` and total weight exactly
+    ``total``, sorted by encoding: a root of weight rw <= ``total`` over each
+    multiset of opposite-colour classes of total weight ``total`` - rw."""
+    # per-weight tuples sorted by encoding join into a pool sorted by (weight, encoding)
+    pool = [t for w in range(1, total) for t in _rooted_classes(opposite(color), w)]
+    out = [RootedTree(color, total)]
+    for rw in range(1, total):
+        for combo in _multisets_with_weight(pool, total - rw):
+            out.append(RootedTree(color, rw, combo))
+    return tuple(sorted(out, key=lambda t: t.encoding))
+
+
+@lru_cache(maxsize=None)
+def _unrooted_classes(total: int) -> tuple:
+    """The unrooted classes of total weight exactly ``total``, sorted by
+    encoding; each class is canonicalized by one rerooting walk."""
+    classes = {}
+    for color in COLORS:
+        for t in _rooted_classes(color, total):
+            if t.encoding not in classes:
+                roots = rerootings(t)
+                top = _top_tree(roots)
+                classes.update((r.encoding, top) for r in roots)
+    return tuple(sorted(set(classes.values()), key=lambda t: t.encoding))
+
+
+def enumerate_rooted(max_total_weight: int, root_color: str | None = None) -> list[RootedTree]:
+    """All rooted isomorphism classes with total weight <= ``max_total_weight``,
+    sorted by (total weight, encoding)."""
     colors = COLORS if root_color is None else (root_color,)
-    out = []
-    for total in range(1, max_total_weight + 1):
-        for color in colors:
-            out.extend(table[(color, total)])
+    out = [
+        t
+        for total in _weights(max_total_weight)
+        for color in colors
+        for t in _rooted_classes(color, total)
+    ]
     out.sort(key=lambda t: (t.total_weight, t.encoding))
     return out
 
 
 def enumerate_unrooted(max_total_weight: int) -> list[TopTree]:
-    """Unrooted classes of total weight <= ``max_total_weight``, each canonicalized once."""
-    classes = {}
-    for t in enumerate_rooted(max_total_weight):
-        if t.encoding not in classes:
-            roots = rerootings(t)
-            top = _top_tree(roots)
-            classes.update((r.encoding, top) for r in roots)
-    return sorted(set(classes.values()), key=lambda t: (t.total_weight, t.encoding))
+    """Unrooted classes of total weight <= ``max_total_weight``, sorted by
+    (total weight, encoding).  Each weight is enumerated and canonicalized once
+    per process and kept, so a later call reads the classes already found."""
+    return [top for total in _weights(max_total_weight) for top in _unrooted_classes(total)]

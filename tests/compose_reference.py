@@ -5,7 +5,7 @@
   per slot, so a white vertex reads one combined inner series, and maps each
   weight's sum to the base point with one general ``substitute``.  It sums
   every tree, with no weight filter, and asserts that each tree that
-  ``TreeTable.select`` drops (a vertex of an order absent from its series)
+  ``select_trees`` drops (a vertex of an order absent from its series)
   has C_t = 0.
 
 * :func:`picard_compose` uses no trees.  It iterates the implicit equations
@@ -29,7 +29,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from gfoperad.elementary import elementary_function
-from gfoperad.operad import GenFunction, TreeTable
+from gfoperad.operad import GenFunction, select_trees
 from gfoperad.symbols import (
     FormalSeries,
     PolySymbol,
@@ -91,7 +91,7 @@ def workspace_compose(outer: GenFunction, inners, order: int) -> GenFunction:
     outer_w = _embed(outer.deformation, outer_map, w_dim, w_blocks, order)
 
     allowed = {BLACK: set(outer_w.orders), WHITE: set(composite.orders)}
-    selected = set(TreeTable(order).select(order, allowed))
+    selected = set(select_trees(order, allowed))
     pairs = {}
     memo = {}
     for top in enumerate_unrooted(order):

@@ -292,6 +292,20 @@ def test_infeasible_solve_is_a_verification_failure(tmp_path, monkeypatch, capsy
     )
 
 
+def test_failed_postcondition_is_a_verification_failure(tmp_path, monkeypatch, capsys):
+    from gfoperad import cli
+
+    def broken(alpha, order):
+        raise AssertionError("solver output fails the product equation")
+
+    monkeypatch.setattr(cli, "solve_deformation", broken)
+    path = write(tmp_path, "h.json", poisson_dumps(heisenberg_structure()))
+    assert main(["solve", "--poisson", path, "--order", "3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "verification failure: solver output fails the product equation\n"
+
+
 def test_overflow_exit_code(tmp_path, capsys):
     argv = order_argvs(tmp_path)["numeric-check"]
     big = write(tmp_path, "big.json", json.dumps({"p": [[1e200]], "x": [0.5]}))
@@ -330,7 +344,7 @@ def order_argvs(tmp_path):
 
 @pytest.mark.parametrize(
     "command",
-    ["compose", "numeric-check", "bracket", "verify-sga", "solve", "transform", "invert"],
+    ["compose", "numeric-check", "bracket", "verify-sga", "solve", "transform", "invert", "maps"],
 )
 def test_order_above_the_cap_is_a_usage_error(tmp_path, capsys, command):
     argv = order_argvs(tmp_path)[command]

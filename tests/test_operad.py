@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 from gfoperad.operad import (
     GenFunction,
     NonConvergenceError,
-    TreeTable,
     compose,
     identity,
     numeric_phi,
+    select_trees,
     trivial_product,
 )
 from gfoperad.symbols import (
@@ -36,7 +36,6 @@ def graded_gen(rng, arity, dim, orders, max_x_degree=2):
     return wrap(random_graded_series(rng, arity, dim, orders, max_x_degree))
 
 
-TABLE = TreeTable(8)
 WEIGHT_SETS = st.sets(st.integers(1, 8))
 
 
@@ -44,27 +43,20 @@ WEIGHT_SETS = st.sets(st.integers(1, 8))
 @given(st.integers(1, 8), WEIGHT_SETS, WEIGHT_SETS)
 def test_tree_table_selects_what_enumeration_gives(order, black, white):
     allowed = {BLACK: black, WHITE: white}
-    selected = TABLE.select(order, allowed)
+    selected = select_trees(order, allowed)
     expected = [t for t in enumerate_unrooted(order) if admissible(t.canonical, allowed)]
     assert [t.encoding for t in selected] == [t.encoding for t in expected]
     assert [t.sigma for t in selected] == [t.sigma for t in expected]
 
 
-def test_tree_table_refuses_a_larger_weight():
-    with pytest.raises(ValueError):
-        TreeTable(4).select(5, {BLACK: {1}, WHITE: {1}})
-
-
 def test_compose_from_a_table_and_a_minimum_weight():
-    # the table gives the enumerated result; a minimum weight keeps exactly
-    # the orders at or above it
+    # a minimum weight keeps exactly the orders at or above it
     rng = random.Random(97)
     outer = graded_gen(rng, 2, 2, [1, 2])
     inners = [graded_gen(rng, 1, 2, [1, 3]), graded_gen(rng, 2, 2, [2])]
     full = compose(outer, inners, 5).deformation
-    assert compose(outer, inners, 5, _trees=TreeTable(6)).deformation == full
     for low in (1, 3, 5):
-        part = compose(outer, inners, 5, _trees=TreeTable(5), _min_weight=low).deformation
+        part = compose(outer, inners, 5, _min_weight=low).deformation
         kept = {o: s for o, s in full.orders.items() if o >= low}
         assert part == FormalSeries(2, 3, kept, graded=True)
 

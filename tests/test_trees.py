@@ -5,7 +5,10 @@ from collections import Counter
 import pytest
 
 import gfoperad.trees
-from gfoperad.operad import TreeTable
+from gfoperad.operad import GenFunction, compose, identity, select_trees
+from gfoperad.poisson import PoissonStructure
+from gfoperad.solver import solve_deformation
+from gfoperad.symbols import PolySymbol, x_key
 from gfoperad.trees import (
     BLACK,
     WHITE,
@@ -202,7 +205,7 @@ RESTRICTED = {WHITE: {1, 2}, BLACK: {1, 3}}
 
 def admissible(t, allowed):
     """Every vertex of the rooted tree ``t`` has a weight in ``allowed[colour]``;
-    a vertex walk of its own, not the labels that ``TreeTable`` keeps."""
+    a vertex walk of its own, not the labels that ``select_trees`` caches."""
     nodes, _ = _flatten(t)
     return all(w in allowed[c] for c, w in nodes)
 
@@ -213,8 +216,8 @@ def rooted_classes(w, allowed):
 
 
 def unrooted_classes(w, allowed):
-    """The unrooted classes of total weight <= ``w``, all or selected from a table."""
-    return enumerate_unrooted(w) if allowed is None else TreeTable(w).select(w, allowed)
+    """The unrooted classes of total weight <= ``w``, all or the selected ones."""
+    return enumerate_unrooted(w) if allowed is None else select_trees(w, allowed)
 
 
 @pytest.mark.parametrize(
@@ -263,13 +266,46 @@ def test_carried_sigma_matches_rerooting_count(allowed):
         assert top.sigma == rerooting_sigma(top), t.encoding
 
 
-def test_one_rerooting_walk_per_class(monkeypatch):
+def clear_enumeration_caches():
+    gfoperad.trees._unrooted_classes.cache_clear()
+    gfoperad.trees._rooted_classes.cache_clear()
+
+
+@pytest.fixture
+def walks(monkeypatch):
+    """The rerooting walks made from a cold enumeration cache on."""
     calls = []
 
     def counted(t):
         calls.append(t)
         return rerootings(t)
 
+    clear_enumeration_caches()
     monkeypatch.setattr(gfoperad.trees, "rerootings", counted)
+    return calls
+
+
+def test_one_rerooting_walk_per_class(walks):
     tops = enumerate_unrooted(6)
-    assert len(calls) == len(tops) == 116
+    assert len(walks) == len(tops) == 116
+
+
+def test_a_solve_and_a_compose_canonicalize_each_class_once(walks):
+    # every compose of the solve and the compose after it read one cached
+    # enumeration, so no class is walked twice in the process
+    alpha = PoissonStructure(2, {(1, 2): PolySymbol(2, 0, {((x_key(1), 2),): 1})})
+    series = solve_deformation(alpha, 6)
+    assert len(walks) == 116
+    product = GenFunction(2, 2, series)
+    compose(product, [product, identity(2)], 6)
+    assert len(walks) == 116
+
+
+def test_a_smaller_enumeration_after_a_larger_one_matches_a_cold_one():
+    clear_enumeration_caches()
+    cold = [(t.encoding, t.sigma) for t in enumerate_unrooted(5)]
+    clear_enumeration_caches()
+    enumerate_unrooted(8)
+    warm = [(t.encoding, t.sigma) for t in enumerate_unrooted(5)]
+    assert warm == cold
+    assert len(cold) == 51
