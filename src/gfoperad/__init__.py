@@ -29,7 +29,6 @@ from gfoperad.operad import (
     compose,
     identity,
     numeric_phi,
-    trivial_product,
 )
 from gfoperad.poisson import (
     PoissonReport,
@@ -68,7 +67,6 @@ from gfoperad.trees import (
     TopTree,
     automorphism_count,
     butcher_product,
-    canonical_encoding,
     enumerate_rooted,
     enumerate_unrooted,
     forget_root,

@@ -99,11 +99,6 @@ def identity(dim: int) -> GenFunction:
     return GenFunction(1, dim, FormalSeries.zero(dim, 1))
 
 
-def trivial_product(arity: int, dim: int) -> GenFunction:
-    """S0(p_1..p_n, x) = (p_1+...+p_n).x; arity 0 gives the zero function."""
-    return GenFunction(arity, dim, FormalSeries.zero(dim, arity))
-
-
 @lru_cache(maxsize=None)
 def _vertex_labels(t) -> frozenset:
     """The (colour, weight) labels of the vertices of a rooted tree."""

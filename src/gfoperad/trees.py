@@ -136,14 +136,6 @@ def graft(children, color: str, weight: int) -> RootedTree:
     return RootedTree(color, weight, tuple(children))
 
 
-def canonical_encoding(t: RootedTree) -> str:
-    """Deterministic text form, e.g. ``b2(w1,w1(b3))``.
-
-    Equal encodings characterize isomorphic rooted weighted bipartite trees.
-    """
-    return t.encoding
-
-
 def butcher_product(u: RootedTree, v: RootedTree) -> RootedTree:
     """Graft the root of ``v`` as an extra child of the root of ``u``."""
     if u.color == v.color:

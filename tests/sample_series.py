@@ -2,7 +2,13 @@
 
 from fractions import Fraction
 
+from gfoperad.operad import GenFunction
 from gfoperad.symbols import FormalSeries, PolySymbol, p_key, x_key
+
+
+def trivial_product(arity, dim):
+    """S0(p_1..p_n, x) = (p_1+...+p_n).x; arity 0 gives the zero function."""
+    return GenFunction(arity, dim, FormalSeries.zero(dim, arity))
 
 
 def poly(dim, blocks, terms):

@@ -30,6 +30,7 @@ from sample_series import (
     heisenberg_first_order,
     poly,
     symmetric_band_first_order,
+    trivial_product,
 )
 
 
@@ -254,7 +255,7 @@ def test_psi_composition_convention():
 def test_unit_conditions_mirror_arity_zero_slots():
     # for an SGS-satisfying product, plugging the arity-0 trivial function
     # into either slot collapses the product to the operad unit
-    from gfoperad.operad import identity, trivial_product
+    from gfoperad.operad import identity
 
     s = GenFunction(2, 2, constant_poisson_first_order())
     assert compose(s, [trivial_product(0, 2), identity(2)], 4) == identity(2)

@@ -12,7 +12,6 @@ from gfoperad.operad import (
     identity,
     numeric_phi,
     select_trees,
-    trivial_product,
 )
 from gfoperad.symbols import (
     FormalSeries,
@@ -25,6 +24,7 @@ from gfoperad.symbols import (
     x_key,
 )
 from gfoperad.trees import BLACK, WHITE, enumerate_unrooted
+from sample_series import trivial_product
 from test_trees import admissible
 
 

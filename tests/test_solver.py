@@ -1,10 +1,14 @@
+import hashlib
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from gfoperad.cli import main
 from gfoperad.deformation import verify_product
-from gfoperad.groupoid import check_sgs, extract_poisson
+from gfoperad.groupoid import check_sgs, extract_poisson, is_odd_in_p
 from gfoperad.poisson import (
     PoissonStructure,
     poisson_dumps,
@@ -14,7 +18,6 @@ from gfoperad.poisson import (
 from gfoperad import solver
 from gfoperad.solver import (
     InfeasibleOrderError,
-    _linsolve,
     _solve_order,
     bch_generating_function,
     bch_words,
@@ -24,7 +27,11 @@ from gfoperad.solver import (
     solve_deformation,
 )
 from gfoperad.symbols import FormalSeries, PolySymbol, check_grading, p_key, x_key
+from equivalence_oracle import equivalence_morphism
+from linsolve_reference import _linsolve
+from linsolve_reference import solve_order as reference_solve_order
 from sample_series import constant_poisson_first_order, heisenberg_first_order
+from test_golden import GOLDEN, solve_argv
 
 
 def constant_structure():
@@ -172,19 +179,160 @@ def test_infeasible_order_names_the_order():
     assert "x-monomial ()" in str(info.value)
 
 
+def so3_structure():
+    return lie_poisson_structure(3, {(1, 2, 3): 1, (2, 3, 1): 1, (1, 3, 2): -1})
+
+
+def quadratic_structure():
+    return PoissonStructure(2, {(1, 2): PolySymbol(2, 0, {((x_key(1), 2),): Fraction(1)})})
+
+
 def test_one_elimination_per_order(monkeypatch):
+    # the rows depend on (n, d) alone: each is eliminated once per process, and
     # so(3) to order 4 has a nonzero H_n at orders 2, 3 and 4
-    calls = []
-    linsolve = solver._linsolve
+    eliminated = []
+    order_columns = solver._order_columns
 
-    def counting(equations):
-        calls.append(None)
-        return linsolve(equations)
+    def counting(n, d):
+        eliminated.append((n, d))
+        return order_columns(n, d)
 
-    monkeypatch.setattr(solver, "_linsolve", counting)
-    so3 = lie_poisson_structure(3, {(1, 2, 3): 1, (2, 3, 1): 1, (1, 3, 2): -1})
-    solve_deformation(so3, 4)
-    assert len(calls) == 3
+    monkeypatch.setattr(solver, "_order_columns", counting)
+    solver._order_system.cache_clear()
+    solve_deformation(so3_structure(), 4)
+    assert eliminated == [(2, 3), (3, 3), (4, 3)]
+    solve_deformation(so3_structure(), 4)
+    assert len(eliminated) == 3
+    solve_deformation(quadratic_structure(), 6)
+    assert eliminated[3:] == [(n, 2) for n in range(2, 7)]
+    assert solver._order_system.cache_info().misses == len(eliminated) == 8
+
+
+X_KEYS = ("a", "b", "c")
+
+
+@st.composite
+def sparse_systems(draw):
+    """Random sparse integer rows, and right-hand sides on keys with or without a row.
+
+    Half the right-hand sides are images of random solutions, so consistent
+    systems are common; the rest are mostly inconsistent.
+    """
+    n_cols = draw(st.integers(0, 5))
+    equations = draw(
+        st.dictionaries(
+            st.integers(0, 9),
+            st.dictionaries(st.integers(0, max(n_cols - 1, 0)), st.integers(-3, 3), max_size=n_cols),
+            max_size=8,
+        )
+    )
+    if draw(st.booleans()):
+        xs = {k: draw(st.lists(st.integers(-2, 2), min_size=n_cols, max_size=n_cols)) for k in X_KEYS}
+        rhs = {}
+        for key, row in equations.items():
+            rhs[key] = {k: Fraction(sum(v * xs[k][c] for c, v in row.items())) for k in X_KEYS}
+        # a key with no row keeps its place among the sorted keys
+        rhs.update(draw(st.dictionaries(st.integers(0, 12), st.just({}), max_size=2)))
+    else:
+        values = st.dictionaries(st.sampled_from(X_KEYS), st.integers(-3, 3).map(Fraction), max_size=3)
+        rhs = draw(st.dictionaries(st.integers(0, 12), values, max_size=6))
+    return equations, rhs
+
+
+def outcome(solve, *args):
+    try:
+        solution = solve(*args)
+    except ValueError as exc:
+        return exc.args
+    return [(col, list(values.items())) for col, values in solution.items()]
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_systems())
+def test_record_and_replay_match_the_reference_elimination(system):
+    equations, rhs = system
+    rows = [(equations.get(key, {}), rhs.get(key, {})) for key in sorted(equations.keys() | rhs.keys())]
+    before = {key: dict(values) for key, values in rhs.items()}
+    record = solver._record(equations)
+    assert outcome(solver._replay, record, rhs) == outcome(_linsolve, rows)
+    # neither the record nor the right-hand sides change under a replay
+    assert rhs == before
+    assert outcome(solver._replay, record, rhs) == outcome(_linsolve, rows)
+
+
+@pytest.mark.parametrize("build, order", [(so3_structure, 6), (quadratic_structure, 8)], ids=["so3", "quadratic"])
+def test_solve_order_matches_the_reference_on_real_obstructions(monkeypatch, build, order):
+    solved = []
+    solve_order = solver._solve_order
+
+    def compared(h_n, n, d):
+        got = solve_order(h_n, n, d)
+        expected = reference_solve_order(h_n, n, d)
+        assert got == expected and list(got.terms.items()) == list(expected.terms.items())
+        solved.append(n)
+        return got
+
+    monkeypatch.setattr(solver, "_solve_order", compared)
+    solve_deformation(build(), order)
+    assert solved == list(range(2, order + 1))
+
+
+def stray_key_obstruction():
+    # no column reaches p1_1^4, so its key is a zero row in its sorted place;
+    # the right-hand side on the reached key p1_1 p2_1 p3_2 does not raise first
+    stray = ((p_key(1, 1), 4),)
+    reached = ((p_key(1, 1), 1), (p_key(2, 1), 1), (p_key(3, 2), 1))
+    assert ("d", stray) not in solver._order_system(2, 2)[1][0]
+    h = PolySymbol(2, 3, {stray + ((x_key(2), 1),): Fraction(1), reached: Fraction(1)})
+    return h, 2, ((x_key(2), 1),)
+
+
+def zero_row_obstruction():
+    # a right-hand side on one coboundary key whose row the elimination reduces to zero
+    keys, steps = solver._order_system(3, 2)[1]
+    key = next(key for key, step in zip(keys, steps) if key[0] == "d" and step[2] is None)
+    h = PolySymbol(2, 3, {key[1] + ((x_key(1), 1),): Fraction(3), key[1]: Fraction(1)})
+    return h, 3, ()
+
+
+@pytest.mark.parametrize("build", [stray_key_obstruction, zero_row_obstruction], ids=["stray-key", "zero-row"])
+def test_infeasible_order_is_the_same_cold_and_warm(tmp_path, build):
+    h, n, x_part = build()
+    with pytest.raises(InfeasibleOrderError) as reference:
+        reference_solve_order(h, n, 2)
+    solver._order_system.cache_clear()
+    with pytest.raises(InfeasibleOrderError) as cold:
+        _solve_order(h, n, 2)
+    with pytest.raises(InfeasibleOrderError) as warm:
+        _solve_order(h, n, 2)
+    assert str(cold.value) == str(warm.value) == str(reference.value)
+    assert f"x-monomial {x_part}:" in str(cold.value)
+    # no right-hand side stays behind in the cached record the solve reuses
+    argv, out = solve_argv(tmp_path, "quadratic")
+    assert main(argv) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN["quadratic"][2]
+
+
+@pytest.mark.parametrize(
+    "build, orders",
+    [(so3_structure, [2, 4]), (heisenberg_structure, []), (ax_b_structure, [2, 4])],
+    ids=["so3", "heisenberg", "ax-b"],
+)
+def test_solution_is_gauge_equivalent_to_bch(build, orders):
+    # the solver and x.bch(p1, p2) pick different gauges; one closed-form
+    # morphism maps the first onto the second exactly, order by order
+    alpha = build()
+    morphism = equivalence_morphism(solve_deformation(alpha, 5), bch_generating_function(alpha, 5), 5)
+    assert morphism.order_indices() == orders
+    assert is_odd_in_p(morphism)
+
+
+def test_equivalence_oracle_refuses_a_wrong_order():
+    alpha = so3_structure()
+    bch = bch_generating_function(alpha, 4)
+    wrong = bch.with_order(3, bch.order(3).scale(2))
+    with pytest.raises(AssertionError, match="order 3"):
+        equivalence_morphism(solve_deformation(alpha, 4), wrong, 4)
 
 
 def lie_bracket(constants, dim, u, v):

@@ -15,7 +15,6 @@ from gfoperad.trees import (
     _flatten,
     automorphism_count,
     butcher_product,
-    canonical_encoding,
     enumerate_rooted,
     enumerate_unrooted,
     forget_root,
@@ -30,10 +29,10 @@ from labeled_trees import distinct_relabelings, labeled_structures, structure_of
 def test_leaf_basics():
     t = leaf(WHITE, 1)
     assert t.size == 1 and t.total_weight == 1
-    assert canonical_encoding(t) == "w1"
+    assert t.encoding == "w1"
     b = leaf(BLACK, 3)
     assert b.total_weight == 3
-    assert canonical_encoding(b) == "b3"
+    assert b.encoding == "b3"
 
 
 def test_leaf_rejects_zero_weight():
@@ -44,13 +43,13 @@ def test_leaf_rejects_zero_weight():
 def test_graft_edge_tree():
     e = graft([leaf(WHITE, 1)], BLACK, 1)
     assert e.size == 2 and e.total_weight == 2
-    assert canonical_encoding(e) == "b1(w1)"
+    assert e.encoding == "b1(w1)"
 
 
 def test_graft_two_children():
     t = graft([leaf(WHITE, 1), leaf(WHITE, 1)], BLACK, 2)
     assert t.total_weight == 4
-    assert canonical_encoding(t) == "b2(w1,w1)"
+    assert t.encoding == "b2(w1,w1)"
 
 
 def test_graft_color_clash():
@@ -61,7 +60,7 @@ def test_graft_color_clash():
 def test_encoding_sorts_children():
     inner = graft([leaf(BLACK, 3)], WHITE, 1)
     t = graft([inner, leaf(WHITE, 1)], BLACK, 2)
-    assert canonical_encoding(t) == "b2(w1,w1(b3))"
+    assert t.encoding == "b2(w1,w1(b3))"
     # permutation invariance
     t2 = graft([leaf(WHITE, 1), inner], BLACK, 2)
     assert t == t2
