@@ -6,15 +6,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coboundary_reference import face_map_coboundary
+from gfoperad import deformation
 from gfoperad.deformation import (
     ProductPreconditionError,
     bracket,
+    circ,
     coboundary,
     coboundary_symbol,
     obstruction,
     verify_product,
 )
-from gfoperad.solver import _order_columns, _p_basis, lie_poisson_structure, solve_deformation
+from gfoperad.solver import (
+    _order_columns,
+    _p_basis,
+    heisenberg_structure,
+    lie_poisson_structure,
+    solve_deformation,
+)
 from gfoperad.symbols import (
     FormalSeries,
     PolySymbol,
@@ -31,6 +39,7 @@ from sample_series import (
     symmetric_band_first_order,
 )
 from test_golden import quadratic, so3
+from test_solver import ax_b_structure
 
 
 def test_coboundary_arity_one_example():
@@ -215,3 +224,96 @@ def test_obstruction_checks_precondition():
     assert raised.value.order == 2
     assert raised.value.residual == verify_product(bad.truncate(2), 2).residuals[2]
     assert not raised.value.residual.is_zero()
+
+
+SWAP_12 = {1: [(2, 1)], 2: [(1, 1)]}
+
+
+def opposite(k, s_k):
+    """(-1)^k S_k(p2, p1, x): equal to S_k exactly when order k has the opposite symmetry."""
+    swapped = s_k.map_blocks(SWAP_12, 2)
+    return swapped if k % 2 == 0 else -swapped
+
+
+def count_composes(monkeypatch):
+    calls = []
+    compose = deformation.compose
+
+    def counting(*args, **kwargs):
+        calls.append(args[2])
+        return compose(*args, **kwargs)
+
+    monkeypatch.setattr(deformation, "compose", counting)
+    return calls
+
+
+@st.composite
+def arity_two_series(draw):
+    """A random graded arity-2 series with orders below n, and the target order n <= 5.
+
+    Order 1 is always drawn, so trees of total weight n exist.
+    """
+    n = draw(st.integers(2, 5))
+    dim = draw(st.integers(1, 2))
+    orders = draw(st.sets(st.integers(2, n - 1))) if n > 2 else set()
+    rng = draw(st.randoms(use_true_random=False))
+    series = random_graded_series(rng, 2, dim, [1, *sorted(orders)])
+    return series, n
+
+
+def reference_obstruction(series, n):
+    truncated = series.truncate(n - 1)
+    return circ(truncated, truncated, n, _min_weight=n).order(n)
+
+
+@settings(max_examples=100, deadline=None)
+@given(arity_two_series())
+def test_mirrored_obstruction_equals_both_insertions(case):
+    # (S_k + (-1)^k S_k(p2, p1))/2 has the opposite symmetry, so H_n comes
+    # from one insertion and its 1<->3 mirror
+    series, n = case
+    symmetric = FormalSeries(
+        series.dim,
+        2,
+        {k: (s + opposite(k, s)).scale(Fraction(1, 2)) for k, s in series.orders.items()},
+    )
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        calls = count_composes(monkeypatch)
+        h_n = obstruction(symmetric, n, verified=True)
+    assert calls == [n]
+    assert h_n == reference_obstruction(symmetric, n)
+
+
+@settings(max_examples=100, deadline=None)
+@given(arity_two_series())
+def test_obstruction_without_the_symmetry_falls_back_to_both_insertions(case):
+    series, n = case
+    symmetric = all(opposite(k, s) == s for k, s in series.orders.items())
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        calls = count_composes(monkeypatch)
+        h_n = obstruction(series, n, verified=True)
+    assert calls == ([n] if symmetric else [n, n])
+    assert h_n == reference_obstruction(series, n)
+
+
+@pytest.mark.parametrize(
+    "structure, order", [(so3, 5), (quadratic, 6)], ids=["so3", "quadratic"]
+)
+def test_solves_take_the_mirrored_obstruction(monkeypatch, structure, order):
+    # one compose per obstruction order 2..order, then the two insertions of
+    # the final verify_product; a failed symmetry check would show as two per order
+    calls = count_composes(monkeypatch)
+    solve_deformation(structure(), order)
+    assert calls == list(range(2, order + 1)) + [order, order]
+
+
+@pytest.mark.parametrize(
+    "structure",
+    [so3, heisenberg_structure, ax_b_structure, quadratic],
+    ids=["so3", "heisenberg", "ax-b", "quadratic"],
+)
+def test_solutions_have_the_opposite_symmetry(structure):
+    series = solve_deformation(structure(), 6)
+    assert series.orders
+    for k, s_k in series.orders.items():
+        assert opposite(k, s_k) == s_k, k
