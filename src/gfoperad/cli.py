@@ -9,7 +9,6 @@ produce byte-identical output.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import random
 import sys
@@ -41,6 +40,7 @@ from gfoperad.solver import (
 from gfoperad.symbols import (
     FormalSeries,
     json_dumps,
+    json_loads,
     random_graded_series,
     series_dumps,
     series_loads,
@@ -99,11 +99,11 @@ def cmd_compose(args) -> int:
 
 
 def _numbers(row, length: int, what: str) -> list[float]:
-    """``row`` as floats if it is a list of ``length`` finite JSON numbers (no bool)."""
+    """``row`` as floats if it is a list of ``length`` JSON numbers (no bool), finite as floats."""
     if (
         type(row) is not list
         or len(row) != length
-        or any(type(v) not in (int, float) or not abs(v) < math.inf for v in row)
+        or any(type(v) not in (int, float) or not abs(v) <= sys.float_info.max for v in row)
     ):
         raise ValueError(f"{what} must be a list of {length} finite numbers")
     return [float(v) for v in row]
@@ -111,7 +111,7 @@ def _numbers(row, length: int, what: str) -> list[float]:
 
 def _load_point(path: str, blocks: int, dim: int):
     """``{"p": [K lists of d numbers], "x": [d numbers]}`` as float lists."""
-    obj = json.loads(_read(path))
+    obj = json_loads(_read(path))
     if type(obj) is not dict:
         raise ValueError("point must be a JSON object")
     p_blocks = obj.get("p")
@@ -449,7 +449,7 @@ def main(argv=None) -> int:
     except (SgsError, ProductPreconditionError, InfeasibleOrderError, AssertionError) as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return EXIT_VERIFICATION
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

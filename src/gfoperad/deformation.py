@@ -27,17 +27,15 @@ S(S,I) - S(I,S) = circ(S~, S~) order by order; ``verify_product`` reports
 those residuals from both insertions.  The inhomogeneity H_n is the order-n
 residual of the truncation S_{<n}, so the product equation at order n reads
 dS_n + H_n = 0; since bracket(S, S) = 2 circ(S, S), H_n is the order-n part
-of (1/2)[S~, S~].  ``obstruction`` computes it from one insertion and its
-mirror: when every order of S_{<n} has the opposite symmetry
-S_k(p2, p1, x) = (-1)^k S_k(p1, p2, x) (the semiclassical form of
-f *_{-eps} g = g *_eps f, which every solver output has), the second
-insertion is the first with p-blocks 1 and 3 swapped,
+of (1/2)[S~, S~].  For the opposite product S^op_eps(p1, p2, x) =
+S_{-eps}(p2, p1, x), of order k (-1)^k S_k(p2, p1, x), every arity-2 S has
 
-    S(I,S)_n(p1, p2, p3, x) = (-1)^n S(S,I)_n(p3, p2, p1, x),
+    S(I,S)_n(p1, p2, p3, x) = (-1)^n S^op(S^op,I)_n(p3, p2, p1, x),
 
-and otherwise it falls back to ``circ``.  The independent oracles are the
-tree-free Picard composition (``tests/compose_reference.py``) and
-``numeric_phi``.
+so ``obstruction`` needs first insertions only; with the opposite symmetry
+S^op = S (f *_{-eps} g = g *_eps f, which every solver output has) it needs
+one.  The independent oracles are the tree-free Picard composition
+(``tests/compose_reference.py``) and ``numeric_phi``.
 """
 
 from __future__ import annotations
@@ -130,11 +128,10 @@ def coboundary(series: FormalSeries) -> FormalSeries:
     )
 
 
-def circ(F: FormalSeries, G: FormalSeries, order: int, *, _min_weight: int = 1) -> FormalSeries:
+def circ(F: FormalSeries, G: FormalSeries, order: int) -> FormalSeries:
     """Sum of slot insertions F(0_1,..,G,..,0_1) with signs (-1)^((i-1)(l-1)).
 
-    Each insertion is one ``compose`` with identity fillers, which gets the
-    private ``_min_weight`` (see there).
+    Each insertion is one ``compose`` with identity fillers.
     """
     k, l = F.blocks, G.blocks
     if k + l < 1:
@@ -143,7 +140,7 @@ def circ(F: FormalSeries, G: FormalSeries, order: int, *, _min_weight: int = 1) 
     total = FormalSeries.zero(F.dim, k + l - 1)
     for i in range(1, k + 1):
         fillers = [inner if position == i else one for position in range(1, k + 1)]
-        piece = compose(outer, fillers, order, _min_weight=_min_weight)
+        piece = compose(outer, fillers, order)
         if ((i - 1) * (l - 1)) % 2:
             total = total - piece.deformation
         else:
@@ -179,20 +176,18 @@ class ProductPreconditionError(ValueError):
         super().__init__(f"product equation already fails at order {order}: {residual}")
 
 
-def _is_opposite_symmetric(k: int, s_k: PolySymbol) -> bool:
-    """S_k(p2, p1, x) = (-1)^k S_k(p1, p2, x): order k of S_{-eps}(p2, p1) = S_eps(p1, p2)."""
-    swapped = s_k.map_blocks({1: [(2, 1)], 2: [(1, 1)]}, 2)
-    return swapped == (s_k if k % 2 == 0 else -s_k)
+def _first_insertion(S: FormalSeries, n: int) -> PolySymbol:
+    """Order n of S(S, I) for an arity-2 S, from the trees of total weight n."""
+    product = GenFunction(2, S.dim, S)
+    return compose(product, (product, identity(S.dim)), n, _min_weight=n).deformation.order(n)
 
 
 def obstruction(partial: FormalSeries, n: int, verified: bool = False) -> PolySymbol:
     """H_n: the order-n product residual of S_{<n}, the orders of ``partial`` below n.
 
-    H_n is the order-n part of circ(S_{<n}, S_{<n}) = (1/2)[S~, S~], from the
-    trees of total weight n, the only ones that reach order n.  When every
-    order of S_{<n} has the opposite symmetry, it is A_n - (-1)^n A_n(1<->3)
-    with A = S(S, I), one ``compose`` mirrored by one ``map_blocks`` (module
-    docstring); otherwise it is the ``circ`` of both insertions.  Unless
+    H_n, the order-n part of circ(S_{<n}, S_{<n}) = (1/2)[S~, S~], is
+    A_n - (-1)^n B_n(1<->3) for A = S(S, I) and B = S^op(S^op, I) (module
+    docstring), where B_n = A_n if S_{<n} is its own opposite.  Unless
     ``verified``, the first nonzero residual of ``verify_product`` below n
     raises :class:`ProductPreconditionError` first; dS_n + H_n = 0 is then the
     order-n equation.
@@ -206,10 +201,10 @@ def obstruction(partial: FormalSeries, n: int, verified: bool = False) -> PolySy
         failure = verify_product(truncated, n - 1).first_failure()
         if failure is not None:
             raise ProductPreconditionError(*failure)
-    if all(_is_opposite_symmetric(k, s) for k, s in truncated.orders.items()):
-        product = GenFunction(2, partial.dim, truncated)
-        first = compose(product, (product, identity(partial.dim)), n, _min_weight=n)
-        a_n = first.deformation.order(n)
-        mirror = a_n.map_blocks({1: [(3, 1)], 3: [(1, 1)]}, 3)
-        return a_n - mirror if n % 2 == 0 else a_n + mirror
-    return circ(truncated, truncated, n, _min_weight=n).order(n)
+    swap_12 = {1: [(2, 1)], 2: [(1, 1)]}
+    orders = {k: s.map_blocks(swap_12, 2).scale((-1) ** k) for k, s in truncated.orders.items()}
+    opposite = FormalSeries(partial.dim, 2, orders)
+    a_n = _first_insertion(truncated, n)
+    b_n = a_n if opposite == truncated else _first_insertion(opposite, n)
+    mirror = b_n.map_blocks({1: [(3, 1)], 3: [(1, 1)]}, 3)
+    return a_n - mirror if n % 2 == 0 else a_n + mirror

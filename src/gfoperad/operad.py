@@ -154,8 +154,8 @@ def compose(
     for arity 1, zero for arity 0).
 
     The private ``_min_weight`` skips the trees of smaller total weight, so
-    the orders below it come out zero; the solver and ``invert_morphism`` use
-    it to expand only the trees of the one order they read.
+    the orders below it come out zero; ``obstruction`` and ``invert_morphism``
+    use it to expand only the trees of the one order they read.
     """
     if order < 1:
         raise ValueError("truncation order must be >= 1")

@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
-from gfoperad.symbols import PolySymbol, json_check, json_dumps, poly_from_obj, x_key
+from gfoperad.symbols import PolySymbol, json_check, json_dumps, json_loads, poly_from_obj, x_key
 
 
 @dataclass
@@ -120,4 +119,4 @@ def poisson_dumps(alpha: PoissonStructure) -> str:
 
 
 def poisson_loads(text: str) -> PoissonStructure:
-    return poisson_from_obj(json.loads(text))
+    return poisson_from_obj(json_loads(text))

@@ -26,14 +26,11 @@ becomes a symbol only through the public ``PolySymbol`` constructor.
 Every ``compose`` of a solve selects its trees from the one cached
 enumeration (:func:`gfoperad.operad.select_trees`), so each tree weight is
 enumerated at most once per process.  H_n comes from the trees of total
-weight exactly n, the only ones that reach order n, through one slot
-insertion S(S, I) and its mirror: every order the solver produces has the
-opposite symmetry S_n(p2, p1, x) = (-1)^n S_n(p1, p2, x), so S(I, S) is
-S(S, I) with p-blocks 1 and 3 swapped (:func:`gfoperad.deformation.obstruction`,
-which falls back to the ``circ`` of both insertions on any other input).  The
-final ``verify_product``, the ``circ`` of both insertions, and ``check_sgs``
-check every order of the result as the postcondition, so the postcondition
-does not rest on the symmetry.
+weight exactly n, the only ones that reach order n, through one slot insertion
+S(S, I) and its mirror, since every order the solver produces has the opposite
+symmetry (:func:`gfoperad.deformation.obstruction`).  The final
+``verify_product``, the ``circ`` of both insertions, and ``check_sgs`` check
+every order of the result, so the postcondition does not rest on the mirror.
 
 ``bch_generating_function`` provides an independent construction for linear
 (Lie-Poisson) structures: S0 + S~ = x . bch(p1, p2), with the series computed

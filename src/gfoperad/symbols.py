@@ -939,5 +939,13 @@ def series_dumps(series: FormalSeries) -> str:
     return json_dumps(series)
 
 
+def json_loads(text: str):
+    """``json.loads`` for every outside document; too deep a nesting is a ``ValueError``."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON nested too deeply to parse") from None
+
+
 def series_loads(text: str) -> FormalSeries:
-    return series_from_obj(json.loads(text))
+    return series_from_obj(json_loads(text))

@@ -155,6 +155,9 @@ def test_usage_error_exit_code(tmp_path, capsys):
 
 SERIES_TERM = {"coeff": "1", "p": [[1, 1, 1], [2, 1, 1]], "x": []}
 
+# nested too deeply for json.loads, and for json.dumps to write
+DEEP_JSON = "[" * 100_000 + "]" * 100_000
+
 
 def series_with_term(term):
     return {"arity": 2, "dim": 1, "graded": True, "orders": [{"order": 1, "terms": [term]}]}
@@ -190,6 +193,11 @@ def series_with_term(term):
         # json reads NaN and Infinity, but no point has them
         ("numeric-check", {"p": [[float("nan")]], "x": [0.25]}),
         ("numeric-check", {"p": [[0.5]], "x": [float("inf")]}),
+        # an exact JSON integer beyond the largest float
+        ("numeric-check", {"p": [[10**400]], "x": [0.25]}),
+        ("cobound", DEEP_JSON),
+        ("solve", DEEP_JSON),
+        ("numeric-check", DEEP_JSON),
     ],
     ids=[
         "series-float-coeff",
@@ -209,15 +217,22 @@ def series_with_term(term):
         "point-wrong-block-length",
         "point-nan-p",
         "point-infinity-x",
+        "point-huge-int-p",
+        "series-deeply-nested",
+        "poisson-deeply-nested",
+        "point-deeply-nested",
     ],
 )
 def test_malformed_input_is_a_usage_error(tmp_path, capsys, command, obj):
-    path = write(tmp_path, "bad.json", json.dumps(obj))
+    # a str is the raw text of the file
+    path = write(tmp_path, "bad.json", obj if isinstance(obj, str) else json.dumps(obj))
     if command == "numeric-check":
         unit = write(tmp_path, "unit.json", series_dumps(FormalSeries.zero(1, 1)))
         argv = ["--outer", unit, "--inner", unit, "--point", path, "--eps", "0.01", "--order", "2"]
     elif command == "bracket":
         argv = ["--a", path, "--b", path, "--order", "9"]
+    elif command == "solve":
+        argv = ["--poisson", path, "--order", "2"]
     else:
         argv = ["--in" if command == "cobound" else "--poisson", path]
     assert main([command, *argv]) == 2

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from coboundary_reference import face_map_coboundary
@@ -235,12 +235,20 @@ def opposite(k, s_k):
     return swapped if k % 2 == 0 else -swapped
 
 
-def count_composes(monkeypatch):
+def opposite_series(series):
+    """The opposite product S^op of an arity-2 series, order by order."""
+    return FormalSeries(series.dim, 2, {k: opposite(k, s) for k, s in series.orders.items()})
+
+
+def count_composes(monkeypatch, outers=None):
+    """The order of each ``deformation.compose`` call; its outer series goes to ``outers``."""
     calls = []
     compose = deformation.compose
 
     def counting(*args, **kwargs):
         calls.append(args[2])
+        if outers is not None:
+            outers.append(args[0].deformation)
         return compose(*args, **kwargs)
 
     monkeypatch.setattr(deformation, "compose", counting)
@@ -248,22 +256,30 @@ def count_composes(monkeypatch):
 
 
 @st.composite
-def arity_two_series(draw):
+def arity_two_series(draw, higher_orders=0):
     """A random graded arity-2 series with orders below n, and the target order n <= 5.
 
-    Order 1 is always drawn, so trees of total weight n exist.
+    Order 1 is always drawn, so trees of total weight n exist, and at least
+    ``higher_orders`` orders between 2 and n - 1.
     """
-    n = draw(st.integers(2, 5))
+    n = draw(st.integers(2 + higher_orders, 5))
     dim = draw(st.integers(1, 2))
-    orders = draw(st.sets(st.integers(2, n - 1))) if n > 2 else set()
+    orders = draw(st.sets(st.integers(2, n - 1), min_size=higher_orders)) if n > 2 else set()
     rng = draw(st.randoms(use_true_random=False))
     series = random_graded_series(rng, 2, dim, [1, *sorted(orders)])
     return series, n
 
 
 def reference_obstruction(series, n):
+    # both insertions over every tree of total weight <= n; a tree of total
+    # weight w reaches only order w, so order n is the same as from weight n alone
     truncated = series.truncate(n - 1)
-    return circ(truncated, truncated, n, _min_weight=n).order(n)
+    return circ(truncated, truncated, n).order(n)
+
+
+def symmetrized(k, s_k):
+    """(S_k + (-1)^k S_k(p2, p1))/2, which has the opposite symmetry."""
+    return (s_k + opposite(k, s_k)).scale(Fraction(1, 2))
 
 
 @settings(max_examples=100, deadline=None)
@@ -273,9 +289,7 @@ def test_mirrored_obstruction_equals_both_insertions(case):
     # from one insertion and its 1<->3 mirror
     series, n = case
     symmetric = FormalSeries(
-        series.dim,
-        2,
-        {k: (s + opposite(k, s)).scale(Fraction(1, 2)) for k, s in series.orders.items()},
+        series.dim, 2, {k: symmetrized(k, s) for k, s in series.orders.items()}
     )
     with pytest.MonkeyPatch.context() as monkeypatch:
         calls = count_composes(monkeypatch)
@@ -284,16 +298,43 @@ def test_mirrored_obstruction_equals_both_insertions(case):
     assert h_n == reference_obstruction(symmetric, n)
 
 
+def assert_opposite_insertion(series, n):
+    """H_n of ``series`` is the circ reference, from S(S, I) and S^op(S^op, I) unless S^op = S."""
+    truncated = series.truncate(n - 1)
+    opposite_truncated = opposite_series(truncated)
+    outers = []
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        calls = count_composes(monkeypatch, outers)
+        h_n = obstruction(series, n, verified=True)
+    if opposite_truncated == truncated:
+        assert calls == [n] and outers == [truncated]
+    else:
+        assert calls == [n, n] and outers == [truncated, opposite_truncated]
+    assert h_n == reference_obstruction(series, n)
+
+
 @settings(max_examples=100, deadline=None)
 @given(arity_two_series())
-def test_obstruction_without_the_symmetry_falls_back_to_both_insertions(case):
+def test_obstruction_without_the_symmetry_takes_the_opposite_insertion(case):
+    assert_opposite_insertion(*case)
+
+
+@settings(max_examples=100, deadline=None)
+@given(arity_two_series(higher_orders=1), st.data())
+def test_obstruction_of_a_partly_symmetric_series(case, data):
+    # order 1 has the opposite symmetry, at least one higher order has not
     series, n = case
-    symmetric = all(opposite(k, s) == s for k, s in series.orders.items())
-    with pytest.MonkeyPatch.context() as monkeypatch:
-        calls = count_composes(monkeypatch)
-        h_n = obstruction(series, n, verified=True)
-    assert calls == ([n] if symmetric else [n, n])
-    assert h_n == reference_obstruction(series, n)
+    higher = sorted(k for k in series.orders if k > 1)
+    assume(higher)
+    asymmetric = data.draw(st.sets(st.sampled_from(higher), min_size=1))
+    assume(any(opposite(k, series.order(k)) != series.order(k) for k in asymmetric))
+    mixed = FormalSeries(
+        series.dim,
+        2,
+        {k: s if k in asymmetric else symmetrized(k, s) for k, s in series.orders.items()},
+    )
+    assert opposite(1, mixed.order(1)) == mixed.order(1)
+    assert_opposite_insertion(mixed, n)
 
 
 @pytest.mark.parametrize(
