@@ -44,7 +44,7 @@ import math
 from dataclasses import dataclass
 
 from gfoperad.operad import GenFunction, compose, identity
-from gfoperad.symbols import FormalSeries, PolySymbol, p_key
+from gfoperad.symbols import FormalSeries, PolySymbol, check_grading, p_key
 
 
 @dataclass
@@ -116,9 +116,13 @@ def coboundary_symbol(sym: PolySymbol, arity: int) -> PolySymbol:
 
 
 def coboundary(series: FormalSeries) -> FormalSeries:
-    """Order-by-order coboundary; graded input, graded output (p-degrees kept)."""
+    """Order-by-order coboundary; graded input (flag and terms), graded output."""
     if not series.graded:
         raise ValueError("coboundary expects a graded series")
+    report = check_grading(series)
+    if not report.ok:
+        order, mono, degree = report.violations[0]
+        raise ValueError(f"series flagged graded has p-degree {degree} at order {order}: {mono}")
     arity = series.blocks
     return FormalSeries(
         series.dim,

@@ -20,12 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from gfoperad.operad import (
-    DEFAULT_ORDER_CAP,
-    GenFunction,
-    NonConvergenceError,
-    compose,
-)
+from gfoperad.operad import GenFunction, NonConvergenceError, check_order, compose
 from gfoperad.poisson import PoissonStructure
 from gfoperad.symbols import (
     FormalSeries,
@@ -118,10 +113,7 @@ class StructureMaps:
 
 def structure_maps(deformation: FormalSeries, order: int) -> StructureMaps:
     """Source x + grad_{p2} S~(p,0,x) and target x + grad_{p1} S~(0,p,x)."""
-    if order < 1:
-        raise ValueError("order must be >= 1")
-    if order > DEFAULT_ORDER_CAP:
-        raise ValueError(f"order {order} exceeds cap {DEFAULT_ORDER_CAP}")
+    check_order(order)
     report = check_sgs(deformation, order)
     if not report.passed:
         name, n, residual = report.first_failure()
@@ -151,10 +143,7 @@ def invert_morphism(morphism: FormalSeries, order: int) -> FormalSeries:
     """
     if morphism.blocks != 1:
         raise ValueError("only arity-1 morphisms can be inverted")
-    if order < 1:
-        raise ValueError("order must be >= 1")
-    if order > DEFAULT_ORDER_CAP:
-        raise ValueError(f"order {order} exceeds cap {DEFAULT_ORDER_CAP}")
+    check_order(order)
     dim = morphism.dim
     inverse = FormalSeries.zero(dim, 1)
     for n in range(1, order + 1):

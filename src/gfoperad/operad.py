@@ -45,6 +45,9 @@ DEFAULT_ORDER_CAP = 8
 #: numeric_phi refuses larger deformation parameters by default.
 DEFAULT_EPS_LIMIT = 0.1
 
+#: numeric_phi gives up after this many fixed-point steps.
+_PHI_MAX_ITER = 200
+
 
 class NonConvergenceError(RuntimeError):
     """The fixed-point iteration failed to reach the requested tolerance."""
@@ -92,6 +95,14 @@ class GenFunction:
             for pi, xi in zip(block, x_values):
                 trivial = trivial + pi * xi
         return trivial + series_eval(self.deformation, p_blocks, x_values, eps)
+
+
+def check_order(order: int) -> None:
+    """The one order-range policy: ``ValueError`` outside 1..DEFAULT_ORDER_CAP."""
+    if order < 1:
+        raise ValueError(f"truncation order must be >= 1, got {order}")
+    if order > DEFAULT_ORDER_CAP:
+        raise ValueError(f"truncation order {order} exceeds cap {DEFAULT_ORDER_CAP}")
 
 
 def identity(dim: int) -> GenFunction:
@@ -157,10 +168,7 @@ def compose(
     the orders below it come out zero; ``obstruction`` and ``invert_morphism``
     use it to expand only the trees of the one order they read.
     """
-    if order < 1:
-        raise ValueError("truncation order must be >= 1")
-    if order > DEFAULT_ORDER_CAP:
-        raise ValueError(f"truncation order {order} exceeds cap {DEFAULT_ORDER_CAP}")
+    check_order(order)
     d = outer.dim
     n = outer.arity
     if len(inners) != n:
@@ -221,7 +229,6 @@ def numeric_phi(
     x_point,
     eps: float,
     tol: float = 1e-12,
-    max_iter: int = 200,
 ) -> float:
     """Solve the implicit composition equations numerically and return Phi.
 
@@ -260,7 +267,7 @@ def numeric_phi(
     p_f = [list(p_sigma[b]) for b in range(n)]
     x_g = [list(x0) for _ in range(n)]
 
-    for _ in range(max_iter):
+    for _ in range(_PHI_MAX_ITER):
         new_p = [
             [
                 p_sigma[b][i]
@@ -287,7 +294,7 @@ def numeric_phi(
             break
     else:
         raise NonConvergenceError(
-            f"no fixed point within {max_iter} iterations (last step {delta:.3e})"
+            f"no fixed point within {_PHI_MAX_ITER} iterations (last step {delta:.3e})"
         )
 
     phi = 0.0

@@ -48,7 +48,7 @@ from functools import lru_cache
 
 from gfoperad.deformation import coboundary_monomial, obstruction, verify_product
 from gfoperad.groupoid import check_sgs
-from gfoperad.operad import DEFAULT_ORDER_CAP
+from gfoperad.operad import check_order
 from gfoperad.poisson import PoissonStructure, validate_poisson
 from gfoperad.symbols import FormalSeries, PolySymbol, p_key, x_key
 
@@ -273,8 +273,7 @@ def _solve_order(h_n: PolySymbol, n: int, d: int) -> PolySymbol:
 
 def solve_deformation(alpha: PoissonStructure, order: int) -> FormalSeries:
     """Associative deformation with first order (1/2) p1.alpha.p2, up to ``order``."""
-    if order > DEFAULT_ORDER_CAP:
-        raise ValueError(f"order {order} exceeds cap {DEFAULT_ORDER_CAP}")
+    check_order(order)
     report = validate_poisson(alpha)
     if not report.ok:
         raise ValueError(f"not a Poisson structure; first failing triple {report.failing_triple}")

@@ -19,10 +19,10 @@ wrapped by :meth:`PolySymbol._trusted`, which takes an already-clean dict
 without copying or checking, and every sum is built by :func:`_accumulate`, the
 one accumulation path: it adds terms into a dict in place and drops zeros.
 Both are private to this module; ``tests/test_unused_imports.py`` fails on a
-library module that reaches them.  Every change of variables (``substitute``,
-``remap_variables``, ``map_blocks``) goes through one variable map,
-:meth:`PolySymbol._map`; the library itself changes variables only by
-``map_blocks``.
+library module that reaches them.  The one change of variables is
+``map_blocks``, which replaces p-blocks by linear combinations of p-blocks;
+``substitute`` and its renaming ``remap_variables`` are folds over the ring
+operations that no library code calls.
 
 :class:`FormalSeries` collects an order-indexed family of symbols.  A graded
 series of arity n keeps its order-i term homogeneous of p-degree i+1, which is
@@ -131,9 +131,9 @@ def _expand_power(row, exp):
 
     The multinomial theorem, one row term at a time: each coefficient is a
     multinomial times powers of the row's nonzero coefficients, and products
-    merge through :func:`_mul_monomials`.  A row of distinct single variables
-    gives each monomial once; a general row may repeat one, which the caller's
-    :func:`_accumulate` adds up.  An empty row gives no terms.
+    merge through :func:`_mul_monomials`.  ``map_blocks`` passes rows of
+    distinct single variables, so each monomial comes out once.  An empty row
+    gives no terms.
     """
     if not row:
         return []
@@ -151,7 +151,7 @@ def _expand_power(row, exp):
     return out
 
 
-#: memo value of a variable that a variable map leaves in place
+#: memo value of a variable that ``map_blocks`` leaves in place
 _KEPT = object()
 
 #: the exponent of a (variable, exponent) pair
@@ -361,88 +361,42 @@ class PolySymbol:
 
     # -- substitution and reshaping ----------------------------------------
 
-    def _map(self, rows, dim: int, blocks: int) -> "PolySymbol":
-        """The one variable map: replace each variable v by the sum of ``rows(v)``.
-
-        ``rows(v)`` is a list of (monomial, coefficient) pairs in shape
-        (dim, blocks), or None to keep v, which must then lie in that shape
-        (checked once per call).  A one-term image folds into the monomial
-        and the coefficient; a longer one expands by :func:`_expand_power`.
-        Each (variable, exponent) is resolved once per call.
-        """
-        memo = {}
-        terms = {}
-        for mono, coeff in self.terms.items():
-            kept = []
-            folded = None
-            scale = 1
-            products = None
-            for pair in mono:
-                pieces = memo.get(pair)
-                if pieces is None:
-                    var, exp = pair
-                    row = rows(var)
-                    if row is None:
-                        _validate_var(var, dim, blocks)
-                        pieces = _KEPT
-                    else:
-                        pieces = _expand_power(row, exp)
-                    memo[pair] = pieces
-                if pieces is _KEPT:
-                    kept.append(pair)
-                elif len(pieces) == 1:
-                    m, c = pieces[0]
-                    if c != 1:
-                        scale = scale * c
-                    folded = m if folded is None else _mul_monomials(folded, m)
-                elif products is None:
-                    products = pieces  # a zero image leaves no pieces, so no terms
-                else:
-                    products = [
-                        (_mul_monomials(m, piece), k * c)
-                        for m, k in products
-                        for piece, c in pieces
-                    ]
-            mono = tuple(kept)
-            if folded is not None:
-                mono = _mul_monomials(mono, folded)
-            if scale != 1:
-                coeff = coeff * scale
-            if products is None:
-                _accumulate(terms, ((mono, coeff),))
-            else:
-                _accumulate(terms, products, coeff, mono)
-        return PolySymbol._trusted(dim, blocks, terms)
-
     def substitute(self, mapping, dim: int, blocks: int) -> "PolySymbol":
         """Simultaneously replace variables by polynomials or constants.
 
-        The result has shape (dim, blocks); every image symbol must have that
-        shape and every unmapped variable must lie in it.  No library code
-        calls it; ``perfbench/tracer.py`` patches it by name (ROADMAP item 3).
+        The fold sum(c * prod(image ** e)) over the ring operations, into shape
+        (dim, blocks): an image symbol of another shape, or an unmapped
+        variable outside it, raises :class:`ShapeError`.  No library code calls
+        it; ``perfbench/tracer.py`` patches it by name (ROADMAP item 4).
         """
-        rows = {}
+        one = PolySymbol.constant(1, dim, blocks)
+        images = {}
         for var, image in mapping.items():
-            if isinstance(image, PolySymbol):
-                if image.dim != dim or image.blocks != blocks:
-                    raise ShapeError(
-                        f"shape mismatch: ({dim},{blocks}) vs ({image.dim},{image.blocks})"
-                    )
-                rows[var] = list(image.terms.items())
-            else:
-                image = _exact(image, "constant image")
-                rows[var] = [((), image)] if image else []
-        return self._map(rows.get, dim, blocks)
+            if not isinstance(image, PolySymbol):
+                image = one.scale(_exact(image, "constant image"))
+            one._require_shape(image)
+            images[var] = image
+
+        def product(mono):
+            value = one
+            for var, exp in mono:
+                if var not in images:
+                    images[var] = PolySymbol.variable(var, dim, blocks)
+                for _ in range(exp):
+                    value = value * images[var]
+            return value
+
+        pairs = ((coeff, product(mono)) for mono, coeff in self.terms.items())
+        return PolySymbol.linear_combination(dim, blocks, pairs)
 
     def remap_variables(self, mapping, dim: int, blocks: int) -> "PolySymbol":
         """Rename variables via ``mapping`` (var -> var); unmapped vars kept.
 
-        No library code calls it; ``perfbench/tracer.py`` patches it by name.
+        A :meth:`substitute` of variables.  No library code calls it;
+        ``perfbench/tracer.py`` patches it by name.
         """
-        for new in mapping.values():
-            _validate_var(new, dim, blocks)
-        rows = {var: [(((new, 1),), 1)] for var, new in mapping.items()}
-        return self._map(rows.get, dim, blocks)
+        images = {var: PolySymbol.variable(new, dim, blocks) for var, new in mapping.items()}
+        return self.substitute(images, dim, blocks)
 
     def map_blocks(self, rows, blocks: int) -> "PolySymbol":
         """Replace p[b][i] by sum(c * p[t][i] for t, c in rows[b]), for every i.
@@ -457,9 +411,12 @@ class PolySymbol:
         a block that is not an int, or a coefficient that is neither an int nor
         a Fraction, raises ``ValueError``.
 
-        Each mapped power p[b][i]^e expands in closed form by the multinomial
-        theorem (:func:`_expand_power`); its coefficients are integers unless a
-        row coefficient is a non-integer rational.
+        This is the kernel's one change of variables.  Each (variable,
+        exponent) is resolved once per call: a mapped power p[b][i]^e expands
+        in closed form by the multinomial theorem (:func:`_expand_power`), with
+        integer coefficients unless a row coefficient is a non-integer
+        rational, and a one-term expansion folds into the monomial and the
+        coefficient.
         """
         targets = {}
         for b, row in rows.items():
@@ -477,13 +434,50 @@ class PolySymbol:
                 merged[t] = merged.get(t, 0) + c
             targets[b] = [(t, c) for t, c in sorted(merged.items()) if c]
 
-        def component_row(var):
-            row = targets.get(var[1]) if var[0] == "p" else None
-            if row is None:
-                return None
-            return [(((p_key(t, var[2]), 1),), c) for t, c in row]
-
-        return self._map(component_row, self.dim, blocks)
+        memo = {}
+        terms = {}
+        for mono, coeff in self.terms.items():
+            kept = []
+            folded = None
+            scale = 1
+            products = None
+            for pair in mono:
+                pieces = memo.get(pair)
+                if pieces is None:
+                    var, exp = pair
+                    row = targets.get(var[1]) if var[0] == "p" else None
+                    if row is None:
+                        _validate_var(var, self.dim, blocks)
+                        pieces = _KEPT
+                    else:
+                        comp = var[2]
+                        pieces = _expand_power([(((p_key(t, comp), 1),), c) for t, c in row], exp)
+                    memo[pair] = pieces
+                if pieces is _KEPT:
+                    kept.append(pair)
+                elif len(pieces) == 1:
+                    m, c = pieces[0]
+                    if c != 1:
+                        scale = scale * c
+                    folded = m if folded is None else _mul_monomials(folded, m)
+                elif products is None:
+                    products = pieces  # a zero row leaves no pieces, so no terms
+                else:
+                    products = [
+                        (_mul_monomials(m, piece), k * c)
+                        for m, k in products
+                        for piece, c in pieces
+                    ]
+            mono = tuple(kept)
+            if folded is not None:
+                mono = _mul_monomials(mono, folded)
+            if scale != 1:
+                coeff = coeff * scale
+            if products is None:
+                _accumulate(terms, ((mono, coeff),))
+            else:
+                _accumulate(terms, products, coeff, mono)
+        return PolySymbol._trusted(self.dim, blocks, terms)
 
     # -- evaluation ----------------------------------------------------------
 

@@ -178,6 +178,16 @@ def series_with_term(term):
         ("cobound", {**series_with_term(SERIES_TERM), "graded": "false"}),
         # a shape no series can have
         ("cobound", {"arity": -1, "dim": 0, "orders": []}),
+        # flagged graded, but order 1 has p-degree 3, not 2
+        (
+            "cobound",
+            {
+                "arity": 1,
+                "dim": 1,
+                "graded": True,
+                "orders": [{"order": 1, "terms": [{"coeff": "1", "p": [[1, 1, 3]], "x": []}]}],
+            },
+        ),
         # two arity-0 operands would bracket to arity -1
         ("bracket", {"arity": 0, "dim": 2, "graded": True, "orders": []}),
         (
@@ -208,6 +218,7 @@ def series_with_term(term):
         "series-list-top-level",
         "series-string-graded",
         "series-negative-shape",
+        "series-flagged-graded-but-not",
         "bracket-two-arity-0",
         "poisson-float-coeff",
         "poisson-scalar-x",

@@ -87,6 +87,12 @@ def test_order_columns_match_the_face_maps(n, d):
         assert all(type(c) is int and c for c in col.values())
 
 
+def test_coboundary_refuses_a_series_flagged_graded_that_is_not():
+    cube = poly(1, 1, {((p_key(1, 1), 3),): 1})
+    with pytest.raises(ValueError, match="p-degree 3 at order 1"):
+        coboundary(FormalSeries(1, 1, {1: cube}, graded=True))
+
+
 def test_coboundary_of_zero():
     assert coboundary(FormalSeries.zero(2, 2)).is_zero()
 

@@ -5,14 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gfoperad.groupoid import invert_morphism, structure_maps
 from gfoperad.operad import (
     GenFunction,
     NonConvergenceError,
+    check_order,
     compose,
     identity,
     numeric_phi,
     select_trees,
 )
+from gfoperad.solver import heisenberg_structure, solve_deformation
 from gfoperad.symbols import (
     FormalSeries,
     PolySymbol,
@@ -228,7 +231,25 @@ def test_numeric_phi_nonconvergence_signalled():
         FormalSeries(1, 1, {1: PolySymbol(1, 1, {((x_key(1), 2),): Fraction(50)})})
     )
     with pytest.raises(NonConvergenceError):
-        numeric_phi(f, [g], [[[4.0]]], [4.0], eps=0.1, max_iter=30)
+        numeric_phi(f, [g], [[[4.0]]], [4.0], eps=0.1)
+
+
+ORDER_CALLERS = {
+    "compose": lambda order: compose(identity(1), [identity(1)], order),
+    "solve_deformation": lambda order: solve_deformation(heisenberg_structure(), order),
+    "structure_maps": lambda order: structure_maps(FormalSeries.zero(2, 2), order),
+    "invert_morphism": lambda order: invert_morphism(FormalSeries.zero(1, 1), order),
+}
+
+
+@pytest.mark.parametrize("caller", ORDER_CALLERS)
+@pytest.mark.parametrize("order", [0, -3, 9])
+def test_every_caller_refuses_an_order_outside_the_range_as_check_order_does(caller, order):
+    with pytest.raises(ValueError) as expected:
+        check_order(order)
+    with pytest.raises(ValueError) as refused:
+        ORDER_CALLERS[caller](order)
+    assert str(refused.value) == str(expected.value)
 
 
 def test_compose_with_arity_zero_outer_truncates_it():

@@ -325,6 +325,16 @@ def test_remap_and_reshape():
         f.map_blocks({1: [(2, 1)]}, 1)
 
 
+def test_substitute_and_remap_refuse_a_shape_outside_the_result():
+    f = sym(1, 2, {((p_key(1, 1), 1), (p_key(2, 1), 1)): 3})
+    with pytest.raises(ShapeError):  # an image of another shape
+        f.substitute({p_key(1, 1): var(p_key(1, 1), 1, 1)}, 1, 2)
+    with pytest.raises(ShapeError):  # kept p[2][1] is outside shape (1, 1)
+        f.substitute({p_key(1, 1): var(p_key(1, 1), 1, 1)}, 1, 1)
+    with pytest.raises(ShapeError):  # the target p[3][1] is outside shape (1, 2)
+        f.remap_variables({p_key(1, 1): p_key(3, 1)}, 1, 2)
+
+
 def test_json_round_trip_and_stability():
     rng = random.Random(13)
     series = random_graded_series(rng, 2, 2, [1, 2, 3])

@@ -114,7 +114,36 @@ def test_the_check_sees_a_private_reach():
 
 
 def test_the_kernel_classes_have_private_methods():
-    assert {"_trusted", "_map"} <= KERNEL_PRIVATE
+    assert {"_trusted", "_require_shape"} <= KERNEL_PRIVATE
+
+
+#: general substitutions with no library caller, kept off every hot path
+FOLDS = ("substitute", "remap_variables")
+
+
+def fold_calls(source: str) -> list[str]:
+    """The calls ``<expr>.substitute(...)`` and ``<expr>.remap_variables(...)`` in ``source``."""
+    return [
+        f"line {node.lineno}: .{node.func.attr}"
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in FOLDS
+    ]
+
+
+def test_the_check_sees_a_fold_call():
+    source = (
+        "a = s.substitute({}, 1, 0)\n"
+        "b = s.map_blocks({}, 1)\n"
+        "c = f(s).remap_variables({}, 1, 0)\n"
+    )
+    assert fold_calls(source) == ["line 1: .substitute", "line 3: .remap_variables"]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.stem != "symbols"], ids=lambda p: p.name)
+def test_library_changes_variables_only_by_map_blocks(path):
+    assert fold_calls(path.read_text(encoding="utf-8")) == []
 
 
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
