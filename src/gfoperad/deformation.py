@@ -43,7 +43,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from gfoperad.operad import GenFunction, compose, identity
+from gfoperad.operad import GenFunction, check_order, compose, identity
 from gfoperad.symbols import FormalSeries, PolySymbol, check_grading, p_key
 
 
@@ -116,9 +116,15 @@ def coboundary_symbol(sym: PolySymbol, arity: int) -> PolySymbol:
 
 
 def coboundary(series: FormalSeries) -> FormalSeries:
-    """Order-by-order coboundary; graded input (flag and terms), graded output."""
+    """Order-by-order coboundary; graded input (flag and terms), graded output.
+
+    The highest stored order must pass :func:`~gfoperad.operad.check_order`,
+    as every other truncation order does.
+    """
     if not series.graded:
         raise ValueError("coboundary expects a graded series")
+    if not series.is_zero():
+        check_order(series.max_order())
     report = check_grading(series)
     if not report.ok:
         order, mono, degree = report.violations[0]

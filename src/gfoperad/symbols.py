@@ -6,19 +6,27 @@ variable.  The natural tuple order on variables (p before x, blocks ascending)
 combined with degree-major monomial sorting gives a fixed canonical term order,
 so serialized output is byte-stable.
 
-Term invariant: every ``PolySymbol.terms`` dict maps a monomial with strictly
-increasing variables, each in the symbol's shape and with exponent >= 1, to a
-nonzero :class:`fractions.Fraction`; no two symbols share one dict.
+Term invariant: a ``PolySymbol`` holds integer numerators over one positive
+integer denominator, as FLINT's ``fmpq_poly`` does.  Its numerator dict maps a
+monomial with strictly increasing variables, each in the symbol's shape and
+with exponent >= 1, to a nonzero int; ``gcd(denominator, *numerators) == 1``,
+so a zero is the empty dict over 1 and equal symbols have equal dicts and
+denominators.  No two symbols share one dict.  ``PolySymbol.terms`` is a
+read-only ``{monomial: Fraction}`` view built on each access, for readers
+outside the kernel; the kernel itself never builds it.
 
 This module owns that representation.  Other modules build and sum symbols only
 through the public surface: the validating constructor ``PolySymbol(dim,
 blocks, terms)`` (it copies, sorts, validates and converts), the ring
 operations, ``map_blocks``, and :meth:`PolySymbol.linear_combination`, which
 sums (factor, symbol) pairs in one pass.  Inside the kernel, every symbol is
-wrapped by :meth:`PolySymbol._trusted`, which takes an already-clean dict
-without copying or checking, and every sum is built by :func:`_accumulate`, the
-one accumulation path: it adds terms into a dict in place and drops zeros.
-Both are private to this module; ``tests/test_unused_imports.py`` fails on a
+wrapped by :meth:`PolySymbol._trusted`, which takes an already-clean numerator
+dict and its denominator without copying and divides out their common factor,
+and every sum is built by :func:`_accumulate`, the one accumulation path: it
+adds integer terms into a dict in place and drops zeros.  A sum brings each
+operand to the lcm of the denominators, rescaling the accumulator only when
+the new denominator does not divide its own (:func:`_rescale_to`).  These
+names are private to this module; ``tests/test_unused_imports.py`` fails on a
 library module that reaches them.  The one change of variables is
 ``map_blocks``, which replaces p-blocks by linear combinations of p-blocks;
 ``substitute`` and its renaming ``remap_variables`` are folds over the ring
@@ -36,8 +44,9 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
-from math import comb
+from math import comb, gcd, lcm
 from operator import itemgetter
+from types import MappingProxyType
 
 
 class ShapeError(ValueError):
@@ -66,9 +75,11 @@ def _validate_var(var, dim, blocks):
 
 
 def _exact(value, what: str):
-    """``value`` as a Fraction if it is an int (not a bool) or a Fraction, else ValueError."""
-    if type(value) is int or isinstance(value, Fraction):
-        return Fraction(value)
+    """``(numerator, denominator)`` of an int (not a bool) or a Fraction, else ValueError."""
+    if type(value) is int:
+        return value, 1
+    if isinstance(value, Fraction):
+        return value.numerator, value.denominator
     raise ValueError(f"{what} must be an int or a Fraction, got {value!r}")
 
 
@@ -99,11 +110,11 @@ def _mul_monomials(m1, m2):
 def _accumulate(acc, terms, factor=None, mono=()):
     """Add ``factor * mono * m`` into ``acc`` for each ``(m, c)`` of ``terms``.
 
-    ``acc`` is a clean terms dict owned by the caller and updated in place;
-    entries that cancel are deleted, so ``acc`` stays clean.  ``terms`` is an
-    iterable of (monomial, Fraction) pairs with nonzero coefficients,
-    ``factor`` a nonzero rational (None means 1) and ``mono`` a monomial
-    multiplied into every term.
+    ``acc`` is a clean numerator dict owned by the caller and updated in
+    place; entries that cancel are deleted, so ``acc`` stays clean.  ``terms``
+    is an iterable of (monomial, int) pairs with nonzero numerators, ``factor``
+    a nonzero int (None means 1) and ``mono`` a monomial multiplied into every
+    term.  All of them are over the accumulator's denominator.
     """
     get = acc.get
     for m, c in terms:
@@ -120,6 +131,36 @@ def _accumulate(acc, terms, factor=None, mono=()):
                 acc[m] = c
             else:
                 del acc[m]
+
+
+def _rescale_to(acc, den, other):
+    """Rescale ``acc``, numerators over ``den``, in place so that ``other`` divides its denominator.
+
+    Returns that denominator, lcm(den, other); ``acc`` is touched only when
+    ``other`` does not divide ``den``.
+    """
+    if den % other == 0:
+        return den
+    common = lcm(den, other)
+    k = common // den
+    for m in acc:
+        acc[m] *= k
+    return common
+
+
+def _store(sym, dim, blocks, num, den):
+    """Fill the slots of ``sym``, first dividing gcd(den, *num.values()) out of ``num`` in place."""
+    if den != 1:
+        g = gcd(den, *num.values())
+        if g != 1:
+            den //= g
+            for m in num:
+                num[m] //= g
+    object.__setattr__(sym, "dim", dim)
+    object.__setattr__(sym, "blocks", blocks)
+    object.__setattr__(sym, "_num", num)
+    object.__setattr__(sym, "_den", den)
+    return sym
 
 
 def _power(mono, exp):
@@ -165,6 +206,9 @@ def monomial_p_degree(monomial) -> int:
 class PolySymbol:
     """Immutable sparse polynomial over exact rationals.
 
+    A symbol holds ``{monomial: int}`` numerators over one positive int
+    denominator with no factor common to all of them (module docstring), and
+    shows them as the read-only ``{monomial: Fraction}`` view :attr:`terms`.
     ``PolySymbol(dim, blocks, terms)`` is the validating constructor for
     outside input: it accepts any monomial order and int or Fraction
     coefficients, adds terms that sort to one monomial, drops zeros, and raises
@@ -172,11 +216,11 @@ class PolySymbol:
     repeated variable, an exponent below 1, an index or exponent that is not
     an int (bools and floats are not) or a coefficient that is neither an int
     nor a Fraction; no entry takes a float coefficient or factor.
-    :meth:`_trusted` is the kernel's path for dicts that already hold the term
-    invariant (module docstring).
+    :meth:`_trusted` is the kernel's path for numerator dicts that already
+    hold the term invariant up to the common factor.
     """
 
-    __slots__ = ("dim", "blocks", "terms")
+    __slots__ = ("dim", "blocks", "_num", "_den")
 
     def __init__(self, dim: int, blocks: int, terms=None):
         if dim < 1:
@@ -184,8 +228,8 @@ class PolySymbol:
         if blocks < 0:
             raise ShapeError(f"blocks must be non-negative, got {blocks}")
         clean = {}
+        checked = []
         if terms:
-            checked = []
             for mono, coeff in terms.items():
                 mono = tuple(sorted(mono))
                 for k, (var, exp) in enumerate(mono):
@@ -196,22 +240,26 @@ class PolySymbol:
                     if any(type(index) is not int for index in var[1:]):
                         raise ValueError(f"variable indices must be ints in {var}")
                     _validate_var(var, dim, blocks)
-                coeff = _exact(coeff, "coefficient")
-                if coeff:
-                    checked.append((mono, coeff))
-            _accumulate(clean, checked)
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "blocks", blocks)
-        object.__setattr__(self, "terms", clean)
+                num, den = _exact(coeff, "coefficient")
+                if num:
+                    checked.append((mono, num, den))
+        den = lcm(*(d for _, _, d in checked))
+        _accumulate(clean, [(mono, num * (den // d)) for mono, num, d in checked])
+        _store(self, dim, blocks, clean, den)
 
     @staticmethod
-    def _trusted(dim: int, blocks: int, terms: dict) -> "PolySymbol":
-        """Wrap ``terms``, which must hold the term invariant and be owned by no one else."""
-        sym = object.__new__(PolySymbol)
-        object.__setattr__(sym, "dim", dim)
-        object.__setattr__(sym, "blocks", blocks)
-        object.__setattr__(sym, "terms", terms)
-        return sym
+    def _trusted(dim: int, blocks: int, num: dict, den: int = 1) -> "PolySymbol":
+        """Wrap ``num`` over ``den``; ``num`` must be clean and owned by no one else.
+
+        The common factor of ``den`` and the numerators is divided out in place.
+        """
+        return _store(object.__new__(PolySymbol), dim, blocks, num, den)
+
+    @property
+    def terms(self):
+        """The read-only ``{monomial: Fraction}`` view, built anew on each access."""
+        den = self._den
+        return MappingProxyType({m: Fraction(c, den) for m, c in self._num.items()})
 
     def __setattr__(self, name, value):
         raise AttributeError("PolySymbol is immutable")
@@ -237,23 +285,28 @@ class PolySymbol:
         ``pairs`` may be any iterable, a generator included: every pair is
         added into one accumulator as it arrives and is not kept.  Each symbol
         must have shape (dim, blocks), else :class:`ShapeError`; each factor
-        must be an int or a Fraction, as for :meth:`scale`.
+        must be an int or a Fraction, as for :meth:`scale`.  Each term
+        factor * numerator / (factor denominator * symbol denominator) joins
+        the accumulator at the lcm of the denominators.
         """
-        terms = {}
+        num, den = {}, 1
         for factor, sym in pairs:
             if sym.dim != dim or sym.blocks != blocks:
                 raise ShapeError(
                     f"shape mismatch: ({dim},{blocks}) vs ({sym.dim},{sym.blocks})"
                 )
-            factor = _exact(factor, "factor")
-            if factor:
-                _accumulate(terms, sym.terms.items(), None if factor == 1 else factor)
-        return PolySymbol._trusted(dim, blocks, terms)
+            f_num, f_den = _exact(factor, "factor")
+            if f_num:
+                other = f_den * sym._den
+                den = _rescale_to(num, den, other)
+                k = f_num * (den // other)
+                _accumulate(num, sym._num.items(), None if k == 1 else k)
+        return PolySymbol._trusted(dim, blocks, num, den)
 
     # -- basic queries -----------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._num
 
     def same_shape(self, other: "PolySymbol") -> bool:
         return self.dim == other.dim and self.blocks == other.blocks
@@ -273,18 +326,19 @@ class PolySymbol:
         return ordered
 
     def max_x_degree(self) -> int:
-        degs = [sum(e for v, e in m if v[0] == "x") for m in self.terms]
+        degs = [sum(e for v, e in m if v[0] == "x") for m in self._num]
         return max(degs, default=0)
 
     def __eq__(self, other):
         return (
             isinstance(other, PolySymbol)
             and self.same_shape(other)
-            and self.terms == other.terms
+            and self._den == other._den
+            and self._num == other._num
         )
 
     def __hash__(self):
-        return hash((self.dim, self.blocks, tuple(self.ordered_terms())))
+        return hash((self.dim, self.blocks, self._den, frozenset(self._num.items())))
 
     # -- ring operations ---------------------------------------------------
 
@@ -298,13 +352,15 @@ class PolySymbol:
         if not isinstance(other, PolySymbol):
             other = PolySymbol.constant(other, self.dim, self.blocks)
         self._require_shape(other)
-        terms = dict(self.terms)
-        _accumulate(terms, other.terms.items())
-        return PolySymbol._trusted(self.dim, self.blocks, terms)
+        num = dict(self._num)
+        den = _rescale_to(num, self._den, other._den)
+        k = den // other._den
+        _accumulate(num, other._num.items(), None if k == 1 else k)
+        return PolySymbol._trusted(self.dim, self.blocks, num, den)
 
     def __neg__(self):
         return PolySymbol._trusted(
-            self.dim, self.blocks, {m: -c for m, c in self.terms.items()}
+            self.dim, self.blocks, {m: -c for m, c in self._num.items()}, self._den
         )
 
     def __sub__(self, other):
@@ -313,21 +369,24 @@ class PolySymbol:
         return self + (-other)
 
     def scale(self, factor) -> "PolySymbol":
-        factor = _exact(factor, "factor")
-        if factor == 0:
+        f_num, f_den = _exact(factor, "factor")
+        if f_num == 0:
             return PolySymbol.zero(self.dim, self.blocks)
         return PolySymbol._trusted(
-            self.dim, self.blocks, {m: c * factor for m, c in self.terms.items()}
+            self.dim,
+            self.blocks,
+            {m: c * f_num for m, c in self._num.items()},
+            self._den * f_den,
         )
 
     def __mul__(self, other):
         if not isinstance(other, PolySymbol):
             return self.scale(other)
         self._require_shape(other)
-        terms = {}
-        for m1, c1 in self.terms.items():
-            _accumulate(terms, other.terms.items(), c1, m1)
-        return PolySymbol._trusted(self.dim, self.blocks, terms)
+        num = {}
+        for m1, c1 in self._num.items():
+            _accumulate(num, other._num.items(), c1, m1)
+        return PolySymbol._trusted(self.dim, self.blocks, num, self._den * other._den)
 
     def __rmul__(self, other):
         return self.scale(other)
@@ -336,8 +395,8 @@ class PolySymbol:
 
     def diff(self, var) -> "PolySymbol":
         _validate_var(var, self.dim, self.blocks)
-        terms = {}
-        for mono, coeff in self.terms.items():
+        num = {}
+        for mono, coeff in self._num.items():
             for idx, (v, e) in enumerate(mono):
                 if v == var:
                     if e == 1:
@@ -346,9 +405,9 @@ class PolySymbol:
                         new_mono = mono[:idx] + ((v, e - 1),) + mono[idx + 1 :]
                     # lowering the exponent of ``var`` is injective, so no
                     # two terms meet and no coefficient cancels
-                    terms[new_mono] = coeff * e
+                    num[new_mono] = coeff * e
                     break
-        return PolySymbol._trusted(self.dim, self.blocks, terms)
+        return PolySymbol._trusted(self.dim, self.blocks, num, self._den)
 
     def grad_p(self, block: int):
         """Partial derivatives with respect to p[block][1..dim]."""
@@ -373,7 +432,8 @@ class PolySymbol:
         images = {}
         for var, image in mapping.items():
             if not isinstance(image, PolySymbol):
-                image = one.scale(_exact(image, "constant image"))
+                _exact(image, "constant image")
+                image = one.scale(image)
             one._require_shape(image)
             images[var] = image
 
@@ -386,8 +446,8 @@ class PolySymbol:
                     value = value * images[var]
             return value
 
-        pairs = ((coeff, product(mono)) for mono, coeff in self.terms.items())
-        return PolySymbol.linear_combination(dim, blocks, pairs)
+        pairs = ((coeff, product(mono)) for mono, coeff in self._num.items())
+        return PolySymbol.linear_combination(dim, blocks, pairs).scale(Fraction(1, self._den))
 
     def remap_variables(self, mapping, dim: int, blocks: int) -> "PolySymbol":
         """Rename variables via ``mapping`` (var -> var); unmapped vars kept.
@@ -413,10 +473,12 @@ class PolySymbol:
 
         This is the kernel's one change of variables.  Each (variable,
         exponent) is resolved once per call: a mapped power p[b][i]^e expands
-        in closed form by the multinomial theorem (:func:`_expand_power`), with
-        integer coefficients unless a row coefficient is a non-integer
-        rational, and a one-term expansion folds into the monomial and the
-        coefficient.
+        in closed form by the multinomial theorem (:func:`_expand_power`) into
+        integer coefficients, and a one-term expansion folds into the monomial
+        and the coefficient.  Integer rows keep the denominator.  Rational rows
+        are first scaled to integers by their common denominator r; a monomial
+        of mapped p-degree t then gains r^(T - t) and the denominator r^T,
+        where T is the largest such degree.
         """
         targets = {}
         for b, row in rows.items():
@@ -430,13 +492,24 @@ class PolySymbol:
                     raise ValueError(f"target p-block must be an int, got {t!r}")
                 if not 1 <= t <= blocks:
                     raise ShapeError(f"target p-block {t} out of range 1..{blocks}")
-                c = c if type(c) is int else _exact(c, "row coefficient")
-                merged[t] = merged.get(t, 0) + c
+                merged[t] = merged.get(t, 0) + Fraction(*_exact(c, "row coefficient"))
             targets[b] = [(t, c) for t, c in sorted(merged.items()) if c]
+        r = lcm(*(c.denominator for row in targets.values() for _, c in row))
+        targets = {b: [(t, int(c * r)) for t, c in row] for b, row in targets.items()}
+        den = self._den
+        if r != 1:
+            mapped = {
+                mono: sum(e for v, e in mono if v[0] == "p" and v[1] in targets)
+                for mono in self._num
+            }
+            top = max(mapped.values(), default=0)
+            den *= r**top
 
         memo = {}
-        terms = {}
-        for mono, coeff in self.terms.items():
+        num = {}
+        for mono, coeff in self._num.items():
+            if r != 1:
+                coeff *= r ** (top - mapped[mono])
             kept = []
             folded = None
             scale = 1
@@ -474,10 +547,10 @@ class PolySymbol:
             if scale != 1:
                 coeff = coeff * scale
             if products is None:
-                _accumulate(terms, ((mono, coeff),))
+                _accumulate(num, ((mono, coeff),))
             else:
-                _accumulate(terms, products, coeff, mono)
-        return PolySymbol._trusted(self.dim, blocks, terms)
+                _accumulate(num, products, coeff, mono)
+        return PolySymbol._trusted(self.dim, blocks, num, den)
 
     # -- evaluation ----------------------------------------------------------
 
@@ -510,7 +583,7 @@ class PolySymbol:
     # -- display -------------------------------------------------------------
 
     def __str__(self):
-        if not self.terms:
+        if not self._num:
             return "0"
         parts = []
         for mono, coeff in self.ordered_terms():
@@ -554,7 +627,7 @@ def _contract(f: PolySymbol, variables, directions) -> PolySymbol:
     """
     if not directions:
         return f
-    total = {}
+    total, den = {}, 1
     for var, component in zip(variables, directions[0]):
         f._require_shape(component)
         if component.is_zero():
@@ -563,9 +636,12 @@ def _contract(f: PolySymbol, variables, directions) -> PolySymbol:
         if g.is_zero():
             continue
         inner = _contract(g, variables, directions[1:])
-        for m, c in component.terms.items():
-            _accumulate(total, inner.terms.items(), c, m)
-    return PolySymbol._trusted(f.dim, f.blocks, total)
+        other = component._den * inner._den
+        den = _rescale_to(total, den, other)
+        k = den // other
+        for m, c in component._num.items():
+            _accumulate(total, inner._num.items(), c * k, m)
+    return PolySymbol._trusted(f.dim, f.blocks, total, den)
 
 
 def directional_contract(f: PolySymbol, directions, against) -> PolySymbol:
@@ -712,7 +788,7 @@ def check_grading(series: FormalSeries) -> GradingReport:
     """Verify every order-i monomial has total p-degree exactly i+1."""
     violations = []
     for i, sym in sorted(series.orders.items()):
-        for mono in sym.terms:
+        for mono in sym._num:
             pdeg = monomial_p_degree(mono)
             if pdeg != i + 1:
                 mono_sym = PolySymbol(series.dim, series.blocks, {mono: 1})
@@ -845,7 +921,7 @@ def _write_terms(out: list, sym: PolySymbol, depth: int) -> None:
     variables, each kind in sorted order, so its rows come out sorted as they
     are walked.  Each distinct row is rendered once per call.
     """
-    if not sym.terms:
+    if not sym._num:
         out.append("[]")
         return
     item, key, row, cell = (_indent(depth + k) for k in (1, 2, 3, 4))

@@ -188,6 +188,18 @@ def series_with_term(term):
                 "orders": [{"order": 1, "terms": [{"coeff": "1", "p": [[1, 1, 3]], "x": []}]}],
             },
         ),
+        # graded, but its order 199999 lies far above the order cap 8
+        (
+            "cobound",
+            {
+                "arity": 1,
+                "dim": 1,
+                "graded": True,
+                "orders": [
+                    {"order": 199999, "terms": [{"coeff": "1", "p": [[1, 1, 200000]], "x": []}]}
+                ],
+            },
+        ),
         # two arity-0 operands would bracket to arity -1
         ("bracket", {"arity": 0, "dim": 2, "graded": True, "orders": []}),
         (
@@ -219,6 +231,7 @@ def series_with_term(term):
         "series-string-graded",
         "series-negative-shape",
         "series-flagged-graded-but-not",
+        "series-order-above-cap",
         "bracket-two-arity-0",
         "poisson-float-coeff",
         "poisson-scalar-x",

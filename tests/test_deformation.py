@@ -93,6 +93,16 @@ def test_coboundary_refuses_a_series_flagged_graded_that_is_not():
         coboundary(FormalSeries(1, 1, {1: cube}, graded=True))
 
 
+def test_coboundary_takes_orders_up_to_the_cap_only():
+    # order i of a graded arity-1 series has p-degree i+1
+    def top_order(order):
+        return FormalSeries(1, 1, {order: poly(1, 1, {((p_key(1, 1), order + 1),): 1})})
+
+    assert coboundary(top_order(8)).max_order() == 8
+    with pytest.raises(ValueError, match="truncation order 9 exceeds cap 8"):
+        coboundary(top_order(9))
+
+
 def test_coboundary_of_zero():
     assert coboundary(FormalSeries.zero(2, 2)).is_zero()
 

@@ -1,8 +1,8 @@
 """Property tests of the PolySymbol term invariant and of substitution.
 
 Every kernel result must hold only canonical monomials (strictly increasing
-variables, exponents >= 1) with nonzero Fraction coefficients, in a terms dict
-of its own.  ``substitute``, ``remap_variables`` and ``map_blocks`` are
+variables, exponents >= 1) with nonzero Fraction coefficients, in a numerator
+dict of its own.  ``substitute``, ``remap_variables`` and ``map_blocks`` are
 checked against a naive term-by-term fold that uses only the public
 constructors, ``*`` and ``+``, ``linear_combination`` against the fold of
 ``scale`` and ``+``, and the contractions against a naive sum over every index
@@ -46,7 +46,7 @@ def assert_clean(result, *operands, blocks=BLOCKS):
         assert names == sorted(set(names))
         assert all(type(exp) is int and exp >= 1 for _, exp in mono)
     for operand in operands:
-        assert result.terms is not operand.terms
+        assert result._num is not operand._num
 
 
 def naive_substitute(sym, mapping, dim=DIM, blocks=BLOCKS):

@@ -1,0 +1,145 @@
+"""The integer-numerator kernel against the tuple/Fraction reference, exactly.
+
+Every public operation's ``terms`` view must equal what
+``tests/kernel_reference.py`` computes from the operands' views, and every
+result must be in canonical form: symbols built by different routes are ``==``
+and hash-equal.
+"""
+
+from fractions import Fraction
+from math import gcd
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import kernel_reference as ref
+from gfoperad.symbols import PolySymbol, contracted_gradient, directional_contract, p_key, x_key
+
+DIM, BLOCKS = 2, 2
+VARIABLES = [p_key(b, i) for b in (1, 2) for i in (1, 2)] + [x_key(1), x_key(2)]
+# denominators with shared and coprime factors, so the lcm differs from both operands'
+COEFFS = st.builds(Fraction, st.integers(-4, 4), st.sampled_from([1, 2, 3, 4, 6, 9]))
+MONOMIALS = st.dictionaries(st.sampled_from(VARIABLES), st.integers(1, 3), max_size=3).map(
+    lambda powers: tuple(sorted(powers.items()))
+)
+POLYS = st.dictionaries(MONOMIALS, COEFFS, max_size=5).map(
+    lambda terms: PolySymbol(DIM, BLOCKS, terms)
+)
+SETTINGS = settings(max_examples=80, deadline=None)
+
+X = PolySymbol.variable(x_key(1), DIM, BLOCKS)
+
+
+def assert_canonical(sym):
+    """Integer numerators over a positive denominator that shares no factor with all of them."""
+    num, den = sym._num, sym._den
+    assert type(den) is int and den >= 1
+    assert all(type(c) is int and c != 0 for c in num.values())
+    assert gcd(den, *num.values()) == 1
+    # the constructor reaches the same form from the Fraction view
+    rebuilt = PolySymbol(sym.dim, sym.blocks, dict(sym.terms))
+    assert rebuilt == sym and hash(rebuilt) == hash(sym)
+    assert (rebuilt._num, rebuilt._den) == (num, den)
+
+
+def assert_matches(result, expected):
+    assert_canonical(result)
+    assert dict(result.terms) == expected
+
+
+def test_equal_values_built_by_different_routes_are_equal_and_hash_equal():
+    half = X.scale(Fraction(1, 2))
+    assert half + half == X and hash(half + half) == hash(X)
+    assert X.scale(Fraction(1, 6)).scale(3) == half
+    assert hash(X.scale(Fraction(1, 6)).scale(3)) == hash(half)
+    third = X.scale(Fraction(1, 3))
+    cancelled = PolySymbol.linear_combination(DIM, BLOCKS, [(1, half), (-3, third), (3, half)])
+    assert cancelled == X
+    zero = half - half
+    assert zero == PolySymbol.zero(DIM, BLOCKS) and hash(zero) == hash(PolySymbol.zero(DIM, BLOCKS))
+    assert zero.is_zero() and dict(zero.terms) == {} and zero._den == 1
+
+
+def test_terms_is_a_read_only_view():
+    view = X.scale(Fraction(1, 2)).terms
+    assert view == {((x_key(1), 1),): Fraction(1, 2)}
+    with pytest.raises(TypeError):
+        view[()] = Fraction(1)
+
+
+@SETTINGS
+@given(POLYS, POLYS, COEFFS)
+@example(X.scale(Fraction(1, 2)), X.scale(Fraction(-1, 2)), Fraction(0))
+def test_ring_operations_match_the_reference(a, b, k):
+    ta, tb = dict(a.terms), dict(b.terms)
+    assert_matches(a + b, ref.add(ta, tb))
+    assert_matches(a - b, ref.add(ta, ref.neg(tb)))
+    assert_matches(-a, ref.neg(ta))
+    assert_matches(a.scale(k), ref.scale(ta, k))
+    assert_matches(a * b, ref.mul(ta, tb))
+    assert_matches(a - a, {})
+
+
+@st.composite
+def combinations(draw):
+    """(factor, symbol) pairs over mixed denominators; half of the draws cancel to zero."""
+    pairs = draw(st.lists(st.tuples(COEFFS, POLYS), max_size=4))
+    if draw(st.booleans()):
+        pairs += [(-factor, sym) for factor, sym in draw(st.permutations(pairs))]
+    return pairs
+
+
+@SETTINGS
+@given(combinations())
+def test_linear_combination_matches_the_reference(pairs):
+    result = PolySymbol.linear_combination(DIM, BLOCKS, iter(pairs))
+    assert_matches(result, ref.linear_combination((f, dict(s.terms)) for f, s in pairs))
+
+
+@SETTINGS
+@given(POLYS, st.sampled_from(VARIABLES))
+def test_diff_matches_the_reference(a, var):
+    assert_matches(a.diff(var), ref.diff(dict(a.terms), var))
+
+
+@st.composite
+def block_maps(draw):
+    """(rows, blocks): rows of int, integral and non-integer rational coefficients; a row
+    may repeat a target, cancel, land on a kept block or be empty."""
+    blocks = draw(st.sampled_from([2, 3]))
+    coeff = st.one_of(st.integers(-2, 2), COEFFS)
+    row = st.lists(st.tuples(st.integers(1, blocks), coeff), max_size=3)
+    return draw(st.dictionaries(st.sampled_from([1, 2]), row, max_size=2)), blocks
+
+
+@SETTINGS
+@given(POLYS, block_maps())
+@example(
+    # p1 of degree 3 and p2 of degree 1 gain different powers of the row denominator
+    PolySymbol(
+        DIM, BLOCKS, {((p_key(1, 1), 3),): 1, ((p_key(2, 1), 1), (x_key(1), 1)): Fraction(1, 2)}
+    ),
+    ({1: [(1, Fraction(1, 2)), (2, Fraction(-1, 3))], 2: [(2, Fraction(3, 2))]}, 2),
+)
+def test_map_blocks_matches_the_reference(a, rows_blocks):
+    rows, blocks = rows_blocks
+    result = a.map_blocks(rows, blocks)
+    assert (result.dim, result.blocks) == (DIM, blocks)
+    assert_matches(result, ref.map_blocks(dict(a.terms), rows))
+
+
+@SETTINGS
+@given(
+    POLYS,
+    st.lists(st.tuples(POLYS, POLYS), max_size=3),
+    st.sampled_from(["x", [p_key(1, 1), p_key(1, 2)], [p_key(2, 2), x_key(1)]]),
+)
+def test_contractions_match_the_reference(f, directions, against):
+    variables = [x_key(1), x_key(2)] if against == "x" else against
+    tf = dict(f.terms)
+    tdirs = [[dict(c.terms) for c in d] for d in directions]
+    assert_matches(directional_contract(f, directions, against), ref.contract(tf, variables, tdirs))
+    gradient = contracted_gradient(f, directions, against)
+    for var, comp in zip(variables, gradient):
+        assert_matches(comp, ref.contract(ref.diff(tf, var), variables, tdirs))
