@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 from gfoperad.operad import GenFunction, check_order, compose, identity
 from gfoperad.symbols import FormalSeries, PolySymbol, check_grading, p_key
@@ -105,14 +106,21 @@ def coboundary_monomial(mono, arity: int) -> list:
 
 
 def coboundary_symbol(sym: PolySymbol, arity: int) -> PolySymbol:
-    """Apply the coboundary to one arity-``arity`` symbol, monomial by monomial."""
+    """Apply the coboundary to one arity-``arity`` symbol, monomial by monomial.
+
+    The images are summed as int numerators over the coefficients' common
+    denominator, which divides out once at the end.
+    """
     if sym.blocks != arity:
         raise ValueError(f"symbol has {sym.blocks} blocks, expected {arity}")
+    terms = sym.terms
+    den = math.lcm(*(coeff.denominator for coeff in terms.values()))
     total = {}
-    for mono, coeff in sym.terms.items():
+    for mono, coeff in terms.items():
+        num = coeff.numerator * (den // coeff.denominator)
         for image, weight in coboundary_monomial(mono, arity):
-            total[image] = total.get(image, 0) + coeff * weight
-    return PolySymbol(sym.dim, arity + 1, total)
+            total[image] = total.get(image, 0) + num * weight
+    return PolySymbol(sym.dim, arity + 1, total).scale(Fraction(1, den))
 
 
 def coboundary(series: FormalSeries) -> FormalSeries:

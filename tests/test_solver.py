@@ -111,7 +111,8 @@ def test_solve_ax_b_algebra():
 
 def test_solve_ax_b_to_order_five():
     # all orders stay nonzero for the solvable algebra; the solver's own
-    # postcondition re-verifies the product equation and structure conditions
+    # postcondition checks dS_n + H_n = 0 at every order and the structure
+    # conditions
     series = solve_deformation(ax_b_structure(), 5)
     assert series.order_indices() == [1, 2, 3, 4, 5]
 
@@ -185,6 +186,50 @@ def so3_structure():
 
 def quadratic_structure():
     return PoissonStructure(2, {(1, 2): PolySymbol(2, 0, {((x_key(1), 2),): Fraction(1)})})
+
+
+@pytest.mark.parametrize(
+    "build",
+    [so3_structure, heisenberg_structure, ax_b_structure, quadratic_structure],
+    ids=["so3", "heisenberg", "ax-b", "quadratic"],
+)
+def test_solver_output_passes_both_insertions_to_order_six(build):
+    # the postcondition checks dS_n against the H_n of one insertion and its
+    # mirror; here S(S, I) - S(I, S) is recomputed from both, every tree of
+    # weight <= 6
+    series = solve_deformation(build(), 6)
+    assert verify_product(series, 6).all_zero
+    assert check_sgs(series, 6).passed
+
+
+def perturb_order(monkeypatch, order):
+    """Make the solver add p1_1^order p2_1, which d does not kill, to its S_order."""
+    solve_order = solver._solve_order
+
+    def perturbed(h_n, n, d):
+        s_n = solve_order(h_n, n, d)
+        if n == order:
+            s_n = s_n + PolySymbol(d, 2, {((p_key(1, 1), n), (p_key(2, 1), 1)): 1})
+        return s_n
+
+    monkeypatch.setattr(solver, "_solve_order", perturbed)
+
+
+@pytest.mark.parametrize("order", [2, 4])
+def test_postcondition_refuses_a_wrong_order(monkeypatch, order):
+    # order 4 is the last: no later obstruction reads it, only the check does
+    perturb_order(monkeypatch, order)
+    with pytest.raises(AssertionError, match="solver output fails the product equation"):
+        solve_deformation(quadratic_structure(), 4)
+
+
+def test_solve_command_exits_one_on_a_wrong_order(tmp_path, monkeypatch, capsys):
+    argv, out = solve_argv(tmp_path, "quadratic")
+    perturb_order(monkeypatch, GOLDEN["quadratic"][1])
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err == "verification failure: solver output fails the product equation\n"
+    assert not out.exists()
 
 
 def test_one_elimination_per_order(monkeypatch):
