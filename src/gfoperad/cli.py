@@ -12,6 +12,7 @@ import argparse
 import math
 import random
 import sys
+from functools import cache
 
 from gfoperad import trees as trees_mod
 from gfoperad.deformation import bracket, coboundary, verify_product
@@ -343,7 +344,13 @@ def cmd_selftest(args) -> int:
     return EXIT_OK if failures == 0 else EXIT_VERIFICATION
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process.
+
+    Parsing leaves it unchanged: no action appends to a default, and each
+    ``cmd_*`` looks up the library functions it calls when it runs.
+    """
     parser = argparse.ArgumentParser(
         prog="gfoperad",
         description="Exact tree calculus for generating-function operads",

@@ -111,24 +111,30 @@ def identity(dim: int) -> GenFunction:
 
 
 @lru_cache(maxsize=None)
-def _vertex_labels(t) -> frozenset:
-    """The (colour, weight) labels of the vertices of a rooted tree."""
-    labels = {(t.color, t.weight)}
+def _valence_labels(t, above: int) -> frozenset:
+    """The (colour, weight, valence) labels of the vertices of the rooted tree
+    ``t``, whose root has ``above`` tree neighbours besides its children (1
+    for a subtree under a parent, 0 for a whole tree)."""
+    labels = {(t.color, t.weight, len(t.children) + above)}
     for child in t.children:
-        labels |= _vertex_labels(child)
+        labels |= _valence_labels(child, 1)
     return frozenset(labels)
 
 
-def select_trees(max_weight: int, allowed_weights: dict) -> list:
+def select_trees(max_weight: int, bounds: dict) -> list:
     """The unrooted trees of total weight <= ``max_weight``, in enumeration
-    order, whose every vertex weight is in ``allowed_weights[colour]``.
+    order, whose every vertex of colour c and weight w has at most
+    ``bounds[c, w]`` tree neighbours; a (colour, weight) without an entry
+    admits no vertex.
 
     This is the one way trees are selected; the enumeration and each tree's
     labels are cached, so a selection repeats no enumeration.
     """
-    allowed = {(color, w) for color, weights in allowed_weights.items() for w in weights}
+    allowed = {(c, w, v) for (c, w), bound in bounds.items() for v in range(bound + 1)}
     return [
-        top for top in enumerate_unrooted(max_weight) if _vertex_labels(top.canonical) <= allowed
+        top
+        for top in enumerate_unrooted(max_weight)
+        if _valence_labels(top.canonical, 0) <= allowed
     ]
 
 
@@ -151,10 +157,16 @@ def compose(
 ) -> GenFunction:
     """Operadic composition, truncated at epsilon^order <= DEFAULT_ORDER_CAP.
 
-    Sums C_t over unrooted topological trees with total weight <= order; tree
-    vertex weights are restricted to the orders actually present in the outer
-    (black) and inner (white) deformations, by :func:`select_trees`, since a
-    vertex of an absent order makes C_t zero.
+    Sums C_t over the unrooted topological trees with total weight <= order
+    that :func:`select_trees` keeps under valence bounds computed once per
+    call.  An edge takes one p-derivative of its black (outer) end in the
+    block of the slot its white (inner) end reads, and one x-derivative of
+    the white end; a slot whose inner deformation is zero is dead, since its
+    white differential is zero.  So a black vertex of weight w has at most
+    as many neighbours as the outer's order w has degree in the p-blocks of
+    the live slots, a white vertex of weight w at most the largest x-degree
+    of order w over the slots, and a vertex of an absent order none; a tree
+    past a bound has C_t = 0, and skipping it changes no output.
 
     The expansion runs in shape (d, K+n), K the sum of the inner arities, and
     every input keeps the one x: slot b's inner p-blocks move to blocks
@@ -197,8 +209,12 @@ def compose(
     rows = {b: [(K + b, 1)] for b in range(1, n + 1)}
     black = _move_blocks(outer.deformation, rows, blocks, order)
 
-    allowed = {BLACK: set(black.orders), WHITE: {o for g in whites for o in g.orders}}
-    trees = select_trees(order, allowed)
+    live = {K + b for b, g in enumerate(whites, start=1) if g.orders}
+    bounds = {(BLACK, w): s.max_p_degree(live) for w, s in black.orders.items()}
+    for g in whites:
+        for w, s in g.orders.items():
+            bounds[WHITE, w] = max(bounds.get((WHITE, w), 0), s.max_x_degree())
+    trees = select_trees(order, bounds)
     memo = {}
 
     def weighted(group):

@@ -28,10 +28,13 @@ enumeration (:func:`gfoperad.operad.select_trees`), so each tree weight is
 enumerated at most once per process.  H_n comes from the trees of total
 weight exactly n, the only ones that reach order n, through one slot insertion
 S(S, I) and its mirror, since every order the solver produces has the opposite
-symmetry (:func:`gfoperad.deformation.obstruction`).  Order n of the product
-residual S(S, I) - S(I, S) is dS_n + H_n, since the orders above n never reach
-it, so each order is checked right after its solve, and no H_n is kept past
-its own order: the coboundary of S_n
+symmetry (:func:`gfoperad.deformation.obstruction`).  The second slot of
+S(S, I) is the identity, whose deformation is zero, so no edge passes
+through it: the selection keeps only the trees whose black vertices have no
+more neighbours than their orders have degree in the first slot's p-block.
+Order n of the product residual S(S, I) - S(I, S) is dS_n + H_n, since the
+orders above n never reach it, so each order is checked right after its
+solve, and no H_n is kept past its own order: the coboundary of S_n
 (:func:`gfoperad.deformation.coboundary_symbol`) plus H_n must be exactly
 zero, with H_1 = 0 at order 1.  The check applies d in closed form, not
 through the recorded elimination, so it refuses a wrong replay; both take d

@@ -329,6 +329,11 @@ class PolySymbol:
         degs = [sum(e for v, e in m if v[0] == "x") for m in self._num]
         return max(degs, default=0)
 
+    def max_p_degree(self, blocks) -> int:
+        """The largest degree of a monomial in the p-variables of ``blocks``; 0 for zero."""
+        degs = [sum(e for v, e in m if v[0] == "p" and v[1] in blocks) for m in self._num]
+        return max(degs, default=0)
+
     def __eq__(self, other):
         return (
             isinstance(other, PolySymbol)

@@ -10,9 +10,9 @@ re-rootings; enumeration canonicalizes each class once and counts its
 automorphisms in the same rerooting walk.  The classes of each total weight
 are enumerated once per process and cached (one entry per colour and weight
 up to the cap), so every enumeration to a maximum weight joins cached
-per-weight tuples.  Enumeration takes every vertex weight; a caller that needs
-only some weights per color selects them from it
-(:func:`gfoperad.operad.select_trees`).
+per-weight tuples.  Enumeration takes every tree; a caller that needs only the
+trees whose vertices fit a valence bound per colour and weight selects them
+from it (:func:`gfoperad.operad.select_trees`).
 """
 
 from __future__ import annotations

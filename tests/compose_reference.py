@@ -4,9 +4,12 @@
   input into an (n*d)-dimensional workspace with one set of glue x-variables
   per slot, so a white vertex reads one combined inner series, and maps each
   weight's sum to the base point with one general ``substitute``.  It sums
-  every tree, with no weight filter, and asserts that each tree that
-  ``select_trees`` drops (a vertex of an order absent from its series)
-  has C_t = 0.
+  every tree, with no selection, and asserts that each tree with a vertex
+  above its valence bound has C_t = 0.  The bounds come from the workspace
+  series: a black vertex of weight w takes one p-derivative per neighbour in
+  the glue components of the live (nonzero) slots, a white vertex one
+  x-derivative per neighbour, so neither has more neighbours than order w
+  has degree in those variables, and an absent order admits no vertex.
 
 * :func:`picard_compose` uses no trees.  It iterates the implicit equations
   p_F = p_sigma + grad_x G~(q, x_G) and x_G = x + grad_p F~(p_F, x) over exact
@@ -29,7 +32,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from gfoperad.elementary import elementary_function
-from gfoperad.operad import GenFunction, select_trees
+from gfoperad.operad import GenFunction
 from gfoperad.symbols import (
     FormalSeries,
     PolySymbol,
@@ -38,6 +41,7 @@ from gfoperad.symbols import (
     x_key,
 )
 from gfoperad.trees import BLACK, WHITE, enumerate_unrooted, symmetry_coefficient
+from test_trees import admissible
 
 
 def _embed(series: FormalSeries, mapping, w_dim, w_blocks, order) -> FormalSeries:
@@ -74,6 +78,7 @@ def workspace_compose(outer: GenFunction, inners, order: int) -> GenFunction:
     outer_map = {}
     images = {}
     composite = FormalSeries.zero(w_dim, w_blocks, graded=False)
+    live = set()  # the glue p-variables of the slots whose inner is nonzero
     offset = 0
     for b, g in enumerate(inners, start=1):
         inner_map = {}
@@ -86,19 +91,27 @@ def workspace_compose(outer: GenFunction, inners, order: int) -> GenFunction:
             images[p_key(K + 1, glue)] = PolySymbol(d, K, {((v, 1),): 1 for v in block_vars})
             if glue != i:
                 images[x_key(glue)] = PolySymbol.variable(x_key(i), d, K)
-        composite = composite + _embed(g.deformation, inner_map, w_dim, w_blocks, order)
+        inner_w = _embed(g.deformation, inner_map, w_dim, w_blocks, order)
+        if inner_w.orders:
+            live.update(p_key(K + 1, (b - 1) * d + i) for i in range(1, d + 1))
+        composite = composite + inner_w
         offset += g.arity
     outer_w = _embed(outer.deformation, outer_map, w_dim, w_blocks, order)
 
-    allowed = {BLACK: set(outer_w.orders), WHITE: set(composite.orders)}
-    selected = set(select_trees(order, allowed))
+    def degree(sym, counts):
+        return max(sum(e for v, e in mono if counts(v)) for mono in sym.terms)
+
+    bounds = {(BLACK, w): degree(s, live.__contains__) for w, s in outer_w.orders.items()}
+    bounds.update(
+        ((WHITE, w), degree(s, lambda v: v[0] == "x")) for w, s in composite.orders.items()
+    )
     pairs = {}
     memo = {}
     for top in enumerate_unrooted(order):
         # one slot of dimension n*d: the glue x carries every inner slot
         value = elementary_function(top, outer_w, (composite,), K + 1, memo)
-        if top not in selected:
-            assert value.is_zero(), f"select drops {top.encoding}, whose C_t is not zero"
+        if not admissible(top.canonical, bounds):
+            assert value.is_zero(), f"{top.encoding} exceeds a valence bound, but C_t is not zero"
         pairs.setdefault(top.total_weight, []).append((Fraction(1, symmetry_coefficient(top)), value))
 
     result_orders = {

@@ -345,6 +345,43 @@ def test_failed_postcondition_is_a_verification_failure(tmp_path, monkeypatch, c
     assert captured.err == "verification failure: solver output fails the product equation\n"
 
 
+def test_one_parser_serves_every_call_in_a_process(tmp_path, capsys):
+    # the parser is built once per process; calls of different subcommands,
+    # failing ones among them, give what a freshly built parser gives
+    from gfoperad.cli import build_parser
+
+    good = write(tmp_path, "good.json", series_dumps(constant_poisson_first_order()))
+    random_series = random_graded_series(random.Random(5), 2, 1, [1])
+    bad = write(tmp_path, "bad.json", series_dumps(random_series))
+    h = write(tmp_path, "h.json", poisson_dumps(heisenberg_structure()))
+    calls = [
+        ["trees", "enum", "--max-order", "3"],
+        ["verify-sga", "--in", bad, "--order", "2"],
+        ["solve", "--poisson", h, "--order", "3"],
+        ["trees", "enum", "--max-order", "11"],
+        ["trees", "enum", "--max-order", "2", "--rooted", "--root-color", "w"],
+        ["verify-sga", "--in", good, "--order", "3"],
+    ]
+
+    def run(argv):
+        code = main(argv)
+        return code, capsys.readouterr().out
+
+    fresh = []
+    for argv in calls:
+        build_parser.cache_clear()
+        fresh.append(run(argv))
+    assert [code for code, _ in fresh] == [0, 1, 0, 2, 0, 0]
+
+    parser = build_parser()
+    with pytest.raises(SystemExit) as exit_info:
+        main(["solve", "--order", "3"])
+    assert exit_info.value.code == 2
+    capsys.readouterr()
+    assert [run(argv) for argv in calls + calls] == fresh + fresh
+    assert build_parser() is parser
+
+
 def test_overflow_exit_code(tmp_path, capsys):
     argv = order_argvs(tmp_path)["numeric-check"]
     big = write(tmp_path, "big.json", json.dumps({"p": [[1e200]], "x": [0.5]}))

@@ -3,19 +3,24 @@
 The glue-workspace expansion must agree exactly on graded and ungraded
 inputs; the tree-free Picard iteration, which needs grading, on graded ones.
 Both draw outer arity 1-2, inner arities 0-3 (arity 0 included), d <= 2 and
-order <= 4.
+order <= 4.  A third test holds the valence-bound tree selection of ``compose``
+to the trees it drops: each must have C_t = 0 on the very series ``compose``
+expands.
 """
 
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import Phase, given, settings
+from hypothesis import Phase, assume, given, settings
 from hypothesis import strategies as st
 
 from compose_reference import picard_compose, workspace_compose
-from gfoperad.operad import GenFunction, compose
+from gfoperad import operad
+from gfoperad.elementary import elementary_function
+from gfoperad.operad import GenFunction, compose, identity, select_trees
 from gfoperad.symbols import FormalSeries, PolySymbol, p_key, random_graded_series, x_key
+from gfoperad.trees import enumerate_unrooted
 from test_golden import COMPOSE_GOLDEN
 
 
@@ -83,3 +88,53 @@ def test_golden_compose_inputs_match_the_tree_free_oracle(name):
     outer = GenFunction(2, 2, outer())
     inners = [GenFunction(g.blocks, 2, g) for g in inners()]
     assert compose(outer, inners, 4) == picard_compose(outer, inners, 4)
+
+
+@st.composite
+def mixed_compositions(draw):
+    """(outer, inners, order): graded and ungraded series of mixed p- and
+    x-degrees, and among the inners an identity slot and an arity-0 inner."""
+    dim = draw(st.integers(1, 2))
+    order = draw(st.integers(1, 5))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    terms = draw(st.integers(1, 3))
+
+    def gen(arity, first=()):
+        orders = draw(st.lists(st.integers(1, 4), unique=True, max_size=3))
+        orders = sorted(set(orders) | set(first))
+        if arity and draw(st.booleans()):
+            series = random_graded_series(rng, arity, dim, orders, 2, terms)
+        else:
+            series = random_ungraded_series(rng, arity, dim, orders, terms)
+        return GenFunction(arity, dim, series)
+
+    inners = [gen(k) for k in draw(st.lists(st.integers(1, 2), max_size=2))]
+    inners = draw(st.permutations(inners + [identity(dim), gen(0)]))
+    # an outer order 1 keeps the tree b1, so compose expands at least one tree
+    return gen(len(inners), first=(1,)), inners, order
+
+
+@settings(max_examples=60, deadline=None)
+@given(mixed_compositions())
+def test_every_tree_compose_drops_is_zero(case):
+    outer, inners, order = case
+    selected, expanded = [], []
+
+    def selecting(max_weight, bounds):
+        selected.extend(select_trees(max_weight, bounds))
+        return selected
+
+    def expanding(top, black, whites, p_block, memo):
+        expanded.append((black, whites, p_block))
+        return elementary_function(top, black, whites, p_block, memo)
+
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(operad, "select_trees", selecting)
+        monkeypatch.setattr(operad, "elementary_function", expanding)
+        compose(outer, inners, order)
+    assume(expanded)  # the outer's order 1 can cancel to zero
+    black, whites, p_block = expanded[0]
+    kept = {top.encoding for top in selected}
+    dropped = [top for top in enumerate_unrooted(order) if top.encoding not in kept]
+    for top in dropped:
+        assert elementary_function(top, black, whites, p_block).is_zero(), top.encoding

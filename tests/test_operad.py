@@ -39,15 +39,16 @@ def graded_gen(rng, arity, dim, orders, max_x_degree=2):
     return wrap(random_graded_series(rng, arity, dim, orders, max_x_degree))
 
 
-WEIGHT_SETS = st.sets(st.integers(1, 8))
+VALENCE_BOUNDS = st.dictionaries(
+    st.tuples(st.sampled_from([BLACK, WHITE]), st.integers(1, 8)), st.integers(0, 4)
+)
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.integers(1, 8), WEIGHT_SETS, WEIGHT_SETS)
-def test_tree_table_selects_what_enumeration_gives(order, black, white):
-    allowed = {BLACK: black, WHITE: white}
-    selected = select_trees(order, allowed)
-    expected = [t for t in enumerate_unrooted(order) if admissible(t.canonical, allowed)]
+@given(st.integers(1, 8), VALENCE_BOUNDS)
+def test_tree_table_selects_what_enumeration_gives(order, bounds):
+    selected = select_trees(order, bounds)
+    expected = [t for t in enumerate_unrooted(order) if admissible(t.canonical, bounds)]
     assert [t.encoding for t in selected] == [t.encoding for t in expected]
     assert [t.sigma for t in selected] == [t.sigma for t in expected]
 

@@ -11,6 +11,7 @@ from gfoperad.solver import solve_deformation
 from gfoperad.symbols import PolySymbol, x_key
 from gfoperad.trees import (
     BLACK,
+    DEFAULT_WEIGHT_CAP,
     WHITE,
     _flatten,
     automorphism_count,
@@ -199,54 +200,86 @@ def test_reroot_orbit_lemma():
             assert sym_t == symmetry_coefficient(tv) * matching, top.encoding
 
 
-RESTRICTED = {WHITE: {1, 2}, BLACK: {1, 3}}
+#: a valence bound that no tree to the weight cap reaches
+UNBOUNDED = DEFAULT_WEIGHT_CAP
+
+#: vertex weights restricted, valences not
+RESTRICTED = {(c, w): UNBOUNDED for c, ws in ((WHITE, (1, 2)), (BLACK, (1, 3))) for w in ws}
+
+#: weights and valences restricted: no black 3 has a neighbour, no white 2
+#: more than one, and no black 1 more than two
+VALENCE_BOUNDED = {
+    (WHITE, 1): UNBOUNDED,
+    (WHITE, 2): 1,
+    (BLACK, 1): 2,
+    (BLACK, 2): UNBOUNDED,
+    (BLACK, 3): 0,
+}
+
+SELECTIONS = [None, RESTRICTED, VALENCE_BOUNDED]
+SELECTION_IDS = ["all-weights", "restricted", "valence-bounded"]
 
 
-def admissible(t, allowed):
-    """Every vertex of the rooted tree ``t`` has a weight in ``allowed[colour]``;
-    a vertex walk of its own, not the labels that ``select_trees`` caches."""
-    nodes, _ = _flatten(t)
-    return all(w in allowed[c] for c, w in nodes)
+def valences(t, above=0):
+    """The (colour, weight, valence) of each vertex of the rooted tree ``t``,
+    counted on the edges of a vertex walk of its own, not the labels that
+    ``select_trees`` caches; the root has ``above`` more neighbours."""
+    nodes, edges = _flatten(t)
+    degree = Counter(i for edge in edges for i in edge)
+    degree[0] += above
+    return [(c, w, degree[i]) for i, (c, w) in enumerate(nodes)]
 
 
-def rooted_classes(w, allowed):
-    """The rooted classes of total weight <= ``w``, all or the admissible ones."""
-    return [t for t in enumerate_rooted(w) if allowed is None or admissible(t, allowed)]
+def admissible(t, bounds, above=0):
+    """Every vertex of the rooted tree ``t`` has at most ``bounds[c, w]``
+    neighbours, and (c, w) has an entry; the root has ``above`` more."""
+    return all(v <= bounds.get((c, w), -1) for c, w, v in valences(t, above))
 
 
-def unrooted_classes(w, allowed):
+def rooted_classes(w, bounds, above=0):
+    """The rooted classes of total weight <= ``w``, all or the admissible ones,
+    whose root has ``above`` more neighbours."""
+    return [t for t in enumerate_rooted(w) if bounds is None or admissible(t, bounds, above)]
+
+
+def unrooted_classes(w, bounds):
     """The unrooted classes of total weight <= ``w``, all or the selected ones."""
-    return enumerate_unrooted(w) if allowed is None else select_trees(w, allowed)
+    return enumerate_unrooted(w) if bounds is None else select_trees(w, bounds)
 
 
 @pytest.mark.parametrize(
-    "allowed, counts",
+    "bounds, counts",
     [
         (None, [2, 3, 6, 12, 28, 65, 170, 449]),
         (RESTRICTED, [2, 2, 4, 6, 14, 27, 67, 153]),
+        (VALENCE_BOUNDED, [2, 3, 5, 6, 12, 21, 46, 95]),
     ],
-    ids=["all-weights", "restricted"],
+    ids=SELECTION_IDS,
 )
-def test_unrooted_counts_match_otter(allowed, counts):
+def test_unrooted_counts_match_otter(bounds, counts):
     # An edge joins two colors, so no edge of a bicolored tree is symmetric, and
-    # Otter's dissimilarity theorem counts the unrooted classes as rooted
-    # classes minus rooted edges: rooted_w(w) + rooted_b(w) - sum_a
-    # rooted_w(a) * rooted_b(w - a).
+    # Otter's dissimilarity theorem counts the unrooted classes as classes
+    # rooted at a vertex minus classes rooted at an edge: rooted_w(w) +
+    # rooted_b(w) - sum_a planted_w(a) * planted_b(w - a).  The theorem holds
+    # for any vertex-local restriction: a vertex rooting keeps every valence,
+    # so its root has as many neighbours as children, and an edge rooting
+    # joins two planted trees, whose roots have one neighbour more.
     top = len(counts)
-    rooted = Counter((t.color, t.total_weight) for t in rooted_classes(top, allowed))
-    unrooted = Counter(t.total_weight for t in unrooted_classes(top, allowed))
+    rooted = Counter((t.color, t.total_weight) for t in rooted_classes(top, bounds))
+    planted = Counter((t.color, t.total_weight) for t in rooted_classes(top, bounds, above=1))
+    unrooted = Counter(t.total_weight for t in unrooted_classes(top, bounds))
     for w in range(1, top + 1):
-        edges = sum(rooted[WHITE, a] * rooted[BLACK, w - a] for a in range(1, w))
+        edges = sum(planted[WHITE, a] * planted[BLACK, w - a] for a in range(1, w))
         otter = rooted[WHITE, w] + rooted[BLACK, w] - edges
         assert unrooted[w] == otter == counts[w - 1], w
 
 
-@pytest.mark.parametrize("allowed", [None, RESTRICTED], ids=["all-weights", "restricted"])
-def test_unrooted_classes_match_forget_root_of_every_rooted_tree(allowed):
+@pytest.mark.parametrize("bounds", SELECTIONS, ids=SELECTION_IDS)
+def test_unrooted_classes_match_forget_root_of_every_rooted_tree(bounds):
     # the canonicalize-every-rooted-tree algorithm as the oracle
     for w in range(1, 8):
-        expected = {forget_root(t).encoding for t in rooted_classes(w, allowed)}
-        assert {top.encoding for top in unrooted_classes(w, allowed)} == expected
+        expected = {forget_root(t).encoding for t in rooted_classes(w, bounds)}
+        assert {top.encoding for top in unrooted_classes(w, bounds)} == expected
 
 
 def rerooting_sigma(top):
@@ -256,11 +289,11 @@ def rerooting_sigma(top):
     return symmetry_coefficient(root) * sum(1 for r in rerootings(root) if r == root)
 
 
-@pytest.mark.parametrize("allowed", [None, RESTRICTED], ids=["all-weights", "restricted"])
-def test_carried_sigma_matches_rerooting_count(allowed):
-    for top in unrooted_classes(8, allowed):
+@pytest.mark.parametrize("bounds", SELECTIONS, ids=SELECTION_IDS)
+def test_carried_sigma_matches_rerooting_count(bounds):
+    for top in unrooted_classes(8, bounds):
         assert top.sigma == rerooting_sigma(top), top.encoding
-    for t in rooted_classes(6, allowed):
+    for t in rooted_classes(6, bounds):
         top = forget_root(t)
         assert top.sigma == rerooting_sigma(top), t.encoding
 
