@@ -42,7 +42,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from gfoperad.operad import GenFunction, check_order, compose, identity
 from gfoperad.symbols import FormalSeries, PolySymbol, check_grading, p_key
@@ -108,19 +107,20 @@ def coboundary_monomial(mono, arity: int) -> list:
 def coboundary_symbol(sym: PolySymbol, arity: int) -> PolySymbol:
     """Apply the coboundary to one arity-``arity`` symbol, monomial by monomial.
 
-    The images are summed as int numerators over the coefficients' common
-    denominator, which divides out once at the end.
+    The images of the symbol's int numerators are summed over its one
+    denominator.  Each image monomial of :func:`coboundary_monomial` is already
+    canonical, so the sum becomes a symbol through
+    :meth:`PolySymbol.from_numerators`, which divides out the common factor.
     """
     if sym.blocks != arity:
         raise ValueError(f"symbol has {sym.blocks} blocks, expected {arity}")
-    terms = sym.terms
-    den = math.lcm(*(coeff.denominator for coeff in terms.values()))
     total = {}
-    for mono, coeff in terms.items():
-        num = coeff.numerator * (den // coeff.denominator)
+    get = total.get
+    for mono, num in sym.numerators.items():
         for image, weight in coboundary_monomial(mono, arity):
-            total[image] = total.get(image, 0) + num * weight
-    return PolySymbol(sym.dim, arity + 1, total).scale(Fraction(1, den))
+            total[image] = get(image, 0) + num * weight
+    numerators = {image: num for image, num in total.items() if num}
+    return PolySymbol.from_numerators(sym.dim, arity + 1, numerators, sym.denominator)
 
 
 def coboundary(series: FormalSeries) -> FormalSeries:

@@ -19,9 +19,14 @@ freedom.  The coboundary columns of that system are the integer terms of the
 closed-form coboundary (:func:`gfoperad.deformation.coboundary_monomial`),
 and the inverse-condition column of a basis monomial p1^a p2^b is the one
 signed monomial (-1)^|b| p1^(a+b), written directly.  The rows, columns and
-right-hand sides are sparse ``Fraction`` vectors, not polynomials, so they
-are summed by the solver's own row helper :func:`_add_row`; the solution
-becomes a symbol only through the public ``PolySymbol`` constructor.
+right-hand sides are sparse vectors of int numerators over one positive
+denominator each, as the kernel stores a symbol, not polynomials, so they are
+summed by the solver's own row helpers :func:`_add_row` and
+:func:`_add_scaled`, and each pivot row's common factor is taken out once.
+H_n enters through its numerators and denominator
+(``PolySymbol.numerators``, ``PolySymbol.denominator``), and the solution,
+whose monomials are canonical by construction, leaves through
+``PolySymbol.from_numerators``; no ``Fraction`` is built on the way.
 
 Every ``compose`` of a solve selects its trees from the one cached
 enumeration (:func:`gfoperad.operad.select_trees`), so each tree weight is
@@ -91,9 +96,11 @@ def first_order_deformation(alpha: PoissonStructure) -> FormalSeries:
 
 
 def _split_monomial(mono):
-    p_part = tuple((v, e) for v, e in mono if v[0] == "p")
-    x_part = tuple((v, e) for v, e in mono if v[0] == "x")
-    return p_part, x_part
+    """(p-part, x-part) of a monomial; x-variables sort after every p-variable."""
+    for index, (var, _) in enumerate(mono):
+        if var[0] == "x":
+            return mono[:index], mono[index:]
+    return mono, ()
 
 
 def _p_basis(n: int, d: int):
@@ -132,55 +139,117 @@ def _add_row(acc, items, factor=None):
                 del acc[k]
 
 
+def _add_scaled(acc, den, items, num, other):
+    """Add ``num / other * v`` into ``acc``, int numerators over ``den``, for each ``(k, v)`` of ``items``.
+
+    ``items`` are int numerators over the positive ``other``.  ``acc`` is
+    brought in place to the lcm of the two denominators only when ``other``
+    does not divide ``den``; returns ``acc``'s denominator.
+    """
+    if den % other:
+        common = math.lcm(den, other)
+        k = common // den
+        for key in acc:
+            acc[key] *= k
+        den = common
+    k = num * (den // other)
+    _add_row(acc, items, None if k == 1 else k)
+    return den
+
+
+def _content_out(acc, den):
+    """Divide gcd(den, *acc.values()) out of ``acc`` in place; return the reduced denominator."""
+    g = math.gcd(den, *acc.values())
+    if g != 1:
+        for key in acc:
+            acc[key] //= g
+        den //= g
+    return den
+
+
+def _over_one_denominator(pairs):
+    """``(numerator, positive denominator)`` pairs as int numerators over their least common denominator."""
+    reduced = []
+    for num, den in pairs:
+        g = math.gcd(num, den)
+        reduced.append((num // g, den // g))
+    common = math.lcm(*(den for _, den in reduced))
+    return [num * (common // den) for num, den in reduced], common
+
+
 def _record(equations):
     """Gauss-Jordan on the rows alone; record the steps a right-hand side takes.
 
-    ``equations``: {key: dict column->number}.  The rows are eliminated in
+    ``equations``: {key: dict column->int}.  The rows are eliminated in
     sorted key order with deterministic pivoting (the smallest column; free
     unknowns are zero), and pivot rows are kept reduced, so they reference
-    free columns only.  Per row the record keeps only what a right-hand side
-    reads: the eliminated pivot columns with their factors, then either no
-    pivot (a zero row) or the pivot column with its inverse, and the earlier
-    pivots back-substituted with their factors.  Returns (sorted keys, steps),
-    all tuples, so the record is shared and never mutated.
+    free columns only.  Every row is int numerators over one positive
+    denominator, with their common factor taken out once per row and per
+    back-substitution.  Per row the record keeps only what a right-hand side
+    reads, as the tuple (cols, factors, col, inv_num, inv_den, back_cols,
+    back_factors, den): the eliminated pivot columns ``cols``, then either no
+    pivot (``col`` None, a zero row) or the pivot column with its inverse
+    inv_num / inv_den, and the earlier pivots ``back_cols`` back-substituted.
+    The factors of both eliminations are int numerators over the one step
+    denominator ``den``.  Returns (sorted keys, steps), all tuples, so the
+    record is shared and never mutated.
     """
     keys = tuple(sorted(equations))
-    pivots = {}
+    pivots = {}  # pivot column -> {free column: int}, over pivot_dens[column]
+    pivot_dens = {}
     steps = []
     for key in keys:
         row = {c: v for c, v in equations[key].items() if v != 0}
+        den = 1
         # eliminate every pivot column present (pivot rows only add free
         # columns, so one pass over the initial pivot columns suffices)
         cols = tuple(sorted(c for c in row if c in pivots))
         factors = []
         for col in cols:
-            factor = -row.pop(col)
-            _add_row(row, pivots[col].items(), factor)
-            factors.append(factor)
+            value = row.pop(col)
+            factors.append((-value, den))
+            den = _add_scaled(row, den, pivots[col].items(), -value, den * pivot_dens[col])
+        den = _content_out(row, den)
         if not row:
-            steps.append((cols, tuple(factors), None, None, (), ()))
+            factors, den = _over_one_denominator(factors)
+            steps.append((cols, tuple(factors), None, None, None, (), (), den))
             continue
         col = min(row)
-        inv = Fraction(1) / row.pop(col)
-        prow = {c: v * inv for c, v in row.items()}
-        back_cols, back_factors = [], []
+        value = row.pop(col)
+        sign = 1 if value > 0 else -1
+        g = math.gcd(value, den)
+        inv_num, inv_den = sign * den // g, abs(value) // g
+        # the row over its pivot entry: the row's own denominator cancels
+        prow = {c: sign * v for c, v in row.items()}
+        pden = _content_out(prow, abs(value))
+        back_cols = []
         for ocol, orow in pivots.items():
             if col in orow:
-                factor = -orow.pop(col)
-                _add_row(orow, prow.items(), factor)
+                value = orow.pop(col)
+                oden = pivot_dens[ocol]
+                factors.append((-value, oden))
+                oden = _add_scaled(orow, oden, prow.items(), -value, oden * pden)
+                pivot_dens[ocol] = _content_out(orow, oden)
                 back_cols.append(ocol)
-                back_factors.append(factor)
         pivots[col] = prow
-        steps.append((cols, tuple(factors), col, inv, tuple(back_cols), tuple(back_factors)))
+        pivot_dens[col] = pden
+        factors, den = _over_one_denominator(factors)
+        forward = len(cols)
+        steps.append(
+            (cols, tuple(factors[:forward]), col, inv_num, inv_den, tuple(back_cols), tuple(factors[forward:]), den)
+        )
     return keys, tuple(steps)
 
 
-def _replay(system, rhs):
+def _replay(system, rhs, den=1):
     """Apply a recorded elimination to the right-hand sides ``rhs``.
 
-    ``rhs``: {key: dict x-key->number}; every x-key rides through the same
-    steps, so each gets the solution its own system would give.  Returns
-    {pivot column: {x-key: value}} in pivot order.  Raises ValueError(message,
+    ``rhs``: {key: dict x-key->int}, numerators over the one positive
+    denominator ``den``; every x-key rides through the same steps, so each
+    gets the solution its own system would give.  Each right-hand side and
+    each solved column is int numerators over its own denominator, and a
+    pivot row's common factor is taken out once.  Returns {pivot column:
+    ({x-key: int}, denominator)} in pivot order.  Raises ValueError(message,
     x-key) at the first zero row, in sorted key order, with a nonzero
     right-hand side, naming its smallest x-key; a key that no row has is a
     zero row in its sorted place.
@@ -193,27 +262,31 @@ def _replay(system, rhs):
         missing = at == len(keys) or keys[at] != key
         if missing and any(values.values()) and (stray is None or key < stray):
             stray, stop = key, at
-    solved = {}
+    solved, dens = {}, {}
     for key, step in itertools.islice(zip(keys, steps), stop):
-        cols, factors, col, inv, back_cols, back_factors = step
+        cols, factors, col, inv_num, inv_den, back_cols, back_factors, step_den = step
         acc = rhs.get(key)
         acc = {k: v for k, v in acc.items() if v != 0} if acc else {}
+        acc_den = 1
         for c, factor in zip(cols, factors):
             prhs = solved[c]
             if prhs:
-                _add_row(acc, prhs.items(), factor)
+                acc_den = _add_scaled(acc, acc_den, prhs.items(), factor, step_den * dens[c])
         if col is None:
             if acc:
                 raise ValueError(message, min(acc))
             continue
-        prhs = {k: v * inv for k, v in acc.items()}
+        prhs = {k: v * inv_num for k, v in acc.items()}
+        pden = 1
         if prhs:
+            pden = _content_out(prhs, acc_den * inv_den)
             for c, factor in zip(back_cols, back_factors):
-                _add_row(solved[c], prhs.items(), factor)
+                dens[c] = _add_scaled(solved[c], dens[c], prhs.items(), factor, step_den * pden)
         solved[col] = prhs
+        dens[col] = pden
     if stray is not None:
         raise ValueError(message, min(k for k, v in rhs[stray].items() if v != 0))
-    return solved
+    return {c: (values, dens[c] * den) for c, values in solved.items()}
 
 
 def _inverse_column(mono) -> dict:
@@ -268,22 +341,24 @@ def _order_system(n: int, d: int):
 def _solve_order(h_n: PolySymbol, n: int, d: int) -> PolySymbol:
     """Solve d S_n = -H_n with the structure-condition constraints."""
     rhs = {}
-    for mono, coeff in h_n.terms.items():
+    for mono, num in h_n.numerators.items():
         p_part, x_part = _split_monomial(mono)
-        rhs.setdefault(("d", p_part), {})[x_part] = -coeff
+        rhs.setdefault(("d", p_part), {})[x_part] = -num
     if not rhs:
         return PolySymbol.zero(d, 2)
     basis, system = _order_system(n, d)
     try:
-        solution = _replay(system, rhs)
+        solution = _replay(system, rhs, h_n.denominator)
     except ValueError as exc:
         message, x_part = exc.args
         raise InfeasibleOrderError(n, f"x-monomial {x_part}: {message}") from exc
-    terms = {}
-    for idx, values in solution.items():
+    den = math.lcm(*(col_den for _, col_den in solution.values()))
+    numerators = {}
+    for idx, (values, col_den) in solution.items():
+        k = den // col_den
         for x_part, value in values.items():
-            terms[basis[idx] + x_part] = value
-    return PolySymbol(d, 2, terms)
+            numerators[basis[idx] + x_part] = value * k
+    return PolySymbol.from_numerators(d, 2, numerators, den)
 
 
 def _check_product_order(s_n: PolySymbol, h_n: PolySymbol) -> None:

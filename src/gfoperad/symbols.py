@@ -13,13 +13,17 @@ with exponent >= 1, to a nonzero int; ``gcd(denominator, *numerators) == 1``,
 so a zero is the empty dict over 1 and equal symbols have equal dicts and
 denominators.  No two symbols share one dict.  ``PolySymbol.terms`` is a
 read-only ``{monomial: Fraction}`` view built on each access, for readers
-outside the kernel; the kernel itself never builds it.
+outside the kernel; the kernel itself never builds it.  Readers that work on
+integers take :attr:`PolySymbol.numerators`, a read-only view of the numerator
+dict (not a copy), and :attr:`PolySymbol.denominator` instead.
 
 This module owns that representation.  Other modules build and sum symbols only
 through the public surface: the validating constructor ``PolySymbol(dim,
-blocks, terms)`` (it copies, sorts, validates and converts), the ring
-operations, ``map_blocks``, and :meth:`PolySymbol.linear_combination`, which
-sums (factor, symbol) pairs in one pass.  Inside the kernel, every symbol is
+blocks, terms)`` (it copies, sorts, validates and converts),
+:meth:`PolySymbol.from_numerators` for numerators already in canonical form
+(it checks nothing and takes the dict over), the ring operations,
+``map_blocks``, and :meth:`PolySymbol.linear_combination`, which sums
+(factor, symbol) pairs in one pass.  Inside the kernel, every symbol is
 wrapped by :meth:`PolySymbol._trusted`, which takes an already-clean numerator
 dict and its denominator without copying and divides out their common factor,
 and every sum is built by :func:`_accumulate`, the one accumulation path: it
@@ -208,7 +212,8 @@ class PolySymbol:
 
     A symbol holds ``{monomial: int}`` numerators over one positive int
     denominator with no factor common to all of them (module docstring), and
-    shows them as the read-only ``{monomial: Fraction}`` view :attr:`terms`.
+    shows them as the read-only ``{monomial: Fraction}`` view :attr:`terms`,
+    or without a copy as :attr:`numerators` over :attr:`denominator`.
     ``PolySymbol(dim, blocks, terms)`` is the validating constructor for
     outside input: it accepts any monomial order and int or Fraction
     coefficients, adds terms that sort to one monomial, drops zeros, and raises
@@ -217,7 +222,8 @@ class PolySymbol:
     an int (bools and floats are not) or a coefficient that is neither an int
     nor a Fraction; no entry takes a float coefficient or factor.
     :meth:`_trusted` is the kernel's path for numerator dicts that already
-    hold the term invariant up to the common factor.
+    hold the term invariant up to the common factor, and
+    :meth:`from_numerators` the same path for other modules.
     """
 
     __slots__ = ("dim", "blocks", "_num", "_den")
@@ -254,6 +260,30 @@ class PolySymbol:
         The common factor of ``den`` and the numerators is divided out in place.
         """
         return _store(object.__new__(PolySymbol), dim, blocks, num, den)
+
+    @staticmethod
+    def from_numerators(dim: int, blocks: int, numerators: dict, denominator: int = 1) -> "PolySymbol":
+        """The symbol ``numerators / denominator`` from numerators already in canonical form.
+
+        Every key of ``numerators`` must be a monomial that holds the term
+        invariant (variables strictly increasing and in the shape, exponents
+        ints >= 1), every value a nonzero int, and ``denominator`` a positive
+        int.  None of this is checked and nothing is copied: the symbol takes
+        the dict over, so the caller must not touch it afterwards.  The common
+        factor of the denominator and the numerators is divided out in place.
+        Outside input goes through the validating constructor instead.
+        """
+        return PolySymbol._trusted(dim, blocks, numerators, denominator)
+
+    @property
+    def numerators(self):
+        """The read-only ``{monomial: int}`` numerators over :attr:`denominator`, not a copy."""
+        return MappingProxyType(self._num)
+
+    @property
+    def denominator(self) -> int:
+        """The positive denominator of :attr:`numerators`, coprime to their gcd."""
+        return self._den
 
     @property
     def terms(self):

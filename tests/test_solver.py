@@ -292,17 +292,28 @@ def outcome(solve, *args):
     return [(col, list(values.items())) for col, values in solution.items()]
 
 
+def replay_values(record, rhs, den):
+    """``solver._replay``'s columns, int numerators over a denominator each, as exact values."""
+    solution = solver._replay(record, rhs, den)
+    assert all(col_den > 0 for _, col_den in solution.values())
+    return {col: {k: Fraction(v, col_den) for k, v in values.items()} for col, (values, col_den) in solution.items()}
+
+
 @settings(max_examples=300, deadline=None)
-@given(sparse_systems())
-def test_record_and_replay_match_the_reference_elimination(system):
+@given(sparse_systems(), st.integers(1, 6))
+def test_record_and_replay_match_the_reference_elimination(system, den):
+    # the replay takes the right-hand sides as int numerators over one
+    # denominator, as H_n arrives; the reference takes their exact values
     equations, rhs = system
-    rows = [(equations.get(key, {}), rhs.get(key, {})) for key in sorted(equations.keys() | rhs.keys())]
-    before = {key: dict(values) for key, values in rhs.items()}
+    numerators = {key: {k: int(v) for k, v in values.items()} for key, values in rhs.items()}
+    values = {key: {k: v / den for k, v in row.items()} for key, row in rhs.items()}
+    rows = [(equations.get(key, {}), values.get(key, {})) for key in sorted(equations.keys() | rhs.keys())]
+    before = {key: dict(row) for key, row in numerators.items()}
     record = solver._record(equations)
-    assert outcome(solver._replay, record, rhs) == outcome(_linsolve, rows)
+    assert outcome(replay_values, record, numerators, den) == outcome(_linsolve, rows)
     # neither the record nor the right-hand sides change under a replay
-    assert rhs == before
-    assert outcome(solver._replay, record, rhs) == outcome(_linsolve, rows)
+    assert numerators == before
+    assert outcome(replay_values, record, numerators, den) == outcome(_linsolve, rows)
 
 
 @pytest.mark.parametrize("build, order", [(so3_structure, 6), (quadratic_structure, 8)], ids=["so3", "quadratic"])
