@@ -44,7 +44,14 @@ import math
 from dataclasses import dataclass
 
 from gfoperad.operad import GenFunction, check_order, compose, identity
-from gfoperad.symbols import FormalSeries, PolySymbol, check_grading, p_key
+from gfoperad.symbols import (
+    FormalSeries,
+    PolySymbol,
+    accumulate,
+    check_grading,
+    p_key,
+    split_monomial,
+)
 
 
 @dataclass
@@ -73,11 +80,8 @@ def coboundary_monomial(mono, arity: int) -> list:
     """
     n = arity
     blocks = [[] for _ in range(n + 1)]  # blocks[k]: the (component, exponent) of p_k
-    x_part = ()
-    for index, (var, exp) in enumerate(mono):
-        if var[0] != "p":
-            x_part = mono[index:]  # x-variables sort after every p-variable
-            break
+    p_part, x_part = split_monomial(mono)
+    for var, exp in p_part:
         blocks[var[1]].append((var[2], exp))
     out = []
     for k in range(1, n + 1):
@@ -108,19 +112,17 @@ def coboundary_symbol(sym: PolySymbol, arity: int) -> PolySymbol:
     """Apply the coboundary to one arity-``arity`` symbol, monomial by monomial.
 
     The images of the symbol's int numerators are summed over its one
-    denominator.  Each image monomial of :func:`coboundary_monomial` is already
-    canonical, so the sum becomes a symbol through
+    denominator by the kernel's :func:`~gfoperad.symbols.accumulate`, which
+    drops what cancels.  Each image monomial of :func:`coboundary_monomial` is
+    already canonical, so the sum becomes a symbol through
     :meth:`PolySymbol.from_numerators`, which divides out the common factor.
     """
     if sym.blocks != arity:
         raise ValueError(f"symbol has {sym.blocks} blocks, expected {arity}")
     total = {}
-    get = total.get
     for mono, num in sym.numerators.items():
-        for image, weight in coboundary_monomial(mono, arity):
-            total[image] = get(image, 0) + num * weight
-    numerators = {image: num for image, num in total.items() if num}
-    return PolySymbol.from_numerators(sym.dim, arity + 1, numerators, sym.denominator)
+        accumulate(total, coboundary_monomial(mono, arity), num)
+    return PolySymbol.from_numerators(sym.dim, arity + 1, total, sym.denominator)
 
 
 def coboundary(series: FormalSeries) -> FormalSeries:

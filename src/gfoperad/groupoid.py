@@ -177,7 +177,7 @@ def is_odd_in_p(series: FormalSeries) -> bool:
     return all(
         monomial_p_degree(mono) % 2 == 1
         for sym in series.orders.values()
-        for mono in sym.terms
+        for mono in sym.numerators
     )
 
 

@@ -20,9 +20,10 @@ closed-form coboundary (:func:`gfoperad.deformation.coboundary_monomial`),
 and the inverse-condition column of a basis monomial p1^a p2^b is the one
 signed monomial (-1)^|b| p1^(a+b), written directly.  The rows, columns and
 right-hand sides are sparse vectors of int numerators over one positive
-denominator each, as the kernel stores a symbol, not polynomials, so they are
-summed by the solver's own row helpers :func:`_add_row` and
-:func:`_add_scaled`, and each pivot row's common factor is taken out once.
+denominator each, as the kernel stores a symbol, not polynomials, and they are
+summed by the kernel's row helpers (:func:`gfoperad.symbols.accumulate`,
+:func:`~gfoperad.symbols.add_scaled`), which sum every symbol; each pivot
+row's common factor is taken out once (:func:`~gfoperad.symbols.content_out`).
 H_n enters through its numerators and denominator
 (``PolySymbol.numerators``, ``PolySymbol.denominator``), and the solution,
 whose monomials are canonical by construction, leaves through
@@ -65,7 +66,16 @@ from gfoperad.deformation import coboundary_monomial, coboundary_symbol, obstruc
 from gfoperad.groupoid import check_sgs
 from gfoperad.operad import check_order
 from gfoperad.poisson import PoissonStructure, validate_poisson
-from gfoperad.symbols import FormalSeries, PolySymbol, p_key, x_key
+from gfoperad.symbols import (
+    FormalSeries,
+    PolySymbol,
+    accumulate,
+    add_scaled,
+    content_out,
+    p_key,
+    split_monomial,
+    x_key,
+)
 
 # ``perfbench/tracer.py`` wraps ``gfoperad.solver.verify_product`` by name and
 # counts a run with a missing target as incorrect, so the name stays here,
@@ -95,14 +105,6 @@ def first_order_deformation(alpha: PoissonStructure) -> FormalSeries:
     return FormalSeries(d, 2, {1: total} if not total.is_zero() else {}, graded=True)
 
 
-def _split_monomial(mono):
-    """(p-part, x-part) of a monomial; x-variables sort after every p-variable."""
-    for index, (var, _) in enumerate(mono):
-        if var[0] == "x":
-            return mono[:index], mono[index:]
-    return mono, ()
-
-
 def _p_basis(n: int, d: int):
     """Arity-2 p-monomials of degree n+1 with positive degree in both blocks."""
     variables = [p_key(b, i) for b in (1, 2) for i in range(1, d + 1)]
@@ -116,55 +118,6 @@ def _p_basis(n: int, d: int):
             counts[v] = counts.get(v, 0) + 1
         basis.append(tuple(sorted(counts.items())))
     return sorted(basis)
-
-
-def _add_row(acc, items, factor=None):
-    """Add ``factor * v`` into ``acc[k]`` for each ``(k, v)`` of ``items``, in place.
-
-    ``acc`` is a sparse row (key -> nonzero number); entries that cancel are
-    deleted.  ``factor`` None means 1.
-    """
-    get = acc.get
-    for k, v in items:
-        if factor is not None:
-            v = v * factor
-        old = get(k)
-        if old is None:
-            acc[k] = v
-        else:
-            v = old + v
-            if v:
-                acc[k] = v
-            else:
-                del acc[k]
-
-
-def _add_scaled(acc, den, items, num, other):
-    """Add ``num / other * v`` into ``acc``, int numerators over ``den``, for each ``(k, v)`` of ``items``.
-
-    ``items`` are int numerators over the positive ``other``.  ``acc`` is
-    brought in place to the lcm of the two denominators only when ``other``
-    does not divide ``den``; returns ``acc``'s denominator.
-    """
-    if den % other:
-        common = math.lcm(den, other)
-        k = common // den
-        for key in acc:
-            acc[key] *= k
-        den = common
-    k = num * (den // other)
-    _add_row(acc, items, None if k == 1 else k)
-    return den
-
-
-def _content_out(acc, den):
-    """Divide gcd(den, *acc.values()) out of ``acc`` in place; return the reduced denominator."""
-    g = math.gcd(den, *acc.values())
-    if g != 1:
-        for key in acc:
-            acc[key] //= g
-        den //= g
-    return den
 
 
 def _over_one_denominator(pairs):
@@ -208,8 +161,8 @@ def _record(equations):
         for col in cols:
             value = row.pop(col)
             factors.append((-value, den))
-            den = _add_scaled(row, den, pivots[col].items(), -value, den * pivot_dens[col])
-        den = _content_out(row, den)
+            den = add_scaled(row, den, pivots[col].items(), -value, den * pivot_dens[col])
+        den = content_out(row, den)
         if not row:
             factors, den = _over_one_denominator(factors)
             steps.append((cols, tuple(factors), None, None, None, (), (), den))
@@ -221,15 +174,15 @@ def _record(equations):
         inv_num, inv_den = sign * den // g, abs(value) // g
         # the row over its pivot entry: the row's own denominator cancels
         prow = {c: sign * v for c, v in row.items()}
-        pden = _content_out(prow, abs(value))
+        pden = content_out(prow, abs(value))
         back_cols = []
         for ocol, orow in pivots.items():
             if col in orow:
                 value = orow.pop(col)
                 oden = pivot_dens[ocol]
                 factors.append((-value, oden))
-                oden = _add_scaled(orow, oden, prow.items(), -value, oden * pden)
-                pivot_dens[ocol] = _content_out(orow, oden)
+                oden = add_scaled(orow, oden, prow.items(), -value, oden * pden)
+                pivot_dens[ocol] = content_out(orow, oden)
                 back_cols.append(ocol)
         pivots[col] = prow
         pivot_dens[col] = pden
@@ -271,7 +224,7 @@ def _replay(system, rhs, den=1):
         for c, factor in zip(cols, factors):
             prhs = solved[c]
             if prhs:
-                acc_den = _add_scaled(acc, acc_den, prhs.items(), factor, step_den * dens[c])
+                acc_den = add_scaled(acc, acc_den, prhs.items(), factor, step_den * dens[c])
         if col is None:
             if acc:
                 raise ValueError(message, min(acc))
@@ -279,9 +232,9 @@ def _replay(system, rhs, den=1):
         prhs = {k: v * inv_num for k, v in acc.items()}
         pden = 1
         if prhs:
-            pden = _content_out(prhs, acc_den * inv_den)
+            pden = content_out(prhs, acc_den * inv_den)
             for c, factor in zip(back_cols, back_factors):
-                dens[c] = _add_scaled(solved[c], dens[c], prhs.items(), factor, step_den * pden)
+                dens[c] = add_scaled(solved[c], dens[c], prhs.items(), factor, step_den * pden)
         solved[col] = prhs
         dens[col] = pden
     if stray is not None:
@@ -310,7 +263,7 @@ def _order_columns(n: int, d: int):
     d_cols = []
     for mono in basis:
         col = {}
-        _add_row(col, coboundary_monomial(mono, 2))
+        accumulate(col, coboundary_monomial(mono, 2))
         d_cols.append(col)
     return basis, d_cols, [_inverse_column(mono) for mono in basis]
 
@@ -342,7 +295,7 @@ def _solve_order(h_n: PolySymbol, n: int, d: int) -> PolySymbol:
     """Solve d S_n = -H_n with the structure-condition constraints."""
     rhs = {}
     for mono, num in h_n.numerators.items():
-        p_part, x_part = _split_monomial(mono)
+        p_part, x_part = split_monomial(mono)
         rhs.setdefault(("d", p_part), {})[x_part] = -num
     if not rhs:
         return PolySymbol.zero(d, 2)

@@ -25,13 +25,16 @@ blocks, terms)`` (it copies, sorts, validates and converts),
 ``map_blocks``, and :meth:`PolySymbol.linear_combination`, which sums
 (factor, symbol) pairs in one pass.  Inside the kernel, every symbol is
 wrapped by :meth:`PolySymbol._trusted`, which takes an already-clean numerator
-dict and its denominator without copying and divides out their common factor,
-and every sum is built by :func:`_accumulate`, the one accumulation path: it
-adds integer terms into a dict in place and drops zeros.  A sum brings each
-operand to the lcm of the denominators, rescaling the accumulator only when
-the new denominator does not divide its own (:func:`_rescale_to`).  These
-names are private to this module; ``tests/test_unused_imports.py`` fails on a
-library module that reaches them.  The one change of variables is
+dict and its denominator without copying and divides out their common factor;
+``_num``, ``_den`` and ``_trusted`` are private to this module, and
+``tests/test_unused_imports.py`` fails on a library module that reaches them.
+Every sparse row of int numerators over one positive denominator, a symbol's
+or the solver's, is summed by three row helpers: :func:`accumulate` adds int
+terms into a dict in place and drops zeros, :func:`add_scaled` first brings
+the row to the lcm of the two denominators, rescaling it only when the new
+denominator does not divide its own, and :func:`content_out` divides out the
+common factor.  :func:`split_monomial` splits a monomial at its first
+x-variable.  The one change of variables is
 ``map_blocks``, which replaces p-blocks by linear combinations of p-blocks;
 ``substitute`` and its renaming ``remap_variables`` are folds over the ring
 operations that no library code calls.
@@ -111,17 +114,26 @@ def _mul_monomials(m1, m2):
     return tuple(out)
 
 
-def _accumulate(acc, terms, factor=None, mono=()):
-    """Add ``factor * mono * m`` into ``acc`` for each ``(m, c)`` of ``terms``.
+def split_monomial(mono):
+    """(p-part, x-part) of a monomial; x-variables sort after every p-variable."""
+    for index, (var, _) in enumerate(mono):
+        if var[0] == "x":
+            return mono[:index], mono[index:]
+    return mono, ()
 
-    ``acc`` is a clean numerator dict owned by the caller and updated in
-    place; entries that cancel are deleted, so ``acc`` stays clean.  ``terms``
-    is an iterable of (monomial, int) pairs with nonzero numerators, ``factor``
-    a nonzero int (None means 1) and ``mono`` a monomial multiplied into every
-    term.  All of them are over the accumulator's denominator.
+
+def accumulate(acc, items, factor=None, mono=()):
+    """Add ``factor * mono * m`` into ``acc`` for each ``(m, c)`` of ``items``.
+
+    ``acc`` is a sparse row owned by the caller, key -> nonzero int, updated
+    in place; entries that cancel are deleted, so ``acc`` stays clean.
+    ``items`` is an iterable of (key, int) pairs with nonzero numerators,
+    ``factor`` a nonzero int (None means 1) and ``mono`` a monomial multiplied
+    into every key (the keys are then monomials too).  All of them are over
+    the row's denominator.
     """
     get = acc.get
-    for m, c in terms:
+    for m, c in items:
         if mono:
             m = _mul_monomials(mono, m)
         if factor is not None:
@@ -137,29 +149,39 @@ def _accumulate(acc, terms, factor=None, mono=()):
                 del acc[m]
 
 
-def _rescale_to(acc, den, other):
-    """Rescale ``acc``, numerators over ``den``, in place so that ``other`` divides its denominator.
+def add_scaled(acc, den, items, num, other, mono=()):
+    """Add ``num / other`` times ``items`` into ``acc``, int numerators over ``den``.
 
-    Returns that denominator, lcm(den, other); ``acc`` is touched only when
-    ``other`` does not divide ``den``.
+    ``items`` are int numerators over the positive ``other``, ``num`` a
+    nonzero int, and ``mono`` is multiplied in as by :func:`accumulate`.
+    ``acc`` is brought in place to lcm(den, other) only when ``other`` does
+    not divide ``den``; returns ``acc``'s denominator.
     """
-    if den % other == 0:
-        return den
-    common = lcm(den, other)
-    k = common // den
-    for m in acc:
-        acc[m] *= k
-    return common
+    if den % other:
+        common = lcm(den, other)
+        k = common // den
+        for key in acc:
+            acc[key] *= k
+        den = common
+    k = num * (den // other)
+    accumulate(acc, items, None if k == 1 else k, mono)
+    return den
+
+
+def content_out(acc, den):
+    """Divide gcd(den, *acc.values()) out of ``acc`` in place; return the reduced denominator."""
+    g = gcd(den, *acc.values())
+    if g != 1:
+        den //= g
+        for key in acc:
+            acc[key] //= g
+    return den
 
 
 def _store(sym, dim, blocks, num, den):
     """Fill the slots of ``sym``, first dividing gcd(den, *num.values()) out of ``num`` in place."""
     if den != 1:
-        g = gcd(den, *num.values())
-        if g != 1:
-            den //= g
-            for m in num:
-                num[m] //= g
+        den = content_out(num, den)
     object.__setattr__(sym, "dim", dim)
     object.__setattr__(sym, "blocks", blocks)
     object.__setattr__(sym, "_num", num)
@@ -201,6 +223,21 @@ _KEPT = object()
 
 #: the exponent of a (variable, exponent) pair
 _exponent = itemgetter(1)
+
+
+def _canonical(num):
+    """The (monomial, numerator) pairs of ``num`` in the canonical (degree-major, variable-major) order.
+
+    Each monomial's total degree is computed once, to bucket its term; each
+    bucket then sorts by monomial.
+    """
+    by_degree = {}
+    for term in num.items():
+        by_degree.setdefault(sum(map(_exponent, term[0])), []).append(term)
+    ordered = []
+    for degree in sorted(by_degree):
+        ordered += sorted(by_degree[degree])  # monomials are distinct keys
+    return ordered
 
 
 def monomial_p_degree(monomial) -> int:
@@ -250,7 +287,7 @@ class PolySymbol:
                 if num:
                     checked.append((mono, num, den))
         den = lcm(*(d for _, _, d in checked))
-        _accumulate(clean, [(mono, num * (den // d)) for mono, num, d in checked])
+        accumulate(clean, [(mono, num * (den // d)) for mono, num, d in checked])
         _store(self, dim, blocks, clean, den)
 
     @staticmethod
@@ -327,10 +364,7 @@ class PolySymbol:
                 )
             f_num, f_den = _exact(factor, "factor")
             if f_num:
-                other = f_den * sym._den
-                den = _rescale_to(num, den, other)
-                k = f_num * (den // other)
-                _accumulate(num, sym._num.items(), None if k == 1 else k)
+                den = add_scaled(num, den, sym._num.items(), f_num, f_den * sym._den)
         return PolySymbol._trusted(dim, blocks, num, den)
 
     # -- basic queries -----------------------------------------------------
@@ -342,18 +376,9 @@ class PolySymbol:
         return self.dim == other.dim and self.blocks == other.blocks
 
     def ordered_terms(self):
-        """Terms in the canonical (degree-major, variable-major) order.
-
-        Each monomial's total degree is computed once, to bucket its term;
-        each bucket then sorts by monomial.
-        """
-        by_degree = {}
-        for term in self.terms.items():
-            by_degree.setdefault(sum(map(_exponent, term[0])), []).append(term)
-        ordered = []
-        for degree in sorted(by_degree):
-            ordered += sorted(by_degree[degree])  # monomials are distinct keys
-        return ordered
+        """Terms in the canonical (degree-major, variable-major) order, as ``Fraction`` pairs."""
+        den = self._den
+        return [(m, Fraction(c, den)) for m, c in _canonical(self._num)]
 
     def max_x_degree(self) -> int:
         degs = [sum(e for v, e in m if v[0] == "x") for m in self._num]
@@ -388,9 +413,7 @@ class PolySymbol:
             other = PolySymbol.constant(other, self.dim, self.blocks)
         self._require_shape(other)
         num = dict(self._num)
-        den = _rescale_to(num, self._den, other._den)
-        k = den // other._den
-        _accumulate(num, other._num.items(), None if k == 1 else k)
+        den = add_scaled(num, self._den, other._num.items(), 1, other._den)
         return PolySymbol._trusted(self.dim, self.blocks, num, den)
 
     def __neg__(self):
@@ -420,7 +443,7 @@ class PolySymbol:
         self._require_shape(other)
         num = {}
         for m1, c1 in self._num.items():
-            _accumulate(num, other._num.items(), c1, m1)
+            accumulate(num, other._num.items(), c1, m1)
         return PolySymbol._trusted(self.dim, self.blocks, num, self._den * other._den)
 
     def __rmul__(self, other):
@@ -582,9 +605,9 @@ class PolySymbol:
             if scale != 1:
                 coeff = coeff * scale
             if products is None:
-                _accumulate(num, ((mono, coeff),))
+                accumulate(num, ((mono, coeff),))
             else:
-                _accumulate(num, products, coeff, mono)
+                accumulate(num, products, coeff, mono)
         return PolySymbol._trusted(self.dim, blocks, num, den)
 
     # -- evaluation ----------------------------------------------------------
@@ -672,10 +695,8 @@ def _contract(f: PolySymbol, variables, directions) -> PolySymbol:
             continue
         inner = _contract(g, variables, directions[1:])
         other = component._den * inner._den
-        den = _rescale_to(total, den, other)
-        k = den // other
         for m, c in component._num.items():
-            _accumulate(total, inner._num.items(), c * k, m)
+            den = add_scaled(total, den, inner._num.items(), c, other, m)
     return PolySymbol._trusted(f.dim, f.blocks, total, den)
 
 
@@ -954,7 +975,9 @@ def _write_terms(out: list, sym: PolySymbol, depth: int) -> None:
     Each term is ``{"coeff": <fraction string>, "p": [[block, comp, exp], ...],
     "x": [[comp, exp], ...]}``.  A monomial holds its p variables before its x
     variables, each kind in sorted order, so its rows come out sorted as they
-    are walked.  Each distinct row is rendered once per call.
+    are walked.  Each distinct row is rendered once per call, and each
+    coefficient is written as its reduced numerator over the symbol's
+    denominator, without building a ``Fraction``.
     """
     if not sym._num:
         out.append("[]")
@@ -966,10 +989,12 @@ def _write_terms(out: list, sym: PolySymbol, depth: int) -> None:
     p_key_text = "," + key + '"p": '
     x_key_text = "," + key + '"x": '
     close_rows = key + "]"
-    for mono, coeff in sym.ordered_terms():
+    den = sym._den
+    for mono, num in _canonical(sym._num):
         out.append(open_term)
         open_term = next_term
-        out.append(_quote(str(coeff)))
+        g = gcd(num, den)
+        out.append(_quote(str(num // g) if g == den else f"{num // g}/{den // g}"))
         p_rows = []
         x_rows = []
         for var_exp in mono:

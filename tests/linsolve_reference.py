@@ -4,18 +4,25 @@ The solver eliminates each order's rows once per (n, d) and replays only the
 right-hand sides (``gfoperad.solver._record`` and ``_replay``).  ``_linsolve``
 carries rows and right-hand sides together through one elimination, row by
 row in the order given, and ``solve_order`` is the order-n solve built on it:
-the rows and right-hand sides of all keys, sorted together.
+the rows and right-hand sides of all keys, sorted together.  Its rows hold
+``Fraction`` values and are summed by its own :func:`_add_row`, not by the
+kernel's row helpers that the solver uses.
 """
 
 from fractions import Fraction
 
-from gfoperad.solver import (
-    InfeasibleOrderError,
-    _add_row,
-    _order_columns,
-    _split_monomial,
-)
-from gfoperad.symbols import PolySymbol
+from gfoperad.solver import InfeasibleOrderError, _order_columns
+from gfoperad.symbols import PolySymbol, split_monomial
+
+
+def _add_row(acc, items, factor):
+    """Add ``factor * v`` into ``acc[k]`` for each ``(k, v)`` of ``items``; drop zeros."""
+    for k, v in items:
+        total = acc.get(k, 0) + factor * v
+        if total:
+            acc[k] = total
+        else:
+            del acc[k]
 
 
 def _linsolve(equations):
@@ -62,7 +69,7 @@ def solve_order(h_n, n: int, d: int):
     """d S_n = -H_n through one uncached elimination of rows and right-hand sides."""
     rhs = {}
     for mono, coeff in h_n.terms.items():
-        p_part, x_part = _split_monomial(mono)
+        p_part, x_part = split_monomial(mono)
         rhs.setdefault(("d", p_part), {})[x_part] = -coeff
     if not rhs:
         return PolySymbol.zero(d, 2)

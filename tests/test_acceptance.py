@@ -22,7 +22,6 @@ from gfoperad.groupoid import (
 from gfoperad.operad import GenFunction, compose, identity, numeric_phi
 from gfoperad.solver import (
     bch_generating_function,
-    first_order_deformation,
     heisenberg_structure,
     lie_poisson_structure,
     solve_deformation,

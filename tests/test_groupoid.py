@@ -16,13 +16,11 @@ from gfoperad.groupoid import (
     transform_product,
 )
 from gfoperad.operad import GenFunction, compose
-from gfoperad.poisson import PoissonStructure
 from gfoperad.symbols import (
     FormalSeries,
     PolySymbol,
     p_key,
     random_graded_series,
-    series_eval,
     x_key,
 )
 from sample_series import (

@@ -6,11 +6,13 @@ dict of its own.  ``substitute``, ``remap_variables`` and ``map_blocks`` are
 checked against a naive term-by-term fold that uses only the public
 constructors, ``*`` and ``+``, ``linear_combination`` against the fold of
 ``scale`` and ``+``, and the contractions against a naive sum over every index
-tuple.
+tuple.  The row helpers that every sum goes through, in the kernel and in the
+solver, are checked against ``Fraction`` dict arithmetic.
 """
 
 import itertools
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 from hypothesis import example, given, settings
@@ -19,6 +21,8 @@ from hypothesis import strategies as st
 from gfoperad.symbols import (
     PolySymbol,
     ShapeError,
+    add_scaled,
+    content_out,
     contracted_gradient,
     directional_contract,
     p_key,
@@ -98,6 +102,70 @@ def test_linear_combination_rejects_a_pair_of_the_wrong_shape(pairs, a, wrong):
     other = PolySymbol.zero(DIM + 1, BLOCKS) if wrong == "dim" else a.map_blocks({}, BLOCKS + 1)
     with pytest.raises(ShapeError):
         PolySymbol.linear_combination(DIM, BLOCKS, pairs + [(1, other)])
+
+
+# sparse int rows keyed by monomials over small denominators
+ROWS = st.dictionaries(MONOMIALS, st.integers(-3, 3).filter(bool), max_size=5)
+DENOMINATORS = st.integers(1, 12)
+
+
+def times(mono, key):
+    """The product of two monomials, by adding exponent dicts."""
+    powers = dict(mono)
+    for var, exp in key:
+        powers[var] = powers.get(var, 0) + exp
+    return tuple(sorted(powers.items()))
+
+
+@st.composite
+def row_sums(draw):
+    """(acc, den, items, num, other, mono) for ``add_scaled``.
+
+    Half of the draws add over den * m numerators that cancel some entries of
+    ``acc`` exactly, so the sum rescales ``acc`` (m > 1) and deletes entries.
+    """
+    acc, den = draw(ROWS), draw(DENOMINATORS)
+    if acc and draw(st.booleans()):
+        m = draw(st.integers(1, 3))
+        items = draw(ROWS)
+        items.update({k: -acc[k] * m for k in draw(st.sets(st.sampled_from(sorted(acc))))})
+        return acc, den, items, 1, den * m, ()
+    num = draw(st.integers(-3, 3).filter(bool))
+    return acc, den, draw(ROWS), num, draw(DENOMINATORS), draw(MONOMIALS)
+
+
+@settings(max_examples=300, deadline=None)
+@given(row_sums())
+def test_add_scaled_matches_fraction_arithmetic(case):
+    acc, den, items, num, other, mono = case
+    expected = {k: Fraction(v, den) for k, v in acc.items()}
+    for k, v in items.items():
+        key = times(mono, k)
+        expected[key] = expected.get(key, 0) + Fraction(num * v, other)
+    expected = {k: v for k, v in expected.items() if v}
+    before = dict(acc)
+    reached = {times(mono, k) for k in items}
+    new_den = add_scaled(acc, den, items.items(), num, other, mono)
+    assert new_den == lcm(den, other)
+    assert all(type(v) is int and v != 0 for v in acc.values())
+    assert {k: Fraction(v, new_den) for k, v in acc.items()} == expected
+    if den % other == 0:
+        # no rescale: every entry the items do not reach keeps its numerator
+        assert {k: v for k, v in acc.items() if k not in reached} == {
+            k: v for k, v in before.items() if k not in reached
+        }
+
+
+@SETTINGS
+@given(ROWS, DENOMINATORS, st.integers(1, 6))
+def test_content_out_divides_out_the_common_factor(row, den, k):
+    row = {key: v * k for key, v in row.items()}
+    values = {key: Fraction(v, den * k) for key, v in row.items()}
+    reduced = content_out(row, den * k)
+    assert gcd(reduced, *row.values()) == 1
+    assert {key: Fraction(v, reduced) for key, v in row.items()} == values
+    if not row:
+        assert reduced == 1
 
 
 @SETTINGS

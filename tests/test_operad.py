@@ -23,7 +23,6 @@ from gfoperad.symbols import (
     check_grading,
     p_key,
     random_graded_series,
-    series_eval,
     x_key,
 )
 from gfoperad.trees import BLACK, WHITE, enumerate_unrooted

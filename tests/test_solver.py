@@ -1,5 +1,4 @@
 import hashlib
-import random
 from fractions import Fraction
 
 import pytest
@@ -26,7 +25,7 @@ from gfoperad.solver import (
     lie_poisson_structure,
     solve_deformation,
 )
-from gfoperad.symbols import FormalSeries, PolySymbol, check_grading, p_key, x_key
+from gfoperad.symbols import PolySymbol, check_grading, p_key, x_key
 from equivalence_oracle import equivalence_morphism
 from linsolve_reference import _linsolve
 from linsolve_reference import solve_order as reference_solve_order

@@ -1,5 +1,5 @@
-"""Every name a library module imports is used in that module, and no private
-name crosses a module boundary.
+"""Every name a library, test or demo module imports is used in that module, and
+no private name crosses a library module boundary.
 
 ``__init__.py`` is skipped: it imports names to re-export them.  The kernel's
 term representation belongs to ``symbols``: no other module imports an
@@ -12,8 +12,11 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "gfoperad"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "gfoperad"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+#: the test and demo modules, held to the unused-import check as well
+SCRIPTS = sorted(ROOT.glob("tests/*.py")) + sorted(ROOT.glob("demos/*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -35,7 +38,11 @@ def test_the_check_sees_an_unused_name():
     assert unused_imports(source) == ["line 1: Fraction", "line 3: os"]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+@pytest.mark.parametrize(
+    "path",
+    MODULES + SCRIPTS,
+    ids=[p.name for p in MODULES] + [str(p.relative_to(ROOT)) for p in SCRIPTS],
+)
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
