@@ -15,7 +15,10 @@ What is left is the reduced coproduct: for each block k, its proper
 splittings 0 != c != a_k with the integer weight prod_i C(a_{k,i}, c_i) and
 the sign (-1)^(n+k+1) of merge k, and for each block with a_k = 0, whose one
 merge term had to cancel both neighbours, a single correction term with the
-opposite sign.  ``coboundary_monomial`` writes these integer terms directly.
+opposite sign.  ``coboundary_monomial`` writes these integer terms directly;
+they depend only on the monomial's p-part and the arity, so each p-part's
+image is computed once per process and cached as an immutable tuple, and the
+x-part is appended to each image monomial.
 
 The Gerstenhaber-type bracket is assembled from slot insertions through
 :func:`gfoperad.operad.compose` with identity fillers, with the classical slot
@@ -42,6 +45,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 from gfoperad.operad import GenFunction, check_order, compose, identity
 from gfoperad.symbols import (
@@ -72,40 +76,62 @@ class CochainReport:
         return None
 
 
-def coboundary_monomial(mono, arity: int) -> list:
-    """d of one arity-``arity`` monomial as (monomial, nonzero int) pairs.
+@lru_cache(maxsize=None)
+def _p_pair(block: int, comp: int, exp: int) -> tuple:
+    """The (variable, exponent) pair of p[block][comp]^exp, one object per process."""
+    return (p_key(block, comp), exp)
 
-    The reduced coproduct of the module docstring; the x-part rides along.  A
-    monomial may appear in more than one pair.
+
+@lru_cache(maxsize=None)
+def _p_coboundary(p_part, arity: int) -> tuple:
+    """d of one arity-``arity`` p-monomial as an immutable tuple of (monomial, nonzero int) pairs.
+
+    The reduced coproduct of the module docstring, computed once per
+    (p-part, arity) and process and shared by every caller, so it is never
+    mutated.  A monomial may appear in more than one pair.  The images share
+    their (variable, exponent) pairs (:func:`_p_pair`), which keeps the cache
+    small: at most a few hundred distinct pairs stand behind its monomials.
     """
     n = arity
     blocks = [[] for _ in range(n + 1)]  # blocks[k]: the (component, exponent) of p_k
-    p_part, x_part = split_monomial(mono)
     for var, exp in p_part:
         blocks[var[1]].append((var[2], exp))
     out = []
     for k in range(1, n + 1):
         sign = -1 if (n + k) % 2 == 0 else 1
-        below = tuple((p_key(j, i), e) for j in range(1, k) for i, e in blocks[j])
-        above = tuple((p_key(j + 1, i), e) for j in range(k + 1, n + 1) for i, e in blocks[j])
-        above += x_part
+        below = tuple(_p_pair(j, i, e) for j in range(1, k) for i, e in blocks[j])
+        above = tuple(_p_pair(j + 1, i, e) for j in range(k + 1, n + 1) for i, e in blocks[j])
         if not blocks[k]:
             out.append((below + above, -sign))
             continue
         splits = [((), (), sign)]  # (p_k part, p_{k+1} part, signed weight)
         for i, e in blocks[k]:
-            low_var, high_var = p_key(k, i), p_key(k + 1, i)
             splits = [
                 (
-                    low + ((low_var, c),) if c else low,
-                    high + ((high_var, e - c),) if c < e else high,
+                    low + (_p_pair(k, i, c),) if c else low,
+                    high + (_p_pair(k + 1, i, e - c),) if c < e else high,
                     weight * math.comb(e, c),
                 )
                 for low, high, weight in splits
                 for c in range(e + 1)
             ]
         out.extend((below + low + high + above, w) for low, high, w in splits if low and high)
-    return out
+    return tuple(out)
+
+
+def coboundary_monomial(mono, arity: int) -> list:
+    """d of one arity-``arity`` monomial as a new list of (monomial, nonzero int) pairs.
+
+    The p-part's image comes from a per-process cache of the reduced
+    coproduct (:func:`_p_coboundary`), and the x-part, which d does not touch
+    and which sorts after every p-variable, is appended to each image
+    monomial.  A monomial may appear in more than one pair.
+    """
+    p_part, x_part = split_monomial(mono)
+    images = _p_coboundary(p_part, arity)
+    if not x_part:
+        return list(images)
+    return [(image + x_part, w) for image, w in images]
 
 
 def coboundary_symbol(sym: PolySymbol, arity: int) -> PolySymbol:

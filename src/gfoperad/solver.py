@@ -142,14 +142,20 @@ def _record(equations):
     reads, as the tuple (cols, factors, col, inv_num, inv_den, back_cols,
     back_factors, den): the eliminated pivot columns ``cols``, then either no
     pivot (``col`` None, a zero row) or the pivot column with its inverse
-    inv_num / inv_den, and the earlier pivots ``back_cols`` back-substituted.
-    The factors of both eliminations are int numerators over the one step
+    inv_num / inv_den, and the earlier pivots ``back_cols`` back-substituted,
+    in pivot order; an index from each free column to the pivot rows that
+    may hold it finds them without a scan of every pivot row.  The factors of
+    both eliminations are int numerators over the one step
     denominator ``den``.  Returns (sorted keys, steps), all tuples, so the
     record is shared and never mutated.
     """
     keys = tuple(sorted(equations))
     pivots = {}  # pivot column -> {free column: int}, over pivot_dens[column]
     pivot_dens = {}
+    # free column -> the pivot columns whose rows may hold it (a superset:
+    # an entry that cancels stays listed), and each pivot column's position
+    holders = {}
+    rank = {}
     steps = []
     for key in keys:
         row = {c: v for c, v in equations[key].items() if v != 0}
@@ -176,7 +182,8 @@ def _record(equations):
         prow = {c: sign * v for c, v in row.items()}
         pden = content_out(prow, abs(value))
         back_cols = []
-        for ocol, orow in pivots.items():
+        for ocol in sorted(holders.pop(col, ()), key=rank.__getitem__):
+            orow = pivots[ocol]
             if col in orow:
                 value = orow.pop(col)
                 oden = pivot_dens[ocol]
@@ -184,6 +191,11 @@ def _record(equations):
                 oden = add_scaled(orow, oden, prow.items(), -value, oden * pden)
                 pivot_dens[ocol] = content_out(orow, oden)
                 back_cols.append(ocol)
+        # the back-substituted rows and the new one took every column of prow
+        takers = (*back_cols, col)
+        for c in prow:
+            holders.setdefault(c, set()).update(takers)
+        rank[col] = len(rank)
         pivots[col] = prow
         pivot_dens[col] = pden
         factors, den = _over_one_denominator(factors)

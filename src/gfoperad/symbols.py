@@ -221,6 +221,9 @@ def _expand_power(row, exp):
 #: memo value of a variable that ``map_blocks`` leaves in place
 _KEPT = object()
 
+#: memo value of a variable that a relabelling ``map_blocks`` sends to zero
+_DROPPED = object()
+
 #: the exponent of a (variable, exponent) pair
 _exponent = itemgetter(1)
 
@@ -530,10 +533,20 @@ class PolySymbol:
         a Fraction, raises ``ValueError``.
 
         This is the kernel's one change of variables.  Each (variable,
-        exponent) is resolved once per call: a mapped power p[b][i]^e expands
-        in closed form by the multinomial theorem (:func:`_expand_power`) into
-        integer coefficients, and a one-term expansion folds into the monomial
-        and the coefficient.  Integer rows keep the denominator.  Rational rows
+        exponent) is resolved once per call.  When every row has at most one
+        target, as for every structure condition and every move of a
+        ``compose`` input, the map is a relabelling (the path is chosen from
+        the rows alone): p[b][i]^e becomes c^e p[t][i]^e or
+        zero, every monomial has at most one image, and that image is one
+        sort of its relabelled pairs.  If no two surviving blocks (those not
+        sent to zero, kept ones included) share a target, distinct monomials
+        keep distinct images and are stored directly; otherwise equal
+        variables merge and the images are summed.  A monomial sent to zero
+        still has its kept variables checked, so the errors are those of the
+        general path.  There, a mapped power expands in closed form by the
+        multinomial theorem (:func:`_expand_power`) into integer
+        coefficients, and a one-term expansion folds into the monomial and
+        the coefficient.  Integer rows keep the denominator.  Rational rows
         are first scaled to integers by their common denominator r; a monomial
         of mapped p-degree t then gains r^(T - t) and the denominator r^T,
         where T is the largest such degree.
@@ -565,6 +578,50 @@ class PolySymbol:
 
         memo = {}
         num = {}
+        if all(len(row) <= 1 for row in targets.values()):
+            # a relabelling: each monomial has at most one image
+            survivors = [row[0][0] for row in targets.values() if row]
+            survivors += [b for b in range(1, self.blocks + 1) if b not in targets]
+            merge = len(set(survivors)) < len(survivors)
+            for mono, coeff in self._num.items():
+                if r != 1:
+                    coeff *= r ** (top - mapped[mono])
+                pairs = []
+                for pair in mono:
+                    image = memo.get(pair)
+                    if image is None:
+                        var, exp = pair
+                        row = targets.get(var[1]) if var[0] == "p" else None
+                        if row is None:
+                            _validate_var(var, self.dim, blocks)
+                            image = (pair, 1)
+                        elif row:
+                            t, c = row[0]
+                            image = ((p_key(t, var[2]), exp), c**exp)
+                        else:
+                            image = _DROPPED
+                        memo[pair] = image
+                    if image is _DROPPED:
+                        coeff = 0  # resolve the other pairs all the same: they may raise
+                    else:
+                        pairs.append(image[0])
+                        if image[1] != 1:
+                            coeff *= image[1]
+                if not coeff:
+                    continue
+                pairs.sort()
+                if merge:
+                    merged = []
+                    for var, exp in pairs:
+                        if merged and merged[-1][0] == var:
+                            exp += merged.pop()[1]
+                        merged.append((var, exp))
+                    accumulate(num, ((tuple(merged), coeff),))
+                else:
+                    # distinct surviving blocks: distinct monomials stay distinct
+                    num[tuple(pairs)] = coeff
+            return PolySymbol._trusted(self.dim, blocks, num, den)
+
         for mono, coeff in self._num.items():
             if r != 1:
                 coeff *= r ** (top - mapped[mono])

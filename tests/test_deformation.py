@@ -51,29 +51,68 @@ def test_coboundary_arity_one_example():
 
 @st.composite
 def symbols_of_any_arity(draw):
-    """Arity 0-4, d 1-3; whole p-blocks often zero, x-parts and non-integer coefficients."""
+    """Arity 0-4, d 1-3; whole p-blocks often zero, p-parts shared by monomials that
+    differ only in their x-part, and non-integer coefficients."""
     arity = draw(st.integers(0, 4))
     dim = draw(st.integers(1, 3))
     terms = {}
-    for _ in range(draw(st.integers(0, 4))):
-        powers = {}
+    for _ in range(draw(st.integers(0, 3))):
+        p_powers = {}
         for block in range(1, arity + 1):
             if draw(st.booleans()):  # leave the whole block at exponent zero
                 continue
             for i in range(1, dim + 1):
-                powers[p_key(block, i)] = draw(st.integers(0, 3))
-        for i in range(1, dim + 1):
-            powers[x_key(i)] = draw(st.integers(0, 2))
-        mono = tuple(sorted((v, e) for v, e in powers.items() if e))
-        terms[mono] = Fraction(draw(st.integers(-4, 4)), draw(st.integers(1, 5)))
+                p_powers[p_key(block, i)] = draw(st.integers(0, 3))
+        for _ in range(draw(st.integers(1, 3))):  # x-parts on one p-part
+            powers = dict(p_powers)
+            for i in range(1, dim + 1):
+                powers[x_key(i)] = draw(st.integers(0, 2))
+            mono = tuple(sorted((v, e) for v, e in powers.items() if e))
+            terms[mono] = Fraction(draw(st.integers(-4, 4)), draw(st.integers(1, 5)))
     return PolySymbol(dim, arity, terms), arity
+
+
+def assert_cold_and_warm_match_the_face_maps(sym, arity):
+    """The closed form from an empty coboundary cache, then from a filled one."""
+    reference = face_map_coboundary(sym, arity)
+    deformation._p_coboundary.cache_clear()
+    assert coboundary_symbol(sym, arity) == reference
+    assert coboundary_symbol(sym, arity) == reference
 
 
 @settings(max_examples=200, deadline=None)
 @given(symbols_of_any_arity())
 def test_coboundary_matches_the_face_maps(case):
-    sym, arity = case
-    assert coboundary_symbol(sym, arity) == face_map_coboundary(sym, arity)
+    assert_cold_and_warm_match_the_face_maps(*case)
+
+
+@pytest.mark.parametrize("arity", [1, 2, 3, 4])
+def test_coboundary_of_one_p_part_under_several_x_parts(arity):
+    # p_1^2 p_arity (a single block when arity is 1) times 1, x1 and x1^2 x2
+    p_part = ((p_key(1, 1), 2), (p_key(1, 2), 1)) + ((p_key(arity, 2), 1),) * (arity > 1)
+    x_parts = [(), ((x_key(1), 1),), ((x_key(1), 2), (x_key(2), 1))]
+    terms = {p_part + x_part: Fraction(k + 1, 3) for k, x_part in enumerate(x_parts)}
+    assert_cold_and_warm_match_the_face_maps(PolySymbol(2, arity, terms), arity)
+
+
+def test_cached_coboundary_images_cannot_be_mutated():
+    p_part = ((p_key(1, 1), 2), (p_key(2, 1), 1))
+    x_part = ((x_key(1), 1),)
+    expected = list(deformation.coboundary_monomial(p_part + x_part, 2))
+    pure = list(deformation.coboundary_monomial(p_part, 2))
+    cached = deformation._p_coboundary(p_part, 2)
+    assert type(cached) is tuple and cached
+    assert all(type(pair) is tuple and type(pair[0]) is tuple for pair in cached)
+    with pytest.raises(TypeError):
+        cached[0] = ((), 1)
+    # each call hands out a new list; changing it reaches no later call
+    for mono in (p_part, p_part + x_part):
+        out = deformation.coboundary_monomial(mono, 2)
+        out[0] = ((), 99)
+        out.append(((), 1))
+    assert deformation.coboundary_monomial(p_part + x_part, 2) == expected
+    assert deformation.coboundary_monomial(p_part, 2) == pure
+    assert deformation._p_coboundary(p_part, 2) == cached
 
 
 @pytest.mark.parametrize("d", [2, 3])

@@ -129,6 +129,99 @@ def test_map_blocks_matches_the_reference(a, rows_blocks):
     assert_matches(result, ref.map_blocks(dict(a.terms), rows))
 
 
+def polys_in(blocks):
+    """Symbols of shape (DIM, blocks) over mixed denominators."""
+    variables = [p_key(b, i) for b in range(1, blocks + 1) for i in (1, 2)] + [x_key(1), x_key(2)]
+    monomials = st.dictionaries(st.sampled_from(variables), st.integers(1, 3), max_size=4)
+    return st.dictionaries(monomials.map(lambda powers: tuple(sorted(powers.items()))), COEFFS, max_size=5).map(
+        lambda terms: PolySymbol(DIM, blocks, terms)
+    )
+
+
+@st.composite
+def block_relabelings(draw):
+    """(symbol, rows, blocks) with at most one target per row: permutations and swaps,
+    moves into a wider or a narrower shape, empty rows, coefficients +-1 or rational,
+    and maps that send two surviving blocks to one."""
+    source = draw(st.integers(1, 3))
+    kind = draw(st.sampled_from(["permutation", "swap", "move"]))
+    sign = st.sampled_from([1, -1])
+    if kind == "permutation":
+        blocks = source
+        images = draw(st.permutations(range(1, source + 1)))
+        rows = {b: [(t, draw(sign))] for b, t in zip(range(1, source + 1), images)}
+    elif kind == "swap":
+        blocks = source = max(source, 2)
+        i, j = sorted(draw(st.lists(st.integers(1, source), min_size=2, max_size=2, unique=True)))
+        rows = {i: [(j, 1)], j: [(i, 1)]}
+    else:
+        blocks = draw(st.integers(1, 4))
+        nonzero = st.one_of(sign, COEFFS.filter(bool))
+        rows = {}
+        for b in range(1, source + 1):
+            # a block past the result shape cannot be kept
+            choices = ["empty", "target"] + ["kept"] * (b <= blocks)
+            choice = draw(st.sampled_from(choices))
+            if choice == "empty":
+                rows[b] = draw(st.sampled_from([[], [(1, 1), (1, -1)]]))
+            elif choice == "target":
+                t = draw(st.integers(1, blocks))
+                c = draw(nonzero)
+                # the same target twice sums to one coefficient
+                rows[b] = draw(st.sampled_from([[(t, c)], [(t, 2 * c), (t, -c)]]))
+    return draw(polys_in(source)), rows, blocks
+
+
+def sample(blocks):
+    """Terms in the first and the last p-block, some shared, with x-parts and a constant."""
+
+    def mono(*pairs):
+        powers = {}
+        for var, exp in pairs:
+            powers[var] = powers.get(var, 0) + exp
+        return tuple(sorted(powers.items()))
+
+    f1, f2 = p_key(1, 1), p_key(1, 2)
+    l1, l2 = p_key(blocks, 1), p_key(blocks, 2)
+    return PolySymbol(
+        DIM,
+        blocks,
+        {
+            mono((f1, 2), (x_key(1), 1)): Fraction(1, 2),
+            mono((f2, 1), (l1, 1)): -3,
+            mono((f1, 1), (l2, 2), (x_key(2), 2)): Fraction(-2, 3),
+            mono((l1, 2), (x_key(1), 1)): 1,
+            (): 5,
+        },
+    )
+
+
+SAMPLE = {blocks: sample(blocks) for blocks in (1, 2, 3)}
+
+
+@SETTINGS
+@given(block_relabelings())
+# compose, in S(S, I): the first inner, the identity and the outer move into shape (d, 5)
+@example((SAMPLE[2], {1: [(1, 1)], 2: [(2, 1)]}, 5))
+@example((SAMPLE[1], {1: [(3, 1)]}, 5))
+@example((SAMPLE[2], {1: [(4, 1)], 2: [(5, 1)]}, 5))
+# obstruction: the opposite product's swap and the mirror p1 <-> p3
+@example((SAMPLE[2], {1: [(2, 1)], 2: [(1, 1)]}, 2))
+@example((SAMPLE[3], {1: [(3, 1)], 3: [(1, 1)]}, 3))
+# check_sgs: S(p, 0, x), S(0, p, x) and S(p, -p, x)
+@example((SAMPLE[2], {2: []}, 2))
+@example((SAMPLE[2], {1: []}, 2))
+@example((SAMPLE[2], {2: [(1, -1)]}, 2))
+# structure_maps: S(p, 0, x) and S(0, p, x) into one block
+@example((SAMPLE[2], {2: []}, 1))
+@example((SAMPLE[2], {1: [], 2: [(1, 1)]}, 1))
+def test_relabelings_match_the_reference(case):
+    a, rows, blocks = case
+    result = a.map_blocks(rows, blocks)
+    assert (result.dim, result.blocks) == (DIM, blocks)
+    assert_matches(result, ref.map_blocks(dict(a.terms), rows))
+
+
 @SETTINGS
 @given(
     POLYS,

@@ -315,6 +315,29 @@ def test_record_and_replay_match_the_reference_elimination(system, den):
     assert outcome(replay_values, record, numerators, den) == outcome(_linsolve, rows)
 
 
+#: sha256 of repr(_order_system(n, d)), taken when ``_record`` still scanned
+#: every earlier pivot row for each new pivot column
+RECORD_DIGESTS = {
+    (1, 2): "9be28872f0eb6d657cc5b998d67d1fce13722914921c0dbfabff818e3ae3fed6",
+    (2, 2): "7f5b3d5b59dc765f11d30410b0ea7f2c56eb093719221bcd401cd42b25e12fbe",
+    (3, 2): "dff80114dec91da411ca0c99ed64ac2e6e8f55de2975cad6d635e859f1884757",
+    (4, 2): "287e4cafbaac5cc9ca04e2f7714c779d6c8ab3f1f78b75ef90fe28af8a0233e4",
+    (5, 2): "b5853c1f65211309739acea185101a581bcfbc9358ed00a8da8d5ed88d21d7e0",
+    (1, 3): "08c4d31287355bd38d6f6e0254987873a2883d56297c35d4463bec4095cf5840",
+    (2, 3): "f88725a4f881fb69b301818fec8e5eed7207a903f5264460da84ccb1e945e602",
+    (3, 3): "0b98ea05f26374790fc004abdc30a657497022df0b4f9f03a3890d69127773e7",
+    (4, 3): "108644347639dfd943225dfb5351b0cb868a2fca0fcc6e8339cdb3937a458739",
+    (5, 3): "608ac007ae756c2d66df9b2bb6d5d5f624f4fce2b1f2e3b3f83e23510a9ee7c9",
+}
+
+
+@pytest.mark.parametrize("n, d", sorted(RECORD_DIGESTS))
+def test_recorded_elimination_is_pinned(n, d):
+    # a fresh record, not the cached one: the same steps and back_cols, in order
+    system = solver._order_system.__wrapped__(n, d)
+    assert hashlib.sha256(repr(system).encode()).hexdigest() == RECORD_DIGESTS[n, d]
+
+
 @pytest.mark.parametrize("build, order", [(so3_structure, 6), (quadratic_structure, 8)], ids=["so3", "quadratic"])
 def test_solve_order_matches_the_reference_on_real_obstructions(monkeypatch, build, order):
     solved = []

@@ -323,6 +323,12 @@ def test_remap_and_reshape():
         f.map_blocks({2: []}, 1)
     with pytest.raises(ShapeError):
         f.map_blocks({1: [(2, 1)]}, 1)
+    # p1 goes to zero, but the kept p2 still lies outside the result shape
+    p1p2 = sym(2, 2, {((p_key(1, 1), 1), (p_key(2, 2), 1)): 1})
+    with pytest.raises(ShapeError, match=r"\('p', 2, 2\)"):
+        p1p2.map_blocks({1: []}, 1)
+    with pytest.raises(ShapeError, match=r"\('p', 2, 2\)"):
+        p1p2.map_blocks({1: [(1, 1), (1, -1)]}, 1)
 
 
 def test_substitute_and_remap_refuse_a_shape_outside_the_result():
