@@ -82,6 +82,10 @@ def _p_pair(block: int, comp: int, exp: int) -> tuple:
     return (p_key(block, comp), exp)
 
 
+#: every distinct image monomial of :func:`_p_coboundary`, one object per process
+_P_IMAGES = {}
+
+
 @lru_cache(maxsize=None)
 def _p_coboundary(p_part, arity: int) -> tuple:
     """d of one arity-``arity`` p-monomial as an immutable tuple of (monomial, nonzero int) pairs.
@@ -89,8 +93,10 @@ def _p_coboundary(p_part, arity: int) -> tuple:
     The reduced coproduct of the module docstring, computed once per
     (p-part, arity) and process and shared by every caller, so it is never
     mutated.  A monomial may appear in more than one pair.  The images share
-    their (variable, exponent) pairs (:func:`_p_pair`), which keeps the cache
-    small: at most a few hundred distinct pairs stand behind its monomials.
+    their (variable, exponent) pairs (:func:`_p_pair`), and equal images are
+    one object (``_P_IMAGES``), which keeps the cache small: at most a few
+    hundred distinct pairs stand behind its monomials, and each image
+    monomial of two p-parts is stored once.
     """
     n = arity
     blocks = [[] for _ in range(n + 1)]  # blocks[k]: the (component, exponent) of p_k
@@ -102,7 +108,8 @@ def _p_coboundary(p_part, arity: int) -> tuple:
         below = tuple(_p_pair(j, i, e) for j in range(1, k) for i, e in blocks[j])
         above = tuple(_p_pair(j + 1, i, e) for j in range(k + 1, n + 1) for i, e in blocks[j])
         if not blocks[k]:
-            out.append((below + above, -sign))
+            image = below + above
+            out.append((_P_IMAGES.setdefault(image, image), -sign))
             continue
         splits = [((), (), sign)]  # (p_k part, p_{k+1} part, signed weight)
         for i, e in blocks[k]:
@@ -115,7 +122,10 @@ def _p_coboundary(p_part, arity: int) -> tuple:
                 for low, high, weight in splits
                 for c in range(e + 1)
             ]
-        out.extend((below + low + high + above, w) for low, high, w in splits if low and high)
+        for low, high, w in splits:
+            if low and high:
+                image = below + low + high + above
+                out.append((_P_IMAGES.setdefault(image, image), w))
     return tuple(out)
 
 

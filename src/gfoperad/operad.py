@@ -138,6 +138,16 @@ def select_trees(max_weight: int, bounds: dict) -> list:
     ]
 
 
+def _variables(series: FormalSeries) -> set:
+    """The variables of the orders of ``series``."""
+    return {v for s in series.orders.values() for m in s.numerators for v, _ in m}
+
+
+def _max_degree(sym: PolySymbol, variables) -> int:
+    """The largest degree of a monomial of ``sym`` in ``variables``; 0 for zero."""
+    return max((sum(e for v, e in m if v in variables) for m in sym.numerators), default=0)
+
+
 def _move_blocks(series: FormalSeries, rows, blocks: int, order: int) -> FormalSeries:
     """The orders <= ``order`` of ``series``, each moved by ``map_blocks(rows, blocks)``."""
     return FormalSeries(
@@ -159,14 +169,18 @@ def compose(
 
     Sums C_t over the unrooted topological trees with total weight <= order
     that :func:`select_trees` keeps under valence bounds computed once per
-    call.  An edge takes one p-derivative of its black (outer) end in the
-    block of the slot its white (inner) end reads, and one x-derivative of
-    the white end; a slot whose inner deformation is zero is dead, since its
-    white differential is zero.  So a black vertex of weight w has at most
-    as many neighbours as the outer's order w has degree in the p-blocks of
-    the live slots, a white vertex of weight w at most the largest x-degree
-    of order w over the slots, and a vertex of an absent order none; a tree
-    past a bound has C_t = 0, and skipping it changes no output.
+    call.  An edge takes the p-derivative of component i of its black
+    (outer) end in the block of the slot its white (inner) end reads, and
+    the x-derivative of component i of the white end; a slot whose inner
+    deformation is zero is dead, since its white differential is zero.  Let
+    X be the x-components of the inners' orders and P the components of the
+    live slots' p-variables in the outer's orders.  A black vertex of
+    weight w has at most as many neighbours as the outer's order w has
+    degree in the live slots' p-variables of a component in X, a white
+    vertex of weight w at most the largest degree of order w over the slots
+    in the x-variables of a component in P, and a vertex of an absent order
+    none; a tree past a bound has C_t = 0, and skipping it changes no
+    output.
 
     The expansion runs in shape (d, K+n), K the sum of the inner arities, and
     every input keeps the one x: slot b's inner p-blocks move to blocks
@@ -210,10 +224,14 @@ def compose(
     black = _move_blocks(outer.deformation, rows, blocks, order)
 
     live = {K + b for b, g in enumerate(whites, start=1) if g.orders}
-    bounds = {(BLACK, w): s.max_p_degree(live) for w, s in black.orders.items()}
+    xs = {v[1] for g in whites for v in _variables(g) if v[0] == "x"}
+    ps = {v[2] for v in _variables(black) if v[0] == "p" and v[1] in live}
+    black_vars = {p_key(b, i) for b in live for i in xs}
+    white_vars = {x_key(i) for i in ps}
+    bounds = {(BLACK, w): _max_degree(s, black_vars) for w, s in black.orders.items()}
     for g in whites:
         for w, s in g.orders.items():
-            bounds[WHITE, w] = max(bounds.get((WHITE, w), 0), s.max_x_degree())
+            bounds[WHITE, w] = max(bounds.get((WHITE, w), 0), _max_degree(s, white_vars))
     trees = select_trees(order, bounds)
     memo = {}
 

@@ -387,11 +387,6 @@ class PolySymbol:
         degs = [sum(e for v, e in m if v[0] == "x") for m in self._num]
         return max(degs, default=0)
 
-    def max_p_degree(self, blocks) -> int:
-        """The largest degree of a monomial in the p-variables of ``blocks``; 0 for zero."""
-        degs = [sum(e for v, e in m if v[0] == "p" and v[1] in blocks) for m in self._num]
-        return max(degs, default=0)
-
     def __eq__(self, other):
         return (
             isinstance(other, PolySymbol)
@@ -546,12 +541,17 @@ class PolySymbol:
         general path.  There, a mapped power expands in closed form by the
         multinomial theorem (:func:`_expand_power`) into integer
         coefficients, and a one-term expansion folds into the monomial and
-        the coefficient.  Integer rows keep the denominator.  Rational rows
-        are first scaled to integers by their common denominator r; a monomial
-        of mapped p-degree t then gains r^(T - t) and the denominator r^T,
-        where T is the largest such degree.
+        the coefficient.  Integer rows keep the denominator, and their int
+        coefficients stay ints; only a Fraction coefficient is normalised.
+        Rational rows are first scaled to integers by their common
+        denominator r; a monomial of mapped p-degree t then gains r^(T - t)
+        and the denominator r^T, where T is the largest such degree.  A map
+        that renames no block (every row b is [(b, 1)], or there are no rows)
+        into a shape of at least self.blocks blocks copies the numerators and
+        the denominator into the new shape.
         """
         targets = {}
+        rational = False
         for b, row in rows.items():
             if type(b) is not int:
                 raise ValueError(f"source p-block must be an int, got {b!r}")
@@ -563,10 +563,18 @@ class PolySymbol:
                     raise ValueError(f"target p-block must be an int, got {t!r}")
                 if not 1 <= t <= blocks:
                     raise ShapeError(f"target p-block {t} out of range 1..{blocks}")
-                merged[t] = merged.get(t, 0) + Fraction(*_exact(c, "row coefficient"))
+                if type(c) is not int:
+                    c = Fraction(*_exact(c, "row coefficient"))
+                    rational = True
+                merged[t] = merged.get(t, 0) + c
             targets[b] = [(t, c) for t, c in sorted(merged.items()) if c]
-        r = lcm(*(c.denominator for row in targets.values() for _, c in row))
-        targets = {b: [(t, int(c * r)) for t, c in row] for b, row in targets.items()}
+        r = 1
+        if rational:
+            r = lcm(*(c.denominator for row in targets.values() for _, c in row))
+            targets = {b: [(t, int(c * r)) for t, c in row] for b, row in targets.items()}
+        if r == 1 and blocks >= self.blocks and all(row == [(b, 1)] for b, row in targets.items()):
+            # renames no block: only the shape widens
+            return PolySymbol._trusted(self.dim, blocks, dict(self._num), self._den)
         den = self._den
         if r != 1:
             mapped = {

@@ -14,7 +14,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import kernel_reference as ref
-from gfoperad.symbols import PolySymbol, contracted_gradient, directional_contract, p_key, x_key
+from gfoperad.symbols import (
+    PolySymbol,
+    ShapeError,
+    contracted_gradient,
+    directional_contract,
+    p_key,
+    x_key,
+)
 
 DIM, BLOCKS = 2, 2
 VARIABLES = [p_key(b, i) for b in (1, 2) for i in (1, 2)] + [x_key(1), x_key(2)]
@@ -142,11 +149,15 @@ def polys_in(blocks):
 def block_relabelings(draw):
     """(symbol, rows, blocks) with at most one target per row: permutations and swaps,
     moves into a wider or a narrower shape, empty rows, coefficients +-1 or rational,
-    and maps that send two surviving blocks to one."""
+    maps that send two surviving blocks to one, and identity rows b -> b (some blocks
+    absent) into a wider or an equal shape."""
     source = draw(st.integers(1, 3))
-    kind = draw(st.sampled_from(["permutation", "swap", "move"]))
+    kind = draw(st.sampled_from(["permutation", "swap", "move", "identity"]))
     sign = st.sampled_from([1, -1])
-    if kind == "permutation":
+    if kind == "identity":
+        blocks = draw(st.integers(source, 4))
+        rows = {b: [(b, 1)] for b in draw(st.sets(st.integers(1, source)))}
+    elif kind == "permutation":
         blocks = source
         images = draw(st.permutations(range(1, source + 1)))
         rows = {b: [(t, draw(sign))] for b, t in zip(range(1, source + 1), images)}
@@ -198,13 +209,21 @@ def sample(blocks):
 
 SAMPLE = {blocks: sample(blocks) for blocks in (1, 2, 3)}
 
+#: a symbol without p-blocks, as the solver's Poisson bivector before its lift
+NO_BLOCKS = PolySymbol(DIM, 0, {((x_key(1), 2),): Fraction(1, 2), ((x_key(2), 1),): -3, (): 5})
+
 
 @SETTINGS
 @given(block_relabelings())
-# compose, in S(S, I): the first inner, the identity and the outer move into shape (d, 5)
+# compose, in S(S, I): the first inner, the identity and the outer move into shape (d, 5);
+# the first inner renames no block, so only its shape widens
 @example((SAMPLE[2], {1: [(1, 1)], 2: [(2, 1)]}, 5))
 @example((SAMPLE[1], {1: [(3, 1)]}, 5))
 @example((SAMPLE[2], {1: [(4, 1)], 2: [(5, 1)]}, 5))
+# the solver lifts the bivector into one block; identity rows into an equal shape
+@example((NO_BLOCKS, {}, 2))
+@example((SAMPLE[2], {1: [(1, 1)]}, 2))
+@example((SAMPLE[3], {}, 3))
 # obstruction: the opposite product's swap and the mirror p1 <-> p3
 @example((SAMPLE[2], {1: [(2, 1)], 2: [(1, 1)]}, 2))
 @example((SAMPLE[3], {1: [(3, 1)], 3: [(1, 1)]}, 3))
@@ -220,6 +239,43 @@ def test_relabelings_match_the_reference(case):
     result = a.map_blocks(rows, blocks)
     assert (result.dim, result.blocks) == (DIM, blocks)
     assert_matches(result, ref.map_blocks(dict(a.terms), rows))
+
+
+#: (rows, blocks) of each map_blocks path: identity, relabelling and multinomial
+INTEGER_ROWS = [
+    ({1: [(1, 1)], 2: [(2, 1)]}, 4),
+    ({1: [(2, 1)], 2: [(1, -2)]}, 2),
+    ({2: [(1, -1)]}, 2),
+    ({1: [(1, 1), (2, -2)]}, 3),
+    ({1: [(3, 1)], 2: [(1, 1), (3, -2)]}, 3),
+]
+
+
+@pytest.mark.parametrize("rows, blocks", INTEGER_ROWS)
+def test_integral_fraction_rows_map_as_int_rows(rows, blocks):
+    # Fraction(1) and Fraction(-2, 1) take the integer path's numerators and denominator
+    fraction_rows = {b: [(t, Fraction(c)) for t, c in row] for b, row in rows.items()}
+    for a in (SAMPLE[2], SAMPLE[2].scale(Fraction(3, 4))):
+        by_int = a.map_blocks(rows, blocks)
+        by_fraction = a.map_blocks(fraction_rows, blocks)
+        assert (by_fraction._num, by_fraction._den) == (by_int._num, by_int._den)
+        assert all(type(c) is int for c in by_int._num.values())
+        assert_matches(by_int, ref.map_blocks(dict(a.terms), rows))
+
+
+@pytest.mark.parametrize("coeff", [True, 1.0, False, -2.0])
+@pytest.mark.parametrize("identity", [True, False])
+def test_bool_and_float_row_coefficients_raise(coeff, identity):
+    rows = {1: [(1, coeff)], 2: [(2, 1)]} if identity else {1: [(2, coeff)]}
+    with pytest.raises(ValueError, match="row coefficient"):
+        SAMPLE[2].map_blocks(rows, 3)
+
+
+@pytest.mark.parametrize("rows", [{}, {1: [(1, 1)]}, {1: [(1, 1)], 2: [(2, 1)]}])
+def test_identity_rows_into_a_narrower_shape_check_the_kept_blocks(rows):
+    # block 3 of SAMPLE[3] is kept and lies past shape (DIM, 2)
+    with pytest.raises(ShapeError, match="outside shape"):
+        SAMPLE[3].map_blocks(rows, 2)
 
 
 @SETTINGS

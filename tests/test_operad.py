@@ -1,10 +1,14 @@
+import hashlib
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gfoperad import deformation, operad
+from gfoperad.cli import main
 from gfoperad.groupoid import invert_morphism, structure_maps
 from gfoperad.operad import (
     GenFunction,
@@ -23,10 +27,12 @@ from gfoperad.symbols import (
     check_grading,
     p_key,
     random_graded_series,
+    series_from_obj,
     x_key,
 )
 from gfoperad.trees import BLACK, WHITE, enumerate_unrooted
 from sample_series import trivial_product
+from test_golden import GOLDEN, so3, solve_argv
 from test_trees import admissible
 
 
@@ -264,3 +270,84 @@ def test_compose_with_arity_zero_inner():
     h = compose(trivial_product(2, 1), [trivial_product(0, 1), identity(1)], 3)
     assert h.arity == 1
     assert h.deformation.is_zero()
+
+
+#: sha256 of ``compose --outer q8 --inner q8,q8 --order 8``, q8 the quadratic's order-8 solve
+QUADRATIC_SELF_COMPOSE = "bfcdf940b55a5643c9b422bbae9bb7da5093d0a7ad3b1c92a732091ddfd05542"
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+@pytest.fixture
+def evaluated(monkeypatch):
+    """Every tree ``compose`` expands, with whether its C_t is zero, in call order."""
+    trees = []
+    real = operad.elementary_function
+
+    def recording(top, *args):
+        value = real(top, *args)
+        trees.append((top, value.is_zero()))
+        return value
+
+    monkeypatch.setattr(operad, "elementary_function", recording)
+    return trees
+
+
+def colour_and_weight_selection(outer, inners, order, min_weight=1):
+    """The trees of weight >= ``min_weight`` under the valence bounds per colour and
+    weight alone: a black vertex's degree in the p-blocks of the live slots, a white
+    vertex's largest x-degree, every component counted."""
+    live = {b for b, g in enumerate(inners, start=1) if g.deformation.truncate(order).orders}
+    bounds = {
+        (BLACK, w): max((sum(e for v, e in m if v[0] == "p" and v[1] in live) for m in s.numerators), default=0)
+        for w, s in outer.deformation.truncate(order).orders.items()
+    }
+    for g in inners:
+        for w, s in g.deformation.truncate(order).orders.items():
+            bounds[WHITE, w] = max(bounds.get((WHITE, w), 0), s.max_x_degree())
+    return [t for t in select_trees(order, bounds) if t.total_weight >= min_weight]
+
+
+def test_quadratic_trees_that_vanish_by_component_are_not_expanded(tmp_path, evaluated):
+    # the quadratic's inner orders have x1 only, so no tree may contract p2 against x2
+    argv, out = solve_argv(tmp_path, "quadratic")
+    assert main(argv) == 0
+    evaluated.clear()
+    assert main(argv) == 0  # warm: the solver's records are built
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN["quadratic"][2]
+    assert len(evaluated) == 31 and not any(zero for _, zero in evaluated)
+
+    argv, q8 = solve_argv(tmp_path, "quadratic-order-8")
+    assert main(argv) == 0
+    evaluated.clear()
+    out = tmp_path / "self.json"
+    assert main(["compose", "--outer", str(q8), "--inner", f"{q8},{q8}", "--order", "8", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == QUADRATIC_SELF_COMPOSE
+    assert len(evaluated) == 95 and not any(zero for _, zero in evaluated)
+
+
+def test_inputs_that_use_every_component_select_as_by_colour_and_weight(monkeypatch, evaluated):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from workloads import COMPOSE_ORDER, COMPOSE_SUPPORT_SEEDS, compose_triple
+
+    def encodings(trees):
+        return [t.encoding for t in trees]
+
+    for seed in COMPOSE_SUPPORT_SEEDS:
+        outer, *inners = (wrap(series_from_obj(obj)) for obj in compose_triple(seed))
+        evaluated.clear()
+        compose(outer, inners, COMPOSE_ORDER)
+        expected = colour_and_weight_selection(outer, inners, COMPOSE_ORDER)
+        assert encodings(t for t, _ in evaluated) == encodings(expected)
+
+    def checked_compose(outer, inners, order, _min_weight=1):
+        start = len(evaluated)
+        result = compose(outer, inners, order, _min_weight=_min_weight)
+        expected = colour_and_weight_selection(outer, inners, order, _min_weight)
+        assert encodings(t for t, _ in evaluated[start:]) == encodings(expected)
+        return result
+
+    monkeypatch.setattr(deformation, "compose", checked_compose)
+    evaluated.clear()
+    solve_deformation(so3(), 4)
+    assert evaluated
