@@ -189,37 +189,30 @@ def _store(sym, dim, blocks, num, den):
     return sym
 
 
-def _power(mono, exp):
-    return mono if exp == 1 else tuple([(var, e * exp) for var, e in mono])
-
-
 def _expand_power(row, exp):
-    """(sum(c * m for m, c in row)) ** exp as (monomial, coefficient) pairs.
+    """(sum(c * m for m, c in row)) ** exp as (monomial, coefficient) pairs, on packed monomials.
 
-    The multinomial theorem, one row term at a time: each coefficient is a
-    multinomial times powers of the row's nonzero coefficients, and products
-    merge through :func:`_mul_monomials`.  ``map_blocks`` passes rows of
+    The monomials are packed exponent ints (``map_blocks``), so a power is one
+    int product and a product of monomials one int sum.  The multinomial
+    theorem, one row term at a time: each coefficient is a multinomial times
+    powers of the row's nonzero coefficients.  ``map_blocks`` passes rows of
     distinct single variables, so each monomial comes out once.  An empty row
     gives no terms.
     """
     if not row:
         return []
     (m, c), rest = row[0], row[1:]
-    out = [(_power(m, exp), c**exp)]
+    out = [(m * exp, c**exp)]
     if rest:
         for k in range(exp - 1, 0, -1):
-            head = _power(m, k)
+            head = m * k
             scale = comb(exp, k) * c**k
             out.extend(
-                (_mul_monomials(head, piece), scale * coeff)
-                for piece, coeff in _expand_power(rest, exp - k)
+                (head + piece, scale * coeff) for piece, coeff in _expand_power(rest, exp - k)
             )
         out.extend(_expand_power(rest, exp))
     return out
 
-
-#: memo value of a variable that ``map_blocks`` leaves in place
-_KEPT = object()
 
 #: memo value of a variable that a relabelling ``map_blocks`` sends to zero
 _DROPPED = object()
@@ -227,19 +220,24 @@ _DROPPED = object()
 #: the exponent of a (variable, exponent) pair
 _exponent = itemgetter(1)
 
+#: the monomial of a (monomial, numerator) term
+_monomial = itemgetter(0)
+
 
 def _canonical(num):
     """The (monomial, numerator) pairs of ``num`` in the canonical (degree-major, variable-major) order.
 
     Each monomial's total degree is computed once, to bucket its term; each
-    bucket then sorts by monomial.
+    bucket then sorts by monomial alone (the monomials are distinct keys), so
+    no comparison walks a monomial twice, once for ``==`` and once for ``<``,
+    as comparing whole pairs would.
     """
     by_degree = {}
     for term in num.items():
         by_degree.setdefault(sum(map(_exponent, term[0])), []).append(term)
     ordered = []
     for degree in sorted(by_degree):
-        ordered += sorted(by_degree[degree])  # monomials are distinct keys
+        ordered += sorted(by_degree[degree], key=_monomial)
     return ordered
 
 
@@ -537,18 +535,33 @@ class PolySymbol:
         sent to zero, kept ones included) share a target, distinct monomials
         keep distinct images and are stored directly; otherwise equal
         variables merge and the images are summed.  A monomial sent to zero
-        still has its kept variables checked, so the errors are those of the
-        general path.  There, a mapped power expands in closed form by the
-        multinomial theorem (:func:`_expand_power`) into integer
-        coefficients, and a one-term expansion folds into the monomial and
-        the coefficient.  Integer rows keep the denominator, and their int
-        coefficients stay ints; only a Fraction coefficient is normalised.
-        Rational rows are first scaled to integers by their common
-        denominator r; a monomial of mapped p-degree t then gains r^(T - t)
-        and the denominator r^T, where T is the largest such degree.  A map
-        that renames no block (every row b is [(b, 1)], or there are no rows)
-        into a shape of at least self.blocks blocks copies the numerators and
-        the denominator into the new shape.
+        still has its kept variables checked, so both paths raise the same
+        errors.
+
+        Rows with two or more targets (the base point of ``compose``, the
+        merging faces) take the multinomial path, on packed exponents
+        (Monagan and Pearce's packed exponent vectors): a monomial of the
+        result shape is one int with a bit field per variable, in canonical
+        variable order p[1][1] .. p[blocks][dim], x[1] .. x[dim], the first
+        variable in the lowest field.  Each field is bit_length(D) + 1 bits
+        wide, D the largest total degree of this symbol's monomials.  A
+        linear map in p keeps each monomial's total degree, so no exponent of
+        an image exceeds D and no field overflows into the next.  A mapped
+        power expands in closed form by the multinomial theorem
+        (:func:`_expand_power`) into packed monomials with integer
+        coefficients; a kept pair, or a one-term expansion, is one int added
+        to the monomial's base with its coefficient folded into the term, so
+        a product of monomials is an int sum.  Each output key is decoded
+        once, its p-field chunk and its x-field chunk each through a memo,
+        lowest field first so that both come out sorted.  Integer rows keep
+        the denominator, and their int coefficients stay ints; only a
+        Fraction coefficient is normalised.  Rational rows are first scaled
+        to integers by their common denominator r; a monomial of mapped
+        p-degree t then gains r^(T - t) and the denominator r^T, where T is
+        the largest such degree.  A map that renames no block (every row b
+        is [(b, 1)], or there are no rows) into a shape of at least
+        self.blocks blocks copies the numerators and the denominator into the
+        new shape.
         """
         targets = {}
         rational = False
@@ -630,50 +643,74 @@ class PolySymbol:
                     num[tuple(pairs)] = coeff
             return PolySymbol._trusted(self.dim, blocks, num, den)
 
+        # the packed layout: one field per variable of the result shape, in canonical order
+        dim = self.dim
+        variables = [p_key(b, i) for b in range(1, blocks + 1) for i in range(1, dim + 1)]
+        variables += [x_key(i) for i in range(1, dim + 1)]
+        degree = max((sum(map(_exponent, mono)) for mono in self._num), default=0)
+        width = degree.bit_length() + 1
+        shift = {var: width * field for field, var in enumerate(variables)}
         for mono, coeff in self._num.items():
             if r != 1:
                 coeff *= r ** (top - mapped[mono])
-            kept = []
-            folded = None
-            scale = 1
+            base = 0
             products = None
             for pair in mono:
-                pieces = memo.get(pair)
-                if pieces is None:
+                image = memo.get(pair)
+                if image is None:
                     var, exp = pair
                     row = targets.get(var[1]) if var[0] == "p" else None
                     if row is None:
-                        _validate_var(var, self.dim, blocks)
-                        pieces = _KEPT
+                        _validate_var(var, dim, blocks)
+                        image = (exp << shift[var], 1)
                     else:
-                        comp = var[2]
-                        pieces = _expand_power([(((p_key(t, comp), 1),), c) for t, c in row], exp)
-                    memo[pair] = pieces
-                if pieces is _KEPT:
-                    kept.append(pair)
-                elif len(pieces) == 1:
-                    m, c = pieces[0]
-                    if c != 1:
-                        scale = scale * c
-                    folded = m if folded is None else _mul_monomials(folded, m)
+                        row = [(1 << shift[p_key(t, var[2])], c) for t, c in row]
+                        image = _expand_power(row, exp)
+                        if len(image) == 1:
+                            image = image[0]
+                    memo[pair] = image
+                if type(image) is tuple:
+                    base += image[0]
+                    if image[1] != 1:
+                        coeff *= image[1]
                 elif products is None:
-                    products = pieces  # a zero row leaves no pieces, so no terms
+                    products = image  # a zero row leaves no pieces, so no terms
                 else:
-                    products = [
-                        (_mul_monomials(m, piece), k * c)
-                        for m, k in products
-                        for piece, c in pieces
-                    ]
-            mono = tuple(kept)
-            if folded is not None:
-                mono = _mul_monomials(mono, folded)
-            if scale != 1:
-                coeff = coeff * scale
+                    products = [(k + m, c * e) for k, c in products for m, e in image]
             if products is None:
-                accumulate(num, ((mono, coeff),))
+                accumulate(num, ((base, coeff),))
             else:
-                accumulate(num, products, coeff, mono)
-        return PolySymbol._trusted(self.dim, blocks, num, den)
+                accumulate(num, [(base + k, c) for k, c in products], coeff)
+
+        # decode each key once: its p-chunk and its x-chunk, lowest field first, so sorted;
+        # one shared object per (variable, exponent): a new pair per field doubled the result's size
+        mask = (1 << width) - 1
+        pairs_at = [[(var, e) for e in range(degree + 1)] for var in variables]
+
+        def decode(chunk, index):
+            pairs = []
+            while chunk:
+                if chunk & mask:
+                    pairs.append(pairs_at[index][chunk & mask])
+                chunk >>= width
+                index += 1
+            return tuple(pairs)
+
+        x_shift = width * blocks * dim
+        p_mask = (1 << x_shift) - 1
+        p_parts, x_parts = {}, {}
+        out = {}
+        for key, coeff in num.items():
+            p_chunk = key & p_mask
+            p_part = p_parts.get(p_chunk)
+            if p_part is None:
+                p_part = p_parts[p_chunk] = decode(p_chunk, 0)
+            x_chunk = key >> x_shift
+            x_part = x_parts.get(x_chunk)
+            if x_part is None:
+                x_part = x_parts[x_chunk] = decode(x_chunk, blocks * dim)
+            out[p_part + x_part] = coeff
+        return PolySymbol._trusted(dim, blocks, out, den)
 
     # -- evaluation ----------------------------------------------------------
 

@@ -278,6 +278,97 @@ def test_identity_rows_into_a_narrower_shape_check_the_kept_blocks(rows):
         SAMPLE[3].map_blocks(rows, 2)
 
 
+#: total degrees at a field-width boundary of the packed multinomial path: a
+#: field is bit_length(D) + 1 bits wide, so 3 and 4, 7 and 8 straddle a step
+BOUNDARY_DEGREES = [3, 4, 7, 8]
+
+
+@st.composite
+def base_points(draw):
+    """(symbol, rows, blocks) in the shape of compose's base point: a symbol in (d, K+n)
+    blocks, d 2 or 3, and rows {K+b: 2-3 targets among 1..K} with int or rational
+    coefficients onto blocks that are also kept.  One term is a single variable whose
+    exponent D sits at a width boundary, so one field holds a whole degree, and a zero
+    row may stand next to a multi-target row."""
+    dim = draw(st.sampled_from([2, 3]))
+    kept = draw(st.integers(2, 4))
+    slots = draw(st.integers(1, 2))
+    blocks = kept + slots
+    coeff = st.one_of(st.integers(-3, 3).filter(bool), COEFFS.filter(bool))
+    rows = {}
+    for b in range(kept + 1, blocks + 1):
+        targets = draw(st.lists(st.integers(1, kept), min_size=2, max_size=3, unique=True))
+        rows[b] = [(t, draw(coeff)) for t in targets]
+    if draw(st.booleans()):
+        # a kept block, or the other slot's block, goes to zero; one multi-target row stays
+        rows[draw(st.sampled_from(list(range(1, kept + 1)) + sorted(rows)[1:]))] = []
+    variables = [p_key(b, i) for b in range(1, blocks + 1) for i in range(1, dim + 1)]
+    variables += [x_key(i) for i in range(1, dim + 1)]
+    degree = draw(st.sampled_from(BOUNDARY_DEGREES))
+    powers = st.dictionaries(st.sampled_from(variables), st.integers(1, 3), max_size=3)
+    monomials = powers.map(lambda powers: tuple(sorted(powers.items())))
+    terms = draw(st.dictionaries(monomials, COEFFS, max_size=4))
+    terms = {m: c for m, c in terms.items() if sum(e for _, e in m) <= degree}
+    terms[((draw(st.sampled_from(variables)), degree),)] = draw(COEFFS.filter(bool))
+    return PolySymbol(dim, blocks, terms), rows, kept
+
+
+def base_point_sample(kept, slots):
+    """A symbol of shape (DIM, kept + slots) with terms in the first and the last slot
+    block, kept blocks and x; its largest degree, 8, is one power of one variable."""
+    first, last = kept + 1, kept + slots
+    return PolySymbol(
+        DIM,
+        kept + slots,
+        {
+            ((p_key(1, 1), 1), (p_key(first, 1), 2), (x_key(2), 1)): Fraction(1, 2),
+            ((p_key(kept, 2), 2), (p_key(last, 2), 3)): -3,
+            ((p_key(first, 2), 1), (p_key(last, 1), 1), (x_key(1), 2)): Fraction(-2, 3),
+            ((p_key(last, 1), 8),): 1,
+            ((x_key(1), 7),): 5,
+        },
+    )
+
+
+@SETTINGS
+@given(base_points())
+# the base points of the arities-2-1 and arities-1-3 compose goldens
+@example((base_point_sample(3, 2), {4: [(1, 1), (2, 1)], 5: [(3, 1)]}, 3))
+@example((base_point_sample(4, 2), {5: [(1, 1)], 6: [(2, 1), (3, 1), (4, 1)]}, 4))
+def test_base_points_match_the_reference(case):
+    a, rows, blocks = case
+    result = a.map_blocks(rows, blocks)
+    assert (result.dim, result.blocks) == (a.dim, blocks)
+    assert_matches(result, ref.map_blocks(dict(a.terms), rows))
+
+
+#: (rows, blocks, error, text) of the multi-target path on one symbol: the zero row
+#: of block 1 kills p[1][1] p[3][1]^2, whose kept p[3][1] lies past two blocks
+MULTI_TARGET_ERRORS = [
+    (
+        {1: [], 2: [(1, 1), (2, 1)]},
+        2,
+        ShapeError,
+        "variable ('p', 3, 1) outside shape dim=2, blocks=2",
+    ),
+    ({2: [(1, 1), (3, 1)]}, 2, ShapeError, "target p-block 3 out of range 1..2"),
+    (
+        {2: [(1, 1), (2, 0.5)]},
+        3,
+        ValueError,
+        "row coefficient must be an int or a Fraction, got 0.5",
+    ),
+]
+
+
+@pytest.mark.parametrize("rows, blocks, error, text", MULTI_TARGET_ERRORS)
+def test_multi_target_rows_raise_the_same_errors(rows, blocks, error, text):
+    a = PolySymbol(DIM, 3, {((p_key(1, 1), 1), (p_key(3, 1), 2)): 1, ((p_key(2, 1), 2),): 3})
+    with pytest.raises(error) as raised:
+        a.map_blocks(rows, blocks)
+    assert str(raised.value) == text
+
+
 @SETTINGS
 @given(
     POLYS,
