@@ -77,7 +77,7 @@ class CochainReport:
 
 
 @lru_cache(maxsize=None)
-def _p_pair(block: int, comp: int, exp: int) -> tuple:
+def p_pair(block: int, comp: int, exp: int) -> tuple:
     """The (variable, exponent) pair of p[block][comp]^exp, one object per process."""
     return (p_key(block, comp), exp)
 
@@ -93,7 +93,7 @@ def _p_coboundary(p_part, arity: int) -> tuple:
     The reduced coproduct of the module docstring, computed once per
     (p-part, arity) and process and shared by every caller, so it is never
     mutated.  A monomial may appear in more than one pair.  The images share
-    their (variable, exponent) pairs (:func:`_p_pair`), and equal images are
+    their (variable, exponent) pairs (:func:`p_pair`), and equal images are
     one object (``_P_IMAGES``), which keeps the cache small: at most a few
     hundred distinct pairs stand behind its monomials, and each image
     monomial of two p-parts is stored once.
@@ -105,8 +105,8 @@ def _p_coboundary(p_part, arity: int) -> tuple:
     out = []
     for k in range(1, n + 1):
         sign = -1 if (n + k) % 2 == 0 else 1
-        below = tuple(_p_pair(j, i, e) for j in range(1, k) for i, e in blocks[j])
-        above = tuple(_p_pair(j + 1, i, e) for j in range(k + 1, n + 1) for i, e in blocks[j])
+        below = tuple(p_pair(j, i, e) for j in range(1, k) for i, e in blocks[j])
+        above = tuple(p_pair(j + 1, i, e) for j in range(k + 1, n + 1) for i, e in blocks[j])
         if not blocks[k]:
             image = below + above
             out.append((_P_IMAGES.setdefault(image, image), -sign))
@@ -115,8 +115,8 @@ def _p_coboundary(p_part, arity: int) -> tuple:
         for i, e in blocks[k]:
             splits = [
                 (
-                    low + (_p_pair(k, i, c),) if c else low,
-                    high + (_p_pair(k + 1, i, e - c),) if c < e else high,
+                    low + (p_pair(k, i, c),) if c else low,
+                    high + (p_pair(k + 1, i, e - c),) if c < e else high,
                     weight * math.comb(e, c),
                 )
                 for low, high, weight in splits

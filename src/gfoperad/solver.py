@@ -62,7 +62,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from gfoperad.deformation import coboundary_monomial, coboundary_symbol, obstruction, verify_product
+from gfoperad.deformation import coboundary_monomial, coboundary_symbol, obstruction, p_pair, verify_product
 from gfoperad.groupoid import check_sgs
 from gfoperad.operad import check_order
 from gfoperad.poisson import PoissonStructure, validate_poisson
@@ -255,14 +255,14 @@ def _replay(system, rhs, den=1):
 
 
 def _inverse_column(mono) -> dict:
-    """S(p, -p, x) of one basis monomial p1^a p2^b: {p1^(a+b): (-1)^|b|}."""
+    """S(p, -p, x) of one basis monomial p1^a p2^b: {p1^(a+b): (-1)^|b|}, on the pairs of :func:`p_pair`."""
     exponents = {}
     sign = 1
     for (_, block, comp), exp in mono:
         exponents[comp] = exponents.get(comp, 0) + exp
         if block == 2 and exp % 2:
             sign = -sign
-    return {tuple((p_key(1, comp), exp) for comp, exp in sorted(exponents.items())): sign}
+    return {tuple(p_pair(1, comp, exp) for comp, exp in sorted(exponents.items())): sign}
 
 
 def _order_columns(n: int, d: int):
@@ -287,6 +287,9 @@ def _order_system(n: int, d: int):
     The rows (coboundary and inverse-condition columns of every basis
     monomial) depend only on n and d; the Poisson structure enters only
     through the right-hand sides, which :func:`_replay` carries through.
+    The cache keeps the row keys, whose (variable, exponent) pairs are the
+    shared ones of :func:`p_pair`, and whose coboundary monomials are shared
+    with the coboundary cache.
     """
     basis, d_cols, sgs_cols = _order_columns(n, d)
     equations = {}
@@ -294,13 +297,7 @@ def _order_system(n: int, d: int):
         for idx, col in enumerate(cols):
             for p_mono, coeff in col.items():
                 equations.setdefault((tag, p_mono), {})[idx] = coeff
-    # the cache keeps the row keys; equal (variable, exponent) pairs are shared
-    pairs = {}
-    shared = {
-        (tag, tuple(pairs.setdefault(pair, pair) for pair in p_mono)): row
-        for (tag, p_mono), row in equations.items()
-    }
-    return tuple(basis), _record(shared)
+    return tuple(basis), _record(equations)
 
 
 def _solve_order(h_n: PolySymbol, n: int, d: int) -> PolySymbol:

@@ -23,10 +23,10 @@ blocks, terms)`` (it copies, sorts, validates and converts),
 :meth:`PolySymbol.from_numerators` for numerators already in canonical form
 (it checks nothing and takes the dict over), the ring operations,
 ``map_blocks``, and :meth:`PolySymbol.linear_combination`, which sums
-(factor, symbol) pairs in one pass.  Inside the kernel, every symbol is
-wrapped by :meth:`PolySymbol._trusted`, which takes an already-clean numerator
-dict and its denominator without copying and divides out their common factor;
-``_num``, ``_den`` and ``_trusted`` are private to this module, and
+(factor, symbol) pairs in one pass.  Inside the kernel too, every symbol is
+wrapped by ``from_numerators``, which takes an already-clean numerator dict
+and its denominator without copying and divides out their common factor;
+``_num`` and ``_den`` are private to this module, and
 ``tests/test_unused_imports.py`` fails on a library module that reaches them.
 Every sparse row of int numerators over one positive denominator, a symbol's
 or the solver's, is summed by three row helpers: :func:`accumulate` adds int
@@ -259,9 +259,9 @@ class PolySymbol:
     repeated variable, an exponent below 1, an index or exponent that is not
     an int (bools and floats are not) or a coefficient that is neither an int
     nor a Fraction; no entry takes a float coefficient or factor.
-    :meth:`_trusted` is the kernel's path for numerator dicts that already
-    hold the term invariant up to the common factor, and
-    :meth:`from_numerators` the same path for other modules.
+    :meth:`from_numerators` is the path for numerator dicts that already
+    hold the term invariant up to the common factor, the kernel's own and
+    other modules'.
     """
 
     __slots__ = ("dim", "blocks", "_num", "_den")
@@ -292,14 +292,6 @@ class PolySymbol:
         _store(self, dim, blocks, clean, den)
 
     @staticmethod
-    def _trusted(dim: int, blocks: int, num: dict, den: int = 1) -> "PolySymbol":
-        """Wrap ``num`` over ``den``; ``num`` must be clean and owned by no one else.
-
-        The common factor of ``den`` and the numerators is divided out in place.
-        """
-        return _store(object.__new__(PolySymbol), dim, blocks, num, den)
-
-    @staticmethod
     def from_numerators(dim: int, blocks: int, numerators: dict, denominator: int = 1) -> "PolySymbol":
         """The symbol ``numerators / denominator`` from numerators already in canonical form.
 
@@ -311,7 +303,7 @@ class PolySymbol:
         factor of the denominator and the numerators is divided out in place.
         Outside input goes through the validating constructor instead.
         """
-        return PolySymbol._trusted(dim, blocks, numerators, denominator)
+        return _store(object.__new__(PolySymbol), dim, blocks, numerators, denominator)
 
     @property
     def numerators(self):
@@ -366,7 +358,7 @@ class PolySymbol:
             f_num, f_den = _exact(factor, "factor")
             if f_num:
                 den = add_scaled(num, den, sym._num.items(), f_num, f_den * sym._den)
-        return PolySymbol._trusted(dim, blocks, num, den)
+        return PolySymbol.from_numerators(dim, blocks, num, den)
 
     # -- basic queries -----------------------------------------------------
 
@@ -410,10 +402,10 @@ class PolySymbol:
         self._require_shape(other)
         num = dict(self._num)
         den = add_scaled(num, self._den, other._num.items(), 1, other._den)
-        return PolySymbol._trusted(self.dim, self.blocks, num, den)
+        return PolySymbol.from_numerators(self.dim, self.blocks, num, den)
 
     def __neg__(self):
-        return PolySymbol._trusted(
+        return PolySymbol.from_numerators(
             self.dim, self.blocks, {m: -c for m, c in self._num.items()}, self._den
         )
 
@@ -426,7 +418,7 @@ class PolySymbol:
         f_num, f_den = _exact(factor, "factor")
         if f_num == 0:
             return PolySymbol.zero(self.dim, self.blocks)
-        return PolySymbol._trusted(
+        return PolySymbol.from_numerators(
             self.dim,
             self.blocks,
             {m: c * f_num for m, c in self._num.items()},
@@ -440,7 +432,7 @@ class PolySymbol:
         num = {}
         for m1, c1 in self._num.items():
             accumulate(num, other._num.items(), c1, m1)
-        return PolySymbol._trusted(self.dim, self.blocks, num, self._den * other._den)
+        return PolySymbol.from_numerators(self.dim, self.blocks, num, self._den * other._den)
 
     def __rmul__(self, other):
         return self.scale(other)
@@ -461,16 +453,7 @@ class PolySymbol:
                     # two terms meet and no coefficient cancels
                     num[new_mono] = coeff * e
                     break
-        return PolySymbol._trusted(self.dim, self.blocks, num, self._den)
-
-    def grad_p(self, block: int):
-        """Partial derivatives with respect to p[block][1..dim]."""
-        if not (1 <= block <= self.blocks):
-            raise ShapeError(f"p-block {block} out of range 1..{self.blocks}")
-        return tuple(self.diff(p_key(block, i)) for i in range(1, self.dim + 1))
-
-    def grad_x(self):
-        return tuple(self.diff(x_key(i)) for i in range(1, self.dim + 1))
+        return PolySymbol.from_numerators(self.dim, self.blocks, num, self._den)
 
     # -- substitution and reshaping ----------------------------------------
 
@@ -519,52 +502,44 @@ class PolySymbol:
         its variables, and the result has ``blocks`` p-blocks.  Every structure
         condition, every move of a ``compose`` input and its base point are
         such maps, and so is each face of the coboundary, which the library
-        sums in closed form instead (``deformation``).  A
-        source block outside 1..self.blocks, a target block outside 1..blocks
-        or a kept variable outside the result shape raises :class:`ShapeError`;
-        a block that is not an int, or a coefficient that is neither an int nor
-        a Fraction, raises ``ValueError``.
+        sums in closed form instead (``deformation``).  A source block outside
+        1..self.blocks, a target block outside 1..blocks or a kept variable
+        outside the result shape raises :class:`ShapeError`; a block or a
+        coefficient that is not an int (bools, floats and Fractions are not)
+        raises ``ValueError``.  The coefficients are ints, so the denominator
+        passes through unchanged.
 
-        This is the kernel's one change of variables.  Each (variable,
-        exponent) is resolved once per call.  When every row has at most one
-        target, as for every structure condition and every move of a
-        ``compose`` input, the map is a relabelling (the path is chosen from
-        the rows alone): p[b][i]^e becomes c^e p[t][i]^e or
-        zero, every monomial has at most one image, and that image is one
-        sort of its relabelled pairs.  If no two surviving blocks (those not
-        sent to zero, kept ones included) share a target, distinct monomials
-        keep distinct images and are stored directly; otherwise equal
-        variables merge and the images are summed.  A monomial sent to zero
-        still has its kept variables checked, so both paths raise the same
-        errors.
+        This is the kernel's one change of variables.  It has three paths,
+        chosen from the rows alone, and each resolves every (variable,
+        exponent) once per call.  A map that renames no block (every row b is
+        [(b, 1)], or there are no rows) into a shape of at least self.blocks
+        blocks copies the numerators.  An injective relabelling (every row has
+        at most one target, and no two surviving blocks, kept ones included,
+        share one), as for every move of a ``compose`` input and every
+        structure condition but S(p, -p, x), sends p[b][i]^e to c^e p[t][i]^e
+        or zero; distinct monomials keep distinct images, stored directly.  A
+        monomial sent to zero still has its kept variables checked, so every
+        path raises the same errors.
 
-        Rows with two or more targets (the base point of ``compose``, the
-        merging faces) take the multinomial path, on packed exponents
-        (Monagan and Pearce's packed exponent vectors): a monomial of the
-        result shape is one int with a bit field per variable, in canonical
-        variable order p[1][1] .. p[blocks][dim], x[1] .. x[dim], the first
-        variable in the lowest field.  Each field is bit_length(D) + 1 bits
-        wide, D the largest total degree of this symbol's monomials.  A
-        linear map in p keeps each monomial's total degree, so no exponent of
-        an image exceeds D and no field overflows into the next.  A mapped
-        power expands in closed form by the multinomial theorem
-        (:func:`_expand_power`) into packed monomials with integer
-        coefficients; a kept pair, or a one-term expansion, is one int added
-        to the monomial's base with its coefficient folded into the term, so
-        a product of monomials is an int sum.  Each output key is decoded
-        once, its p-field chunk and its x-field chunk each through a memo,
-        lowest field first so that both come out sorted.  Integer rows keep
-        the denominator, and their int coefficients stay ints; only a
-        Fraction coefficient is normalised.  Rational rows are first scaled
-        to integers by their common denominator r; a monomial of mapped
-        p-degree t then gains r^(T - t) and the denominator r^T, where T is
-        the largest such degree.  A map that renames no block (every row b
-        is [(b, 1)], or there are no rows) into a shape of at least
-        self.blocks blocks copies the numerators and the denominator into the
-        new shape.
+        Every other map, with rows of two or more targets (the base point of
+        ``compose``, the merging faces) or blocks that merge (S(p, -p, x)),
+        takes the multinomial path on packed exponents (Monagan and Pearce's
+        packed exponent vectors): a monomial of the result shape is one int
+        with a bit field per variable, in canonical variable order p[1][1] ..
+        p[blocks][dim], x[1] .. x[dim], the first variable in the lowest
+        field.  Each field is bit_length(D) + 1 bits wide, D the largest total
+        degree of this symbol's monomials.  A linear map in p keeps each
+        monomial's total degree, so no exponent of an image exceeds D and no
+        field overflows into the next.  A mapped power expands in closed form
+        by the multinomial theorem (:func:`_expand_power`) into packed
+        monomials with integer coefficients; a kept pair, or a one-term
+        expansion, is one int added to the monomial's base with its
+        coefficient folded into the term, so a product of monomials is an int
+        sum, and equal keys are summed.  Each output key is decoded once, its
+        p-field chunk and its x-field chunk each through a memo, lowest field
+        first so that both come out sorted.
         """
         targets = {}
-        rational = False
         for b, row in rows.items():
             if type(b) is not int:
                 raise ValueError(f"source p-block must be an int, got {b!r}")
@@ -577,36 +552,20 @@ class PolySymbol:
                 if not 1 <= t <= blocks:
                     raise ShapeError(f"target p-block {t} out of range 1..{blocks}")
                 if type(c) is not int:
-                    c = Fraction(*_exact(c, "row coefficient"))
-                    rational = True
+                    raise ValueError(f"row coefficient must be an int, got {c!r}")
                 merged[t] = merged.get(t, 0) + c
             targets[b] = [(t, c) for t, c in sorted(merged.items()) if c]
-        r = 1
-        if rational:
-            r = lcm(*(c.denominator for row in targets.values() for _, c in row))
-            targets = {b: [(t, int(c * r)) for t, c in row] for b, row in targets.items()}
-        if r == 1 and blocks >= self.blocks and all(row == [(b, 1)] for b, row in targets.items()):
+        if blocks >= self.blocks and all(row == [(b, 1)] for b, row in targets.items()):
             # renames no block: only the shape widens
-            return PolySymbol._trusted(self.dim, blocks, dict(self._num), self._den)
-        den = self._den
-        if r != 1:
-            mapped = {
-                mono: sum(e for v, e in mono if v[0] == "p" and v[1] in targets)
-                for mono in self._num
-            }
-            top = max(mapped.values(), default=0)
-            den *= r**top
+            return PolySymbol.from_numerators(self.dim, blocks, dict(self._num), self._den)
 
         memo = {}
         num = {}
-        if all(len(row) <= 1 for row in targets.values()):
-            # a relabelling: each monomial has at most one image
-            survivors = [row[0][0] for row in targets.values() if row]
-            survivors += [b for b in range(1, self.blocks + 1) if b not in targets]
-            merge = len(set(survivors)) < len(survivors)
+        survivors = [row[0][0] for row in targets.values() if row]
+        survivors += [b for b in range(1, self.blocks + 1) if b not in targets]
+        if all(len(row) <= 1 for row in targets.values()) and len(set(survivors)) == len(survivors):
+            # an injective relabelling: distinct monomials keep distinct images
             for mono, coeff in self._num.items():
-                if r != 1:
-                    coeff *= r ** (top - mapped[mono])
                 pairs = []
                 for pair in mono:
                     image = memo.get(pair)
@@ -628,20 +587,10 @@ class PolySymbol:
                         pairs.append(image[0])
                         if image[1] != 1:
                             coeff *= image[1]
-                if not coeff:
-                    continue
-                pairs.sort()
-                if merge:
-                    merged = []
-                    for var, exp in pairs:
-                        if merged and merged[-1][0] == var:
-                            exp += merged.pop()[1]
-                        merged.append((var, exp))
-                    accumulate(num, ((tuple(merged), coeff),))
-                else:
-                    # distinct surviving blocks: distinct monomials stay distinct
+                if coeff:
+                    pairs.sort()
                     num[tuple(pairs)] = coeff
-            return PolySymbol._trusted(self.dim, blocks, num, den)
+            return PolySymbol.from_numerators(self.dim, blocks, num, self._den)
 
         # the packed layout: one field per variable of the result shape, in canonical order
         dim = self.dim
@@ -651,8 +600,6 @@ class PolySymbol:
         width = degree.bit_length() + 1
         shift = {var: width * field for field, var in enumerate(variables)}
         for mono, coeff in self._num.items():
-            if r != 1:
-                coeff *= r ** (top - mapped[mono])
             base = 0
             products = None
             for pair in mono:
@@ -710,7 +657,7 @@ class PolySymbol:
             if x_part is None:
                 x_part = x_parts[x_chunk] = decode(x_chunk, blocks * dim)
             out[p_part + x_part] = coeff
-        return PolySymbol._trusted(dim, blocks, out, den)
+        return PolySymbol.from_numerators(dim, blocks, out, self._den)
 
     # -- evaluation ----------------------------------------------------------
 
@@ -799,7 +746,7 @@ def _contract(f: PolySymbol, variables, directions) -> PolySymbol:
         other = component._den * inner._den
         for m, c in component._num.items():
             den = add_scaled(total, den, inner._num.items(), c, other, m)
-    return PolySymbol._trusted(f.dim, f.blocks, total, den)
+    return PolySymbol.from_numerators(f.dim, f.blocks, total, den)
 
 
 def directional_contract(f: PolySymbol, directions, against) -> PolySymbol:

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gfoperad.cli import main
-from gfoperad.deformation import verify_product
+from gfoperad.deformation import p_pair, verify_product
 from gfoperad.groupoid import check_sgs, extract_poisson, is_odd_in_p
 from gfoperad.poisson import (
     PoissonStructure,
@@ -336,6 +336,16 @@ def test_recorded_elimination_is_pinned(n, d):
     # a fresh record, not the cached one: the same steps and back_cols, in order
     system = solver._order_system.__wrapped__(n, d)
     assert hashlib.sha256(repr(system).encode()).hexdigest() == RECORD_DIGESTS[n, d]
+
+
+def test_row_keys_share_the_pairs_of_p_pair():
+    # the cached row keys hold one object per (variable, exponent), as the coboundary cache does
+    keys, _ = solver._order_system.__wrapped__(4, 3)[1]
+    assert {tag for tag, _ in keys} == {"d", "sgs"}
+    for _, mono in keys:
+        for pair in mono:
+            (_, block, comp), exp = pair
+            assert pair is p_pair(block, comp, exp)
 
 
 @pytest.mark.parametrize("build, order", [(so3_structure, 6), (quadratic_structure, 8)], ids=["so3", "quadratic"])

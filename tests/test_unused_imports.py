@@ -1,5 +1,6 @@
-"""Every name a library, test or demo module imports is used in that module, and
-no private name crosses a library module boundary.
+"""Every name a library, test or demo module imports is used in that module, no
+private name crosses a library module boundary, and every library definition has
+a user outside the tests.
 
 ``__init__.py`` is skipped: it imports names to re-export them.  The kernel's
 term representation belongs to ``symbols``: no other module imports an
@@ -15,8 +16,9 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "gfoperad"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+DEMOS = sorted(ROOT.glob("demos/*.py"))
 #: the test and demo modules, held to the unused-import check as well
-SCRIPTS = sorted(ROOT.glob("tests/*.py")) + sorted(ROOT.glob("demos/*.py"))
+SCRIPTS = sorted(ROOT.glob("tests/*.py")) + DEMOS
 
 
 def unused_imports(source: str) -> list[str]:
@@ -121,7 +123,7 @@ def test_the_check_sees_a_private_reach():
 
 
 def test_the_kernel_classes_have_private_methods():
-    assert {"_trusted", "_require_shape"} <= KERNEL_PRIVATE
+    assert "_require_shape" in KERNEL_PRIVATE
 
 
 #: general substitutions with no library caller, kept off every hot path
@@ -156,3 +158,83 @@ def test_library_changes_variables_only_by_map_blocks(path):
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_module_reaches_no_private_name_of_another(path):
     assert private_reaches(path.read_text(encoding="utf-8"), path.stem) == []
+
+
+def _is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
+def definitions(label: str, tree):
+    """(qualified name, is a method, node) of the module-level functions and classes
+    of ``tree`` and of the non-dunder methods of its classes."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield f"{label}.{node.name}", False, node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not _is_dunder(item.name):
+                    yield f"{label}.{node.name}.{item.name}", True, item
+
+
+def unreferenced(library: dict, users=()) -> list[str]:
+    """The definitions of ``library`` (module name -> source) that no other code references.
+
+    ``users`` holds the sources of further callers (the demos).  A function or
+    class is referenced when code outside its own definition, in any of these
+    sources, loads its name (``f``), reads it as an attribute (``m.f``) or
+    imports it; a method, when such code reads an attribute of its name.
+    Names are matched as text, so definitions that share a name keep each
+    other.
+    """
+    trees = [(label, ast.parse(source)) for label, source in library.items()]
+    defined = [d for label, tree in trees for d in definitions(label, tree)]
+    owners = {node: name for name, _, node in defined}
+    loads, attributes = {}, {}  # name -> the definitions whose code references it
+
+    def visit(node, owner):
+        if isinstance(node, ast.Name):
+            loads.setdefault(node.id, set()).add(owner)
+        elif isinstance(node, ast.Attribute):
+            attributes.setdefault(node.attr, set()).add(owner)
+        elif isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                loads.setdefault(alias.name, set()).add(owner)
+        for child in ast.iter_child_nodes(node):
+            visit(child, owners.get(child, owner))
+
+    for tree in [tree for _, tree in trees] + [ast.parse(source) for source in users]:
+        visit(tree, None)
+    unused = []
+    for name, is_method, node in defined:
+        users_of = set(attributes.get(node.name, ()))
+        if not is_method:
+            users_of |= loads.get(node.name, set())
+        if not users_of - {name}:
+            unused.append(name)
+    return sorted(unused)
+
+
+def test_the_check_sees_an_unreferenced_definition():
+    library = {
+        "kernel": (
+            "def used():\n    return helper()\n"
+            "def helper():\n    return 1\n"
+            "def recursive(n):\n    return recursive(n - 1) if n else 0\n"
+            "class Thing:\n"
+            "    def __init__(self):\n        self.size = 0\n"
+            "    def grow(self):\n        return self.shrink()\n"
+            "    def shrink(self):\n        return self.size\n"
+        ),
+        "cli": "from kernel import used\nused()\n",
+    }
+    assert unreferenced(library) == ["kernel.Thing", "kernel.Thing.grow", "kernel.recursive"]
+    # a demo is a user too
+    assert unreferenced(library, ["from kernel import Thing, recursive\nThing().grow()\n"]) == []
+
+
+def test_every_library_definition_has_a_user_outside_the_tests():
+    # the tracer patches the folds by name (ROADMAP item 4), so they stay without a caller
+    library = {p.stem: p.read_text(encoding="utf-8") for p in MODULES}
+    demos = [p.read_text(encoding="utf-8") for p in DEMOS]
+    folds = {f"symbols.PolySymbol.{name}" for name in FOLDS}
+    assert [name for name in unreferenced(library, demos) if name not in folds] == []
