@@ -9,7 +9,7 @@ from gfoperad.deformation import (
     obstruction,
     verify_product,
 )
-from gfoperad.elementary import elementary_differential, elementary_function
+from gfoperad.elementary import Expansion, elementary_function
 from gfoperad.groupoid import (
     SgsError,
     SgsReport,
@@ -49,9 +49,11 @@ from gfoperad.solver import (
 from gfoperad.symbols import (
     FormalSeries,
     GradingReport,
+    PackedLayout,
     PolySymbol,
     ShapeError,
     check_grading,
+    contracted_gradient,
     directional_contract,
     p_key,
     random_graded_series,

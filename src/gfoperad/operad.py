@@ -27,7 +27,7 @@ from functools import lru_cache
 from itertools import groupby
 from operator import attrgetter
 
-from gfoperad.elementary import elementary_function
+from gfoperad.elementary import Expansion, elementary_function
 from gfoperad.symbols import (
     FormalSeries,
     PolySymbol,
@@ -148,16 +148,6 @@ def _max_degree(sym: PolySymbol, variables) -> int:
     return max((sum(e for v, e in m if v in variables) for m in sym.numerators), default=0)
 
 
-def _move_blocks(series: FormalSeries, rows, blocks: int, order: int) -> FormalSeries:
-    """The orders <= ``order`` of ``series``, each moved by ``map_blocks(rows, blocks)``."""
-    return FormalSeries(
-        series.dim,
-        blocks,
-        {o: s.map_blocks(rows, blocks) for o, s in series.orders.items() if o <= order},
-        graded=False,
-    )
-
-
 def compose(
     outer: GenFunction,
     inners,
@@ -183,9 +173,12 @@ def compose(
     output.
 
     The expansion runs in shape (d, K+n), K the sum of the inner arities, and
-    every input keeps the one x: slot b's inner p-blocks move to blocks
-    offset_b+1..offset_b+k_b, its output numbers, and the outer's p_b to block
-    K+b.  The trees of one total weight are summed by one
+    every input keeps the one x.  No input is moved: one
+    :class:`~gfoperad.elementary.Expansion` packs each order <= ``order``
+    once, with its p-blocks offset as it packs, slot b's inner p-blocks to
+    blocks offset_b+1..offset_b+k_b, its output numbers, and the outer's p_b
+    to block K+b.  Every contraction runs on the packed orders, and each C_t
+    is decoded once.  The trees of one total weight are summed by one
     ``PolySymbol.linear_combination``, and at the base point one ``map_blocks``
     per weight sends block K+b to the sum of slot b's inner blocks (one block
     for arity 1, zero for arity 0).
@@ -211,19 +204,18 @@ def compose(
         check_grading(g.deformation).ok for g in inners
     )
 
-    whites = []
+    offsets = []
     base_point = {}
     offset = 0
     for b, g in enumerate(inners, start=1):
-        rows = {l: [(offset + l, 1)] for l in range(1, g.arity + 1)}
-        whites.append(_move_blocks(g.deformation, rows, blocks, order))
-        base_point[K + b] = [row[0] for row in rows.values()]
+        offsets.append(offset)
+        base_point[K + b] = [(offset + l, 1) for l in range(1, g.arity + 1)]
         offset += g.arity
-    whites = tuple(whites)
-    rows = {b: [(K + b, 1)] for b in range(1, n + 1)}
-    black = _move_blocks(outer.deformation, rows, blocks, order)
+    black = outer.deformation.truncate(order)
+    whites = tuple(g.deformation.truncate(order) for g in inners)
 
-    live = {K + b for b, g in enumerate(whites, start=1) if g.orders}
+    # the inputs are not moved: the live slot b's outer block b is packed as block K+b
+    live = {b for b, g in enumerate(whites, start=1) if g.orders}
     xs = {v[1] for g in whites for v in _variables(g) if v[0] == "x"}
     ps = {v[2] for v in _variables(black) if v[0] == "p" and v[1] in live}
     black_vars = {p_key(b, i) for b in live for i in xs}
@@ -233,12 +225,11 @@ def compose(
         for w, s in g.orders.items():
             bounds[WHITE, w] = max(bounds.get((WHITE, w), 0), _max_degree(s, white_vars))
     trees = select_trees(order, bounds)
-    memo = {}
+    expansion = Expansion(black, whites, order, K + 1, offsets)
 
     def weighted(group):
         for top in group:
-            value = elementary_function(top, black, whites, K + 1, memo)
-            yield Fraction(1, symmetry_coefficient(top)), value
+            yield Fraction(1, symmetry_coefficient(top)), elementary_function(top, expansion)
 
     # the trees come sorted by total weight, so each weight is one group
     result_orders = {

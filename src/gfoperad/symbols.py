@@ -39,6 +39,15 @@ x-variable.  The one change of variables is
 ``substitute`` and its renaming ``remap_variables`` are folds over the ring
 operations that no library code calls.
 
+One :class:`PackedLayout` (Monagan and Pearce's packed exponent vectors)
+writes each monomial of a shape as one int, a bit field per variable, with an
+encoder from symbols, a decoder back to them, and a derivative that is a shift,
+a mask and a subtraction.  Packed polynomials are (``{int: int}``, denominator)
+pairs summed by the same row helpers.  Two paths run on it: the multinomial
+path of ``map_blocks``, and the tree expansion of ``compose``, whose
+contractions :func:`directional_contract` and :func:`contracted_gradient` take
+and return packed polynomials.
+
 :class:`FormalSeries` collects an order-indexed family of symbols.  A graded
 series of arity n keeps its order-i term homogeneous of p-degree i+1, which is
 exactly scaling behavior F(mu*p, x) = mu^(i+1) F(p, x).
@@ -149,13 +158,12 @@ def accumulate(acc, items, factor=None, mono=()):
                 del acc[m]
 
 
-def add_scaled(acc, den, items, num, other, mono=()):
+def add_scaled(acc, den, items, num, other):
     """Add ``num / other`` times ``items`` into ``acc``, int numerators over ``den``.
 
-    ``items`` are int numerators over the positive ``other``, ``num`` a
-    nonzero int, and ``mono`` is multiplied in as by :func:`accumulate`.
-    ``acc`` is brought in place to lcm(den, other) only when ``other`` does
-    not divide ``den``; returns ``acc``'s denominator.
+    ``items`` are int numerators over the positive ``other`` and ``num`` a
+    nonzero int.  ``acc`` is brought in place to lcm(den, other) only when
+    ``other`` does not divide ``den``; returns ``acc``'s denominator.
     """
     if den % other:
         common = lcm(den, other)
@@ -164,7 +172,7 @@ def add_scaled(acc, den, items, num, other, mono=()):
             acc[key] *= k
         den = common
     k = num * (den // other)
-    accumulate(acc, items, None if k == 1 else k, mono)
+    accumulate(acc, items, None if k == 1 else k)
     return den
 
 
@@ -373,6 +381,10 @@ class PolySymbol:
         den = self._den
         return [(m, Fraction(c, den)) for m, c in _canonical(self._num)]
 
+    def degree(self) -> int:
+        """The largest total degree of a monomial; 0 for zero."""
+        return max((sum(map(_exponent, mono)) for mono in self._num), default=0)
+
     def max_x_degree(self) -> int:
         degs = [sum(e for v, e in m if v[0] == "x") for m in self._num]
         return max(degs, default=0)
@@ -500,7 +512,7 @@ class PolySymbol:
 
         An empty row sets block b to zero, a block absent from ``rows`` keeps
         its variables, and the result has ``blocks`` p-blocks.  Every structure
-        condition, every move of a ``compose`` input and its base point are
+        condition, the opposite product and the base point of ``compose`` are
         such maps, and so is each face of the coboundary, which the library
         sums in closed form instead (``deformation``).  A source block outside
         1..self.blocks, a target block outside 1..blocks or a kept variable
@@ -515,29 +527,24 @@ class PolySymbol:
         [(b, 1)], or there are no rows) into a shape of at least self.blocks
         blocks copies the numerators.  An injective relabelling (every row has
         at most one target, and no two surviving blocks, kept ones included,
-        share one), as for every move of a ``compose`` input and every
-        structure condition but S(p, -p, x), sends p[b][i]^e to c^e p[t][i]^e
+        share one), as for the opposite product and every structure
+        condition but S(p, -p, x), sends p[b][i]^e to c^e p[t][i]^e
         or zero; distinct monomials keep distinct images, stored directly.  A
         monomial sent to zero still has its kept variables checked, so every
         path raises the same errors.
 
         Every other map, with rows of two or more targets (the base point of
         ``compose``, the merging faces) or blocks that merge (S(p, -p, x)),
-        takes the multinomial path on packed exponents (Monagan and Pearce's
-        packed exponent vectors): a monomial of the result shape is one int
-        with a bit field per variable, in canonical variable order p[1][1] ..
-        p[blocks][dim], x[1] .. x[dim], the first variable in the lowest
-        field.  Each field is bit_length(D) + 1 bits wide, D the largest total
-        degree of this symbol's monomials.  A linear map in p keeps each
+        takes the multinomial path on the :class:`PackedLayout` of the result
+        shape with D = :meth:`degree`: a linear map in p keeps each
         monomial's total degree, so no exponent of an image exceeds D and no
         field overflows into the next.  A mapped power expands in closed form
         by the multinomial theorem (:func:`_expand_power`) into packed
         monomials with integer coefficients; a kept pair, or a one-term
         expansion, is one int added to the monomial's base with its
         coefficient folded into the term, so a product of monomials is an int
-        sum, and equal keys are summed.  Each output key is decoded once, its
-        p-field chunk and its x-field chunk each through a memo, lowest field
-        first so that both come out sorted.
+        sum, and equal keys are summed.  The layout's decoder empties the
+        packed sum as it builds the result.
         """
         targets = {}
         for b, row in rows.items():
@@ -592,13 +599,8 @@ class PolySymbol:
                     num[tuple(pairs)] = coeff
             return PolySymbol.from_numerators(self.dim, blocks, num, self._den)
 
-        # the packed layout: one field per variable of the result shape, in canonical order
-        dim = self.dim
-        variables = [p_key(b, i) for b in range(1, blocks + 1) for i in range(1, dim + 1)]
-        variables += [x_key(i) for i in range(1, dim + 1)]
-        degree = max((sum(map(_exponent, mono)) for mono in self._num), default=0)
-        width = degree.bit_length() + 1
-        shift = {var: width * field for field, var in enumerate(variables)}
+        layout = PackedLayout(self.dim, blocks, self.degree())
+        shift = layout.shift
         for mono, coeff in self._num.items():
             base = 0
             products = None
@@ -608,7 +610,7 @@ class PolySymbol:
                     var, exp = pair
                     row = targets.get(var[1]) if var[0] == "p" else None
                     if row is None:
-                        _validate_var(var, dim, blocks)
+                        _validate_var(var, self.dim, blocks)
                         image = (exp << shift[var], 1)
                     else:
                         row = [(1 << shift[p_key(t, var[2])], c) for t, c in row]
@@ -628,36 +630,7 @@ class PolySymbol:
                 accumulate(num, ((base, coeff),))
             else:
                 accumulate(num, [(base + k, c) for k, c in products], coeff)
-
-        # decode each key once: its p-chunk and its x-chunk, lowest field first, so sorted;
-        # one shared object per (variable, exponent): a new pair per field doubled the result's size
-        mask = (1 << width) - 1
-        pairs_at = [[(var, e) for e in range(degree + 1)] for var in variables]
-
-        def decode(chunk, index):
-            pairs = []
-            while chunk:
-                if chunk & mask:
-                    pairs.append(pairs_at[index][chunk & mask])
-                chunk >>= width
-                index += 1
-            return tuple(pairs)
-
-        x_shift = width * blocks * dim
-        p_mask = (1 << x_shift) - 1
-        p_parts, x_parts = {}, {}
-        out = {}
-        for key, coeff in num.items():
-            p_chunk = key & p_mask
-            p_part = p_parts.get(p_chunk)
-            if p_part is None:
-                p_part = p_parts[p_chunk] = decode(p_chunk, 0)
-            x_chunk = key >> x_shift
-            x_part = x_parts.get(x_chunk)
-            if x_part is None:
-                x_part = x_parts[x_chunk] = decode(x_chunk, blocks * dim)
-            out[p_part + x_part] = coeff
-        return PolySymbol.from_numerators(dim, blocks, out, self._den)
+        return layout.decode(num, self._den)
 
     # -- evaluation ----------------------------------------------------------
 
@@ -709,66 +682,221 @@ class PolySymbol:
         return f"PolySymbol(dim={self.dim}, blocks={self.blocks}, {self})"
 
 
+# -- packed exponents ----------------------------------------------------------
+
+#: entries of a p-chunk memo of one :meth:`PackedLayout.decode` before it is emptied
+_PART_MEMO_SIZE = 4096
+
+
+class PackedLayout:
+    """Packed exponent vectors (Monagan and Pearce): a monomial of shape (dim, blocks) as one int.
+
+    Each variable of the shape has one bit field, in canonical variable order
+    p[1][1] .. p[blocks][dim], x[1] .. x[dim], the first variable in the lowest
+    field; ``shift[var]`` is the bit offset of its field.  Each field is
+    ``width = bit_length(degree) + 1`` bits wide.  The caller picks a
+    ``degree`` that no exponent of its monomials can exceed, and nothing
+    checks it: the spare bit is never reached.  A product of monomials is then
+    an int sum, and a derivative reads an exponent by a shift and a mask and
+    lowers it by one subtraction.
+
+    A packed polynomial is a pair of ``{key: int}`` numerators, each nonzero,
+    and a positive denominator; the row helpers (:func:`accumulate`,
+    :func:`add_scaled`) sum it as they sum a symbol's numerators, and the
+    common factor is divided out only by :meth:`decode`.  The layout is shared
+    by the multinomial path of :meth:`PolySymbol.map_blocks` and by the tree
+    expansion of ``compose`` (``elementary.Expansion``), whose contractions
+    :func:`directional_contract` and :func:`contracted_gradient` work on
+    packed polynomials.
+    """
+
+    __slots__ = ("dim", "blocks", "width", "mask", "shift", "_pairs")
+
+    def __init__(self, dim: int, blocks: int, degree: int):
+        variables = [p_key(b, i) for b in range(1, blocks + 1) for i in range(1, dim + 1)]
+        variables += [x_key(i) for i in range(1, dim + 1)]
+        self.dim = dim
+        self.blocks = blocks
+        self.width = degree.bit_length() + 1
+        self.mask = (1 << self.width) - 1
+        self.shift = {var: self.width * field for field, var in enumerate(variables)}
+        # one shared (variable, exponent) object per field and exponent: a new
+        # pair per decoded field doubled the size of a large decoded result
+        self._pairs = [[(var, e) for e in range(degree + 1)] for var in variables]
+
+    def fields(self, against) -> tuple:
+        """The field shifts of the variables ``against`` selects: ``"x"`` (the dim
+        x-variables) or a list of variables of the shape."""
+        if against == "x":
+            against = [x_key(i) for i in range(1, self.dim + 1)]
+        elif not isinstance(against, list):
+            raise ValueError(f"against must be 'x' or a list of variables, got {against!r}")
+        for var in against:
+            _validate_var(var, self.dim, self.blocks)
+        return tuple(self.shift[var] for var in against)
+
+    def encode(self, sym: PolySymbol, offset: int = 0):
+        """The packed polynomial of ``sym``, its p-block b moved to block offset + b.
+
+        ``sym`` has this layout's dim and any number of blocks; a variable whose
+        moved block lies outside the layout raises :class:`ShapeError`.  The
+        move is injective, so distinct monomials keep distinct keys.
+        """
+        if sym.dim != self.dim:
+            raise ShapeError(f"dim {sym.dim} does not match the layout's dim {self.dim}")
+        shift = self.shift
+        packed = {}
+        num = {}
+        for mono, coeff in sym._num.items():
+            key = 0
+            for pair in mono:
+                k = packed.get(pair)
+                if k is None:
+                    var, exp = pair
+                    if offset and var[0] == "p":
+                        var = p_key(var[1] + offset, var[2])
+                    field = shift.get(var)
+                    if field is None:
+                        raise ShapeError(
+                            f"variable {var} outside shape dim={self.dim}, blocks={self.blocks}"
+                        )
+                    k = packed[pair] = exp << field
+                key += k
+            num[key] = coeff
+        return num, sym._den
+
+    def decode(self, num: dict, den: int) -> PolySymbol:
+        """The symbol ``num / den`` of this shape, from a packed polynomial.
+
+        ``num`` is emptied as it is read, so its packed terms are freed while
+        the decoded ones are built; the caller must not use it afterwards.
+        Each key splits into three chunks, the fields of the lower half of the
+        p-blocks, of the upper half and of x; each is decoded lowest field
+        first, so the monomial comes out sorted, through a memo per chunk and
+        call.  A C_t's monomials share their halves far more often than their
+        whole p-parts.  A memo is emptied whenever it reaches
+        ``_PART_MEMO_SIZE`` entries: a large base point can have as many
+        distinct chunks as terms, and memos that kept them all would hold a
+        second copy of the result.
+        """
+        width, mask, pairs = self.width, self.mask, self._pairs
+
+        def unpack(chunk, field):
+            out = []
+            while chunk:
+                if chunk & mask:
+                    out.append(pairs[field][chunk & mask])
+                chunk >>= width
+                field += 1
+            return tuple(out)
+
+        mid_field = self.blocks // 2 * self.dim
+        x_field = self.blocks * self.dim
+        mid_shift, x_shift = width * mid_field, width * x_field
+        low_mask = (1 << mid_shift) - 1
+        high_mask = (1 << (x_shift - mid_shift)) - 1
+        lows, highs, xs = {}, {}, {}
+        out = {}
+        pop = num.popitem
+        while num:
+            key, coeff = pop()
+            chunk = key & low_mask
+            low = lows.get(chunk)
+            if low is None:
+                if len(lows) == _PART_MEMO_SIZE:
+                    lows.clear()
+                low = lows[chunk] = unpack(chunk, 0)
+            chunk = key >> mid_shift & high_mask
+            high = highs.get(chunk)
+            if high is None:
+                if len(highs) == _PART_MEMO_SIZE:
+                    highs.clear()
+                high = highs[chunk] = unpack(chunk, mid_field)
+            chunk = key >> x_shift
+            x_part = xs.get(chunk)
+            if x_part is None:
+                x_part = xs[chunk] = unpack(chunk, x_field)
+            out[low + high + x_part] = coeff
+        return PolySymbol.from_numerators(self.dim, self.blocks, out, den)
+
+
 # -- directional contraction ---------------------------------------------------
 
 
-def _contract_variables(f: PolySymbol, directions, against):
-    """The variables ``against`` selects; each direction needs one component per variable."""
-    if against == "x":
-        against = [x_key(i) for i in range(1, f.dim + 1)]
-    elif not isinstance(against, list):
-        raise ValueError(f"against must be 'x' or a list of variables, got {against!r}")
-    for var in against:
-        _validate_var(var, f.dim, f.blocks)
-    for d in directions:
-        if len(d) != len(against):
-            raise ShapeError(f"direction length {len(d)} != variable count {len(against)}")
-    return against
+def _diff_packed(num, shift, mask):
+    """The derivative of packed numerators in the variable whose field starts at bit ``shift``.
+
+    Lowering one exponent is injective, so no two terms meet.
+    """
+    unit = 1 << shift
+    out = {}
+    for key, coeff in num.items():
+        exp = key >> shift & mask
+        if exp:
+            out[key - unit] = coeff * exp
+    return out
 
 
-def _contract(f: PolySymbol, variables, directions) -> PolySymbol:
-    """sum_k directions[0][k] * _contract(d f / d variables[k], directions[1:]).
+def _contract(f, fields, mask, directions):
+    """sum_k directions[0][k] * _contract(d f / d field k, directions[1:]), on packed polynomials.
 
     One direction at a time, as the B-series recursion contracts one child at
     a time; only ``f`` is differentiated, the directions are multiplied in.
     """
     if not directions:
         return f
+    f_num, f_den = f
+    rest = directions[1:]
     total, den = {}, 1
-    for var, component in zip(variables, directions[0]):
-        f._require_shape(component)
-        if component.is_zero():
+    for shift, (c_num, c_den) in zip(fields, directions[0]):
+        if not c_num:
             continue
-        g = f.diff(var)
-        if g.is_zero():
+        g = _diff_packed(f_num, shift, mask)
+        if not g:
             continue
-        inner = _contract(g, variables, directions[1:])
-        other = component._den * inner._den
-        for m, c in component._num.items():
-            den = add_scaled(total, den, inner._num.items(), c, other, m)
-    return PolySymbol.from_numerators(f.dim, f.blocks, total, den)
+        inner, inner_den = _contract((g, f_den), fields, mask, rest)
+        other = c_den * inner_den
+        for m, c in c_num.items():
+            den = add_scaled(total, den, [(m + k, v) for k, v in inner.items()], c, other)
+    return total, den
 
 
-def directional_contract(f: PolySymbol, directions, against) -> PolySymbol:
+def _check_directions(directions, fields):
+    for d in directions:
+        if len(d) != len(fields):
+            raise ShapeError(f"direction length {len(d)} != variable count {len(fields)}")
+
+
+def directional_contract(layout: PackedLayout, f, directions, fields):
     """Contract the m-th derivative of ``f`` against m direction vectors.
 
-    ``against`` is ``"x"`` (the dim x-variables) or a list of variables, and
-    ``directions`` a list of m sequences of symbols, one per variable.  The
-    directions are multiplied in, never differentiated, so they may depend on
-    the contracted variables.  The result is symmetric and multilinear in the
-    directions.
+    ``f`` and every component are packed polynomials of ``layout``,
+    ``directions`` is a list of m sequences of them, one per variable, and
+    ``fields`` is ``layout.fields(against)``.  The directions are multiplied
+    in, never differentiated, so they may depend on the contracted variables.
+    The result is symmetric and multilinear in the directions, and a packed
+    polynomial whose numerator dict is new, so the caller may decode it.  No
+    exponent of the result may exceed the layout's degree.
     """
-    return _contract(f, _contract_variables(f, directions, against), directions)
+    _check_directions(directions, fields)
+    if not directions:
+        return dict(f[0]), f[1]
+    return _contract(f, fields, layout.mask, directions)
 
 
-def contracted_gradient(f: PolySymbol, directions, against):
+def contracted_gradient(layout: PackedLayout, f, directions, fields) -> tuple:
     """Contract the (m+1)-th derivative against m directions, one index free.
 
-    Returns the vector of symbols corresponding to the free index, one per
-    variable that ``against`` selects.
+    Operands as for :func:`directional_contract`; returns one packed
+    polynomial per field, the component of the free index.
     """
-    variables = _contract_variables(f, directions, against)
-    return tuple(_contract(f.diff(v), variables, directions) for v in variables)
+    _check_directions(directions, fields)
+    f_num, f_den = f
+    mask = layout.mask
+    return tuple(
+        _contract((_diff_packed(f_num, shift, mask), f_den), fields, mask, directions)
+        for shift in fields
+    )
 
 
 # -- graded series -------------------------------------------------------------

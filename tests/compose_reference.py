@@ -9,7 +9,8 @@
   series: a black vertex of weight w takes one p-derivative per neighbour in
   the glue components of the live (nonzero) slots, a white vertex one
   x-derivative per neighbour, so neither has more neighbours than order w
-  has degree in those variables, and an absent order admits no vertex.
+  has degree in those variables, and an absent order admits no vertex.  Each
+  C_t comes from ``elementary_reference``, on symbols, not packed exponents.
 
 * :func:`picard_compose` uses no trees.  It iterates the implicit equations
   p_F = p_sigma + grad_x G~(q, x_G) and x_G = x + grad_p F~(p_F, x) over exact
@@ -31,7 +32,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from gfoperad.elementary import elementary_function
+from elementary_reference import elementary_function
 from gfoperad.operad import GenFunction
 from gfoperad.symbols import (
     FormalSeries,

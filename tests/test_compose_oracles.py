@@ -12,7 +12,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import Phase, assume, given, settings
+from hypothesis import Phase, assume, example, given, settings
 from hypothesis import strategies as st
 
 from compose_reference import picard_compose, workspace_compose
@@ -65,8 +65,24 @@ def compositions(draw, graded):
     return gen(len(arities)), [gen(k) for k in arities], order
 
 
+def fixed_case(arities, dead=(), dim=2, order=4, seed=0):
+    """(outer, inners, order) with inners of ``arities``; the slots in ``dead`` are zero."""
+    rng = random.Random(seed)
+
+    def gen(slot, arity):
+        if slot in dead:
+            return GenFunction(arity, dim, FormalSeries.zero(dim, arity))
+        return GenFunction(arity, dim, random_ungraded_series(rng, arity, dim, [1, 2, 3], 2))
+
+    inners = [gen(slot, k) for slot, k in enumerate(arities, start=1)]
+    return gen(0, len(arities)), inners, order
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.booleans().flatmap(compositions))
+@example(fixed_case((0, 2)))  # an arity-0 slot: its outer block goes to zero
+@example(fixed_case((3, 1), seed=1))  # an arity-3 slot: one outer block to a sum of three
+@example(fixed_case((2, 1, 2), dead=(2,), dim=1, seed=2))  # a dead slot between two live ones
 def test_compose_matches_the_workspace_reference(case):
     outer, inners, order = case
     assert compose(outer, inners, order) == workspace_compose(outer, inners, order)
@@ -124,17 +140,16 @@ def test_every_tree_compose_drops_is_zero(case):
         selected.extend(select_trees(max_weight, bounds))
         return selected
 
-    def expanding(top, black, whites, p_block, memo):
-        expanded.append((black, whites, p_block))
-        return elementary_function(top, black, whites, p_block, memo)
+    def expanding(top, expansion):
+        expanded.append(expansion)
+        return elementary_function(top, expansion)
 
     with pytest.MonkeyPatch.context() as monkeypatch:
         monkeypatch.setattr(operad, "select_trees", selecting)
         monkeypatch.setattr(operad, "elementary_function", expanding)
         compose(outer, inners, order)
     assume(expanded)  # the outer's order 1 can cancel to zero
-    black, whites, p_block = expanded[0]
     kept = {top.encoding for top in selected}
     dropped = [top for top in enumerate_unrooted(order) if top.encoding not in kept]
     for top in dropped:
-        assert elementary_function(top, black, whites, p_block).is_zero(), top.encoding
+        assert elementary_function(top, expanded[0]).is_zero(), top.encoding

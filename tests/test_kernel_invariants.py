@@ -23,11 +23,10 @@ from gfoperad.symbols import (
     ShapeError,
     add_scaled,
     content_out,
-    contracted_gradient,
-    directional_contract,
     p_key,
     x_key,
 )
+from test_symbols import packed_contraction
 
 DIM, BLOCKS = 2, 2
 VARIABLES = [p_key(b, i) for b in (1, 2) for i in (1, 2)] + [x_key(1), x_key(2)]
@@ -109,17 +108,9 @@ ROWS = st.dictionaries(MONOMIALS, st.integers(-3, 3).filter(bool), max_size=5)
 DENOMINATORS = st.integers(1, 12)
 
 
-def times(mono, key):
-    """The product of two monomials, by adding exponent dicts."""
-    powers = dict(mono)
-    for var, exp in key:
-        powers[var] = powers.get(var, 0) + exp
-    return tuple(sorted(powers.items()))
-
-
 @st.composite
 def row_sums(draw):
-    """(acc, den, items, num, other, mono) for ``add_scaled``.
+    """(acc, den, items, num, other) for ``add_scaled``.
 
     Half of the draws add over den * m numerators that cancel some entries of
     ``acc`` exactly, so the sum rescales ``acc`` (m > 1) and deletes entries.
@@ -129,30 +120,28 @@ def row_sums(draw):
         m = draw(st.integers(1, 3))
         items = draw(ROWS)
         items.update({k: -acc[k] * m for k in draw(st.sets(st.sampled_from(sorted(acc))))})
-        return acc, den, items, 1, den * m, ()
+        return acc, den, items, 1, den * m
     num = draw(st.integers(-3, 3).filter(bool))
-    return acc, den, draw(ROWS), num, draw(DENOMINATORS), draw(MONOMIALS)
+    return acc, den, draw(ROWS), num, draw(DENOMINATORS)
 
 
 @settings(max_examples=300, deadline=None)
 @given(row_sums())
 def test_add_scaled_matches_fraction_arithmetic(case):
-    acc, den, items, num, other, mono = case
+    acc, den, items, num, other = case
     expected = {k: Fraction(v, den) for k, v in acc.items()}
     for k, v in items.items():
-        key = times(mono, k)
-        expected[key] = expected.get(key, 0) + Fraction(num * v, other)
+        expected[k] = expected.get(k, 0) + Fraction(num * v, other)
     expected = {k: v for k, v in expected.items() if v}
     before = dict(acc)
-    reached = {times(mono, k) for k in items}
-    new_den = add_scaled(acc, den, items.items(), num, other, mono)
+    new_den = add_scaled(acc, den, items.items(), num, other)
     assert new_den == lcm(den, other)
     assert all(type(v) is int and v != 0 for v in acc.values())
     assert {k: Fraction(v, new_den) for k, v in acc.items()} == expected
     if den % other == 0:
         # no rescale: every entry the items do not reach keeps its numerator
-        assert {k: v for k, v in acc.items() if k not in reached} == {
-            k: v for k, v in before.items() if k not in reached
+        assert {k: v for k, v in acc.items() if k not in items} == {
+            k: v for k, v in before.items() if k not in items
         }
 
 
@@ -296,9 +285,9 @@ def test_remap_variables_keeps_the_invariant(a, renaming):
 @SETTINGS
 @given(POLYS, st.lists(st.tuples(POLYS, POLYS), min_size=1, max_size=2))
 def test_contractions_keep_the_invariant(f, directions):
-    result = directional_contract(f, directions, "x")
+    result = packed_contraction(f, directions, "x")
     assert_clean(result, f)
-    for comp in contracted_gradient(f, directions, [p_key(1, 1), p_key(1, 2)]):
+    for comp in packed_contraction(f, directions, [p_key(1, 1), p_key(1, 2)], gradient=True):
         assert_clean(comp, f)
 
 
@@ -334,10 +323,10 @@ def test_contractions_match_naive_oracle(f, directions, against):
     # in, never differentiated
     lead = PolySymbol.variable(variables[0], DIM, BLOCKS)
     directions = [(a + lead, b) for a, b in directions]
-    assert directional_contract(f, directions, against) == naive_contract(
+    assert packed_contraction(f, directions, against) == naive_contract(
         f, directions, variables
     )
-    gradient = contracted_gradient(f, directions, against)
+    gradient = packed_contraction(f, directions, against, gradient=True)
     assert len(gradient) == len(variables)
     for var, comp in zip(variables, gradient):
         assert comp == naive_contract(f.diff(var), directions, variables)

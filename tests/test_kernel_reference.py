@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 import kernel_reference as ref
 from gfoperad.symbols import (
+    PackedLayout,
     PolySymbol,
     ShapeError,
     contracted_gradient,
@@ -22,6 +23,7 @@ from gfoperad.symbols import (
     p_key,
     x_key,
 )
+from test_symbols import packed_contraction
 
 DIM, BLOCKS = 2, 2
 VARIABLES = [p_key(b, i) for b in (1, 2) for i in (1, 2)] + [x_key(1), x_key(2)]
@@ -350,17 +352,67 @@ def test_multi_target_rows_raise_the_same_errors(rows, blocks, error, text):
     assert str(raised.value) == text
 
 
+AGAINST = st.sampled_from(["x", [p_key(1, 1), p_key(1, 2)], [p_key(2, 2), x_key(1)]])
+
+
 @SETTINGS
-@given(
-    POLYS,
-    st.lists(st.tuples(POLYS, POLYS), max_size=3),
-    st.sampled_from(["x", [p_key(1, 1), p_key(1, 2)], [p_key(2, 2), x_key(1)]]),
-)
+@given(POLYS, st.lists(st.tuples(POLYS, POLYS), max_size=3), AGAINST)
 def test_contractions_match_the_reference(f, directions, against):
     variables = [x_key(1), x_key(2)] if against == "x" else against
     tf = dict(f.terms)
     tdirs = [[dict(c.terms) for c in d] for d in directions]
-    assert_matches(directional_contract(f, directions, against), ref.contract(tf, variables, tdirs))
-    gradient = contracted_gradient(f, directions, against)
+    assert_matches(packed_contraction(f, directions, against), ref.contract(tf, variables, tdirs))
+    gradient = packed_contraction(f, directions, against, gradient=True)
     for var, comp in zip(variables, gradient):
         assert_matches(comp, ref.contract(ref.diff(tf, var), variables, tdirs))
+
+
+#: exponents past a few bits, so that fields of several bits are packed side by side
+WIDE_POLYS = st.dictionaries(
+    st.dictionaries(st.sampled_from(VARIABLES), st.integers(1, 40), max_size=3).map(
+        lambda powers: tuple(sorted(powers.items()))
+    ),
+    COEFFS,
+    max_size=4,
+).map(lambda terms: PolySymbol(DIM, BLOCKS, terms))
+
+
+def largest_exponents(sym) -> dict:
+    """Each variable's largest exponent in ``sym``."""
+    out = {}
+    for mono in sym.numerators:
+        for var, exp in mono:
+            out[var] = max(out.get(var, 0), exp)
+    return out
+
+
+@SETTINGS
+@given(WIDE_POLYS)
+@example(PolySymbol(DIM, BLOCKS, {((p_key(1, 1), 32), (x_key(2), 1)): 1, ((p_key(1, 2), 31),): 2}))
+def test_packing_round_trips_at_the_field_bound(a):
+    # the largest exponent is the layout's degree, so it fills its field up to the spare bit
+    layout = PackedLayout(DIM, BLOCKS, max(largest_exponents(a).values(), default=0))
+    assert layout.decode(*layout.encode(a)) == a
+
+
+@SETTINGS
+@given(WIDE_POLYS, st.lists(st.tuples(WIDE_POLYS, WIDE_POLYS), max_size=2), AGAINST)
+def test_packed_contractions_match_the_reference_at_the_field_bound(f, directions, against):
+    # the layout's degree is the tightest bound a contraction can reach, variable by
+    # variable: f's largest exponent plus each direction's
+    bound = largest_exponents(f)
+    for d in directions:
+        for var in VARIABLES:
+            bound[var] = bound.get(var, 0) + max(largest_exponents(c).get(var, 0) for c in d)
+    layout = PackedLayout(DIM, BLOCKS, max(bound.values(), default=0))
+    variables = [x_key(1), x_key(2)] if against == "x" else against
+    fields = layout.fields(against)
+    packed_f = layout.encode(f)
+    packed_directions = [[layout.encode(c) for c in d] for d in directions]
+    tf = dict(f.terms)
+    tdirs = [[dict(c.terms) for c in d] for d in directions]
+    result = directional_contract(layout, packed_f, packed_directions, fields)
+    assert_matches(layout.decode(*result), ref.contract(tf, variables, tdirs))
+    gradient = contracted_gradient(layout, packed_f, packed_directions, fields)
+    for var, comp in zip(variables, gradient):
+        assert_matches(layout.decode(*comp), ref.contract(ref.diff(tf, var), variables, tdirs))

@@ -11,6 +11,7 @@ from gfoperad.poisson import PoissonStructure, poisson_dumps
 from gfoperad.solver import lie_poisson_structure
 from gfoperad.symbols import (
     FormalSeries,
+    PackedLayout,
     PolySymbol,
     ShapeError,
     check_grading,
@@ -25,6 +26,24 @@ from gfoperad.symbols import (
     series_loads,
     x_key,
 )
+
+
+def packed_contraction(f, directions, against, gradient=False):
+    """The library's contraction of symbols: pack into f's shape, contract, decode.
+
+    The layout holds f's degree plus the largest degree of each direction, a
+    bound on every exponent the contraction makes.  ``gradient`` calls
+    ``contracted_gradient`` and returns a tuple of symbols.
+    """
+    degree = f.degree() + sum(max((c.degree() for c in d), default=0) for d in directions)
+    layout = PackedLayout(f.dim, f.blocks, degree)
+    fields = layout.fields(against)
+    packed_f = layout.encode(f)
+    packed_directions = [[layout.encode(c) for c in d] for d in directions]
+    if gradient:
+        components = contracted_gradient(layout, packed_f, packed_directions, fields)
+        return tuple(layout.decode(*c) for c in components)
+    return layout.decode(*directional_contract(layout, packed_f, packed_directions, fields))
 
 
 def sym(dim, blocks, terms):
@@ -186,7 +205,7 @@ def test_grad_examples():
 def test_directional_contract_first_order():
     f = sym(1, 0, {((x_key(1), 2),): 1})
     one = PolySymbol.constant(1, 1, 0)
-    out = directional_contract(f, [(one,)], "x")
+    out = packed_contraction(f, [(one,)], "x")
     assert out == sym(1, 0, {((x_key(1), 1),): 2})
 
 
@@ -196,11 +215,11 @@ def test_directional_contract_hessian_example():
     u = [PolySymbol.constant(c, 2, 1) for c in (1, 2)]
     v = [PolySymbol.constant(c, 2, 1) for c in (3, 5)]
     block_1 = [p_key(1, 1), p_key(1, 2)]
-    out = directional_contract(f, [u, v], block_1)
+    out = packed_contraction(f, [u, v], block_1)
     # 2*p2*u1*v1 + 2*p1*(u1*v2 + u2*v1) = 6 p2 + 22 p1
     expected = sym(2, 1, {((p_key(1, 2), 1),): 6, ((p_key(1, 1), 1),): 22})
     assert out == expected
-    assert directional_contract(f, [v, u], block_1) == out
+    assert packed_contraction(f, [v, u], block_1) == out
 
 
 def test_directional_contract_symmetric_and_multilinear():
@@ -210,9 +229,9 @@ def test_directional_contract_symmetric_and_multilinear():
         u = [random_poly(rng, 2, 1, terms=2, max_deg=1) for _ in range(2)]
         v = [random_poly(rng, 2, 1, terms=2, max_deg=1) for _ in range(2)]
         w = [a + b for a, b in zip(u, v)]
-        assert directional_contract(f, [u, v], "x") == directional_contract(f, [v, u], "x")
-        lhs = directional_contract(f, [w, v], "x")
-        rhs = directional_contract(f, [u, v], "x") + directional_contract(f, [v, v], "x")
+        assert packed_contraction(f, [u, v], "x") == packed_contraction(f, [v, u], "x")
+        lhs = packed_contraction(f, [w, v], "x")
+        rhs = packed_contraction(f, [u, v], "x") + packed_contraction(f, [v, v], "x")
         assert lhs == rhs
 
 
@@ -220,26 +239,48 @@ def test_contracted_gradient_matches_full_contract():
     rng = random.Random(9)
     f = random_poly(rng, 2, 1, terms=5, max_deg=4)
     u = [random_poly(rng, 2, 1, terms=2, max_deg=1) for _ in range(2)]
-    grad_vec = contracted_gradient(f, [u], "x")
+    grad_vec = packed_contraction(f, [u], "x", gradient=True)
     basis = [
         [PolySymbol.constant(1 if i == j else 0, 2, 1) for j in range(2)]
         for i in range(2)
     ]
     for i in range(2):
-        assert directional_contract(f, [u, basis[i]], "x") == grad_vec[i]
+        assert packed_contraction(f, [u, basis[i]], "x") == grad_vec[i]
 
 
 def test_contraction_variables_must_lie_in_the_shape():
     f = sym(2, 1, {((p_key(1, 1), 2),): 1})
     u = [PolySymbol.constant(1, 2, 1)] * 2
     with pytest.raises(ShapeError):
-        directional_contract(f, [u], [p_key(2, 1), p_key(2, 2)])
+        packed_contraction(f, [u], [p_key(2, 1), p_key(2, 2)])
     with pytest.raises(ShapeError):
-        contracted_gradient(f, [u], [p_key(1, 1), p_key(1, 3)])
+        packed_contraction(f, [u], [p_key(1, 1), p_key(1, 3)], gradient=True)
     with pytest.raises(ShapeError):
-        directional_contract(f, [u], [p_key(1, 1)])  # direction longer than the list
+        packed_contraction(f, [u], [p_key(1, 1)])  # direction longer than the list
+    with pytest.raises(ShapeError):
+        packed_contraction(f, [u], [p_key(1, 1)], gradient=True)
     with pytest.raises(ValueError):
-        directional_contract(f, [u], ("p", 1))  # the block form is gone
+        packed_contraction(f, [u], ("p", 1))  # the block form is gone
+    layout = PackedLayout(2, 1, 4)
+    with pytest.raises(ShapeError):
+        layout.encode(sym(2, 2, {((p_key(2, 1), 1),): 1}))  # a block past the layout
+    with pytest.raises(ShapeError):
+        layout.encode(f, 1)  # moved past the layout
+    with pytest.raises(ShapeError):
+        layout.encode(sym(1, 1, {((p_key(1, 1), 1),): 1}))  # another dim
+
+
+def test_packed_layout_fields_have_one_spare_bit():
+    # a field holds every exponent up to the degree, plus one bit that no exponent reaches
+    for degree in (0, 1, 2, 3, 7, 8, 42):
+        layout = PackedLayout(2, 3, degree)
+        assert layout.width == degree.bit_length() + 1
+        assert layout.mask == (1 << layout.width) - 1
+        assert sorted(layout.shift.values()) == [layout.width * k for k in range(8)]
+    layout = PackedLayout(2, 1, 5)
+    # canonical variable order, the first variable lowest
+    variables = (p_key(1, 1), p_key(1, 2), x_key(1), x_key(2))
+    assert [layout.shift[v] for v in variables] == [0, 4, 8, 12]
 
 
 def test_eval_examples():
