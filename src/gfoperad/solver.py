@@ -12,13 +12,16 @@ x-monomial of H_n poses the same small exact linear system with its own
 right-hand side, and the rows depend only on the order n and the dimension d.
 :func:`_order_system` eliminates them once per (n, d) and per process, cached
 as the tree classes are, by deterministic Gauss-Jordan (sorted rows,
-smallest-column pivots, free unknowns set to zero) and records only the steps
-a right-hand side takes; each solve replays them on the right-hand sides of
-H_n (:func:`_replay`), which picks a reproducible representative of the gauge
-freedom.  The coboundary columns of that system are the integer terms of the
-closed-form coboundary (:func:`gfoperad.deformation.coboundary_monomial`),
-and the inverse-condition column of a basis monomial p1^a p2^b is the one
-signed monomial (-1)^|b| p1^(a+b), written directly.  The rows, columns and
+smallest-column pivots, free unknowns set to zero), which picks a
+reproducible representative of the gauge freedom.  It records only the steps
+a right-hand side takes (:func:`_record`) and compiles them into one sparse
+linear operator from the rows to the pivot columns and to the zero rows
+(:func:`_compile`), which is all the cache keeps; each solve sums the
+right-hand sides of H_n through it (:func:`_apply`).  The coboundary columns
+of that system are the integer terms of the closed-form coboundary
+(:func:`gfoperad.deformation.coboundary_monomial`), and the
+inverse-condition column of a basis monomial p1^a p2^b is the one signed
+monomial (-1)^|b| p1^(a+b), written directly.  The rows, columns and
 right-hand sides are sparse vectors of int numerators over one positive
 denominator each, as the kernel stores a symbol, not polynomials, and they are
 summed by the kernel's row helpers (:func:`gfoperad.symbols.accumulate`,
@@ -43,7 +46,7 @@ orders above n never reach it, so each order is checked right after its
 solve, and no H_n is kept past its own order: the coboundary of S_n
 (:func:`gfoperad.deformation.coboundary_symbol`) plus H_n must be exactly
 zero, with H_1 = 0 at order 1.  The check applies d in closed form, not
-through the recorded elimination, so it refuses a wrong replay; both take d
+through the compiled operator, so it refuses a wrong operator; both take d
 from :func:`coboundary_monomial`, which tests hold to the face-map sum, and
 tests, not the solve, recompute H_n from both insertions.  ``check_sgs`` then
 checks the structure conditions.
@@ -56,7 +59,6 @@ brackets via the Dynkin-Specht-Wever idempotent.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
 from fractions import Fraction
@@ -206,52 +208,96 @@ def _record(equations):
     return keys, tuple(steps)
 
 
-def _replay(system, rhs, den=1):
-    """Apply a recorded elimination to the right-hand sides ``rhs``.
+def _compile(record):
+    """The solution operator of a recorded elimination, transposed by row key.
 
-    ``rhs``: {key: dict x-key->int}, numerators over the one positive
-    denominator ``den``; every x-key rides through the same steps, so each
-    gets the solution its own system would give.  Each right-hand side and
-    each solved column is int numerators over its own denominator, and a
-    pivot row's common factor is taken out once.  Returns {pivot column:
-    ({x-key: int}, denominator)} in pivot order.  Raises ValueError(message,
-    x-key) at the first zero row, in sorted key order, with a nonzero
-    right-hand side, naming its smallest x-key; a key that no row has is a
-    zero row in its sorted place.
+    ``record`` is the output of :func:`_record`.  Its steps are replayed once
+    on unit right-hand sides, each row's own position as its x-key, so each
+    solved column is a sparse linear map from the rows to that pivot
+    column, and each zero row's right-hand side is a sparse linear map from
+    the rows to what must vanish there.  Returns (pivots, rows, zero_keys):
+    ``pivots`` the (pivot column, positive denominator) pairs in pivot order;
+    ``rows`` {row key: (solution, zeros)}, where ``solution`` is the flat
+    tuple (pivot column, int numerator, ...) of the columns the row reaches,
+    over their denominators, and ``zeros`` the flat tuple (zero row, int
+    numerator, ...) of the zero rows it reaches, each zero row's numerators
+    free of a common factor; and ``zero_keys`` the row key of each zero row,
+    in sorted key order, which numbers the zero rows.  The steps are not
+    kept.
     """
-    keys, steps = system
-    message = "inconsistent equation (nonzero rhs on a zero row)"
-    stray, stop = None, len(keys)
-    for key, values in rhs.items():
-        at = bisect.bisect_left(keys, key)
-        missing = at == len(keys) or keys[at] != key
-        if missing and any(values.values()) and (stray is None or key < stray):
-            stray, stop = key, at
+    keys, steps = record
     solved, dens = {}, {}
-    for key, step in itertools.islice(zip(keys, steps), stop):
+    zeros = [[] for _ in keys]
+    zero_keys = []
+    for at, step in enumerate(steps):
         cols, factors, col, inv_num, inv_den, back_cols, back_factors, step_den = step
-        acc = rhs.get(key)
-        acc = {k: v for k, v in acc.items() if v != 0} if acc else {}
+        # the row's own unit cannot cancel: no earlier column holds it
+        acc = {at: 1}
         acc_den = 1
         for c, factor in zip(cols, factors):
-            prhs = solved[c]
-            if prhs:
-                acc_den = add_scaled(acc, acc_den, prhs.items(), factor, step_den * dens[c])
+            acc_den = add_scaled(acc, acc_den, solved[c].items(), factor, step_den * dens[c])
         if col is None:
-            if acc:
-                raise ValueError(message, min(acc))
+            z, g = len(zero_keys), math.gcd(*acc.values())
+            for i, v in acc.items():
+                zeros[i] += (z, v // g if g != 1 else v)
+            zero_keys.append(keys[at])
             continue
-        prhs = {k: v * inv_num for k, v in acc.items()}
-        pden = 1
-        if prhs:
-            pden = content_out(prhs, acc_den * inv_den)
-            for c, factor in zip(back_cols, back_factors):
-                dens[c] = add_scaled(solved[c], dens[c], prhs.items(), factor, step_den * pden)
+        prhs = {i: v * inv_num for i, v in acc.items()}
+        pden = content_out(prhs, acc_den * inv_den)
+        for c, factor in zip(back_cols, back_factors):
+            dens[c] = add_scaled(solved[c], dens[c], prhs.items(), factor, step_den * pden)
         solved[col] = prhs
         dens[col] = pden
+    solution = [[] for _ in keys]
+    for col, values in solved.items():
+        for at, v in values.items():
+            solution[at] += (col, v)
+    rows = {key: (tuple(sol), tuple(zero)) for key, sol, zero in zip(keys, solution, zeros)}
+    return tuple(dens.items()), rows, tuple(zero_keys)
+
+
+def _apply(operator, rhs, den=1):
+    """Solve for the right-hand sides ``rhs`` through a compiled operator (:func:`_compile`).
+
+    ``rhs``: {key: dict x-key->int}, numerators over the one positive
+    denominator ``den``; zero numerators are dropped, and every x-key gets the
+    solution its own system would give.  Each key's right-hand side is summed
+    into the pivot columns and the zero rows it reaches.  Returns {pivot
+    column: ({x-key: int}, positive denominator)} for every pivot column, in
+    pivot order.  Raises ValueError(message, x-key) at the first zero row, in
+    sorted key order, whose right-hand side is nonzero, naming its smallest
+    x-key; a key that no row has is a zero row in its sorted place.
+    """
+    pivots, rows, zero_keys = operator
+    solved, residues = {}, {}
+    stray = None
+    for key, values in rhs.items():
+        items = [(k, v) for k, v in values.items() if v != 0]
+        if not items:
+            continue
+        row = rows.get(key)
+        if row is None:
+            if stray is None or key < stray:
+                stray, stray_items = key, items
+            continue
+        for flat, sums in zip(row, (solved, residues)):
+            pairs = iter(flat)
+            for at, num in zip(pairs, pairs):
+                acc = sums.get(at)
+                if acc is None:
+                    sums[at] = acc = {}
+                accumulate(acc, items, num)
+    message = "inconsistent equation (nonzero rhs on a zero row)"
+    first = min((z for z, acc in residues.items() if acc), default=None)
+    if first is not None and (stray is None or zero_keys[first] < stray):
+        raise ValueError(message, min(residues[first]))
     if stray is not None:
-        raise ValueError(message, min(k for k, v in rhs[stray].items() if v != 0))
-    return {c: (values, dens[c] * den) for c, values in solved.items()}
+        raise ValueError(message, min(k for k, _ in stray_items))
+    out = {}
+    for col, col_den in pivots:
+        values = solved.get(col)
+        out[col] = (values, content_out(values, col_den * den)) if values else ({}, 1)
+    return out
 
 
 def _inverse_column(mono) -> dict:
@@ -280,16 +326,11 @@ def _order_columns(n: int, d: int):
     return basis, d_cols, [_inverse_column(mono) for mono in basis]
 
 
-@lru_cache(maxsize=None)
-def _order_system(n: int, d: int):
-    """The order-n system's unknowns and its recorded elimination, once per (n, d).
+def _order_equations(n: int, d: int):
+    """The order-n system's unknowns and rows: (basis, {row key: {unknown index: int}}).
 
-    The rows (coboundary and inverse-condition columns of every basis
-    monomial) depend only on n and d; the Poisson structure enters only
-    through the right-hand sides, which :func:`_replay` carries through.
-    The cache keeps the row keys, whose (variable, exponent) pairs are the
-    shared ones of :func:`p_pair`, and whose coboundary monomials are shared
-    with the coboundary cache.
+    The rows are the coboundary and inverse-condition columns of every basis
+    monomial, transposed; they depend only on n and d.
     """
     basis, d_cols, sgs_cols = _order_columns(n, d)
     equations = {}
@@ -297,20 +338,41 @@ def _order_system(n: int, d: int):
         for idx, col in enumerate(cols):
             for p_mono, coeff in col.items():
                 equations.setdefault((tag, p_mono), {})[idx] = coeff
-    return tuple(basis), _record(equations)
+    return tuple(basis), equations
+
+
+@lru_cache(maxsize=None)
+def _order_system(n: int, d: int):
+    """The order-n system's unknowns and its compiled solution operator, once per (n, d).
+
+    The rows are eliminated once (:func:`_record`) and the record compiled
+    into the operator (:func:`_compile`), which is all the cache keeps; the
+    Poisson structure enters only through the right-hand sides, which
+    :func:`_apply` maps through it.  The operator keeps the row keys, whose
+    (variable, exponent) pairs are the shared ones of :func:`p_pair`, and
+    whose coboundary monomials are shared with the coboundary cache.
+    """
+    basis, equations = _order_equations(n, d)
+    return basis, _compile(_record(equations))
 
 
 def _solve_order(h_n: PolySymbol, n: int, d: int) -> PolySymbol:
-    """Solve d S_n = -H_n with the structure-condition constraints."""
+    """Solve d S_n = -H_n with the structure-condition constraints.
+
+    H_n's numerators, grouped by p-part, are the right-hand sides of the
+    coboundary rows, summed through the cached operator of (n, d)
+    (:func:`_apply`); a nonzero zero row, or a p-part that no row has, raises
+    :class:`InfeasibleOrderError` naming the smallest x-monomial there.
+    """
     rhs = {}
     for mono, num in h_n.numerators.items():
         p_part, x_part = split_monomial(mono)
         rhs.setdefault(("d", p_part), {})[x_part] = -num
     if not rhs:
         return PolySymbol.zero(d, 2)
-    basis, system = _order_system(n, d)
+    basis, operator = _order_system(n, d)
     try:
-        solution = _replay(system, rhs, h_n.denominator)
+        solution = _apply(operator, rhs, h_n.denominator)
     except ValueError as exc:
         message, x_part = exc.args
         raise InfeasibleOrderError(n, f"x-monomial {x_part}: {message}") from exc

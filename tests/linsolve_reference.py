@@ -1,17 +1,19 @@
 """The uncached exact Gauss-Jordan solve, kept as the reference for the solver.
 
-The solver eliminates each order's rows once per (n, d) and replays only the
-right-hand sides (``gfoperad.solver._record`` and ``_replay``).  ``_linsolve``
-carries rows and right-hand sides together through one elimination, row by
-row in the order given, and ``solve_order`` is the order-n solve built on it:
-the rows and right-hand sides of all keys, sorted together.  Its rows hold
-``Fraction`` values and are summed by its own :func:`_add_row`, not by the
-kernel's row helpers that the solver uses.
+The solver eliminates each order's rows once per (n, d), compiles the
+recorded elimination into a sparse solution operator and maps only the
+right-hand sides through it (``gfoperad.solver._record``, ``_compile`` and
+``_apply``).  ``_linsolve`` carries rows and right-hand sides together
+through one elimination, row by row in the order given, and ``solve_order``
+is the order-n solve built on it: the rows of ``_order_equations`` and the
+right-hand sides of all keys, sorted together.  Its rows hold ``Fraction``
+values and are summed by its own :func:`_add_row`, not by the kernel's row
+helpers that the solver uses.
 """
 
 from fractions import Fraction
 
-from gfoperad.solver import InfeasibleOrderError, _order_columns
+from gfoperad.solver import InfeasibleOrderError, _order_equations
 from gfoperad.symbols import PolySymbol, split_monomial
 
 
@@ -73,12 +75,7 @@ def solve_order(h_n, n: int, d: int):
         rhs.setdefault(("d", p_part), {})[x_part] = -coeff
     if not rhs:
         return PolySymbol.zero(d, 2)
-    basis, d_cols, sgs_cols = _order_columns(n, d)
-    equations = {}
-    for tag, cols in (("d", d_cols), ("sgs", sgs_cols)):
-        for idx, col in enumerate(cols):
-            for p_mono, coeff in col.items():
-                equations.setdefault((tag, p_mono), {})[idx] = coeff
+    basis, equations = _order_equations(n, d)
     rows = [
         (equations.get(key, {}), rhs.get(key, {}))
         for key in sorted(equations.keys() | rhs.keys())

@@ -1,4 +1,5 @@
 import hashlib
+import math
 from fractions import Fraction
 
 import pytest
@@ -284,39 +285,45 @@ def sparse_systems(draw):
 
 
 def outcome(solve, *args):
+    """Each pivot column's values in pivot order, each column as a dict; or the error's args."""
     try:
         solution = solve(*args)
     except ValueError as exc:
         return exc.args
-    return [(col, list(values.items())) for col, values in solution.items()]
+    return [(col, dict(values)) for col, values in solution.items()]
 
 
-def replay_values(record, rhs, den):
-    """``solver._replay``'s columns, int numerators over a denominator each, as exact values."""
-    solution = solver._replay(record, rhs, den)
+def apply_values(operator, rhs, den):
+    """``solver._apply``'s columns, int numerators over a denominator each, as exact values."""
+    solution = solver._apply(operator, rhs, den)
     assert all(col_den > 0 for _, col_den in solution.values())
     return {col: {k: Fraction(v, col_den) for k, v in values.items()} for col, (values, col_den) in solution.items()}
 
 
 @settings(max_examples=300, deadline=None)
 @given(sparse_systems(), st.integers(1, 6))
-def test_record_and_replay_match_the_reference_elimination(system, den):
-    # the replay takes the right-hand sides as int numerators over one
-    # denominator, as H_n arrives; the reference takes their exact values
+def test_record_compile_and_apply_match_the_reference_elimination(system, den):
+    # the operator takes the right-hand sides as int numerators over one
+    # denominator, as H_n arrives; the reference takes their exact values.
+    # Within a column the x-keys may come in another order than the
+    # reference's: no output reads that order, since the JSON writer sorts
     equations, rhs = system
     numerators = {key: {k: int(v) for k, v in values.items()} for key, values in rhs.items()}
     values = {key: {k: v / den for k, v in row.items()} for key, row in rhs.items()}
     rows = [(equations.get(key, {}), values.get(key, {})) for key in sorted(equations.keys() | rhs.keys())]
     before = {key: dict(row) for key, row in numerators.items()}
-    record = solver._record(equations)
-    assert outcome(replay_values, record, numerators, den) == outcome(_linsolve, rows)
-    # neither the record nor the right-hand sides change under a replay
+    operator = solver._compile(solver._record(equations))
+    compiled = repr(operator)
+    assert outcome(apply_values, operator, numerators, den) == outcome(_linsolve, rows)
+    # neither the operator nor the right-hand sides change under a solve
     assert numerators == before
-    assert outcome(replay_values, record, numerators, den) == outcome(_linsolve, rows)
+    assert repr(operator) == compiled
+    assert outcome(apply_values, operator, numerators, den) == outcome(_linsolve, rows)
 
 
-#: sha256 of repr(_order_system(n, d)), taken when ``_record`` still scanned
-#: every earlier pivot row for each new pivot column
+#: sha256 of repr((basis, _record(equations))) for ``_order_equations(n, d)``,
+#: taken when ``_record`` still scanned every earlier pivot row for each new
+#: pivot column
 RECORD_DIGESTS = {
     (1, 2): "9be28872f0eb6d657cc5b998d67d1fce13722914921c0dbfabff818e3ae3fed6",
     (2, 2): "7f5b3d5b59dc765f11d30410b0ea7f2c56eb093719221bcd401cd42b25e12fbe",
@@ -333,16 +340,48 @@ RECORD_DIGESTS = {
 
 @pytest.mark.parametrize("n, d", sorted(RECORD_DIGESTS))
 def test_recorded_elimination_is_pinned(n, d):
-    # a fresh record, not the cached one: the same steps and back_cols, in order
+    # a fresh record, not the cached operator: the same steps and back_cols, in order
+    basis, equations = solver._order_equations(n, d)
+    assert hashlib.sha256(repr((basis, solver._record(equations))).encode()).hexdigest() == RECORD_DIGESTS[n, d]
+
+
+#: sha256 of repr(_order_system(n, d)), the basis and the compiled operator,
+#: taken when the operator replaced the per-solve replay of the record
+OPERATOR_DIGESTS = {
+    (1, 2): "d2726cbb14e4772e5dc41675c9cea57e0d40ff675f9fb2411b279dd6f98200e3",
+    (2, 2): "dfb7cf359a7e8d3bedbbf1caf497603c94c9b10062bdc1a1448bf41836deaac2",
+    (3, 2): "61ccf4dd6129f67e8ffc9177776260fb4be0f76bbac14933ce5e9485b22d780d",
+    (4, 2): "64ca1afccb238b14f1d55e2923da4b76d72200e351e28ac8367f0b5474296c61",
+    (5, 2): "665ed594ec35a38fa4141cb11e5b73cbf492ce2603ec252aa3d5a7f699eabb99",
+    (1, 3): "b45ec9ae8cdc5ac96856a2994a6351c422c95d96db47bae19c2b491d2965820e",
+    (2, 3): "d31e76ca54c76d5dd9acd625fb1145f333e7a067c918c5c0c8f08076572cfbf9",
+    (3, 3): "909538c76aefcf079317d68295a16ad617af876ceeeec583dd093919df591c94",
+    (4, 3): "c16f0259141063724cbaeb47aeed30730a107bba15f9a662b6751beaab0df691",
+    (5, 3): "5782b8d692596c6100e86d3479d70f4b20cf233af537fb88f21403c4fa7bd23f",
+}
+
+
+@pytest.mark.parametrize("n, d", sorted(OPERATOR_DIGESTS))
+def test_compiled_operator_is_pinned(n, d):
     system = solver._order_system.__wrapped__(n, d)
-    assert hashlib.sha256(repr(system).encode()).hexdigest() == RECORD_DIGESTS[n, d]
+    assert hashlib.sha256(repr(system).encode()).hexdigest() == OPERATOR_DIGESTS[n, d]
+
+
+@pytest.mark.parametrize("n, d", [(n, d) for d in (1, 2, 3) for n in range(2, 8)] + [(8, 3)])
+def test_free_columns_are_the_odd_arity_one_cochains(n, d):
+    # the kernel of d under the structure condition is d of the arity-1
+    # cochains f(p) of degree n+1 with f(-p) = -f(p): C(n+d, d-1) of them,
+    # the p-monomials of that degree, when n+1 is odd, and none when it is even
+    basis, (pivots, _, _) = solver._order_system(n, d)
+    assert len(basis) - len(pivots) == (math.comb(n + d, d - 1) if n % 2 == 0 else 0)
 
 
 def test_row_keys_share_the_pairs_of_p_pair():
     # the cached row keys hold one object per (variable, exponent), as the coboundary cache does
-    keys, _ = solver._order_system.__wrapped__(4, 3)[1]
-    assert {tag for tag, _ in keys} == {"d", "sgs"}
-    for _, mono in keys:
+    _, rows, zero_keys = solver._order_system.__wrapped__(4, 3)[1]
+    assert {tag for tag, _ in rows} == {"d", "sgs"}
+    assert set(zero_keys) <= rows.keys()
+    for _, mono in rows:
         for pair in mono:
             (_, block, comp), exp = pair
             assert pair is p_pair(block, comp, exp)
@@ -370,15 +409,15 @@ def stray_key_obstruction():
     # the right-hand side on the reached key p1_1 p2_1 p3_2 does not raise first
     stray = ((p_key(1, 1), 4),)
     reached = ((p_key(1, 1), 1), (p_key(2, 1), 1), (p_key(3, 2), 1))
-    assert ("d", stray) not in solver._order_system(2, 2)[1][0]
+    assert ("d", stray) not in solver._order_system(2, 2)[1][1]
     h = PolySymbol(2, 3, {stray + ((x_key(2), 1),): Fraction(1), reached: Fraction(1)})
     return h, 2, ((x_key(2), 1),)
 
 
 def zero_row_obstruction():
     # a right-hand side on one coboundary key whose row the elimination reduces to zero
-    keys, steps = solver._order_system(3, 2)[1]
-    key = next(key for key, step in zip(keys, steps) if key[0] == "d" and step[2] is None)
+    zero_keys = solver._order_system(3, 2)[1][2]
+    key = next(key for key in zero_keys if key[0] == "d")
     h = PolySymbol(2, 3, {key[1] + ((x_key(1), 1),): Fraction(3), key[1]: Fraction(1)})
     return h, 3, ()
 

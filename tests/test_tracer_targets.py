@@ -3,12 +3,14 @@
 ``perfbench/tracer.py`` is loaded read-only from its file.  A traced benchmark
 run counts as correct only if every tracer target resolves, no operation
 fails and every span's result can be measured; here a ``Tracer`` is installed
-on the imported ``gfoperad`` modules, one small ``compose`` and one small
-``solve`` run through ``cli.main``, and the originals are put back.  A renamed
+on the imported ``gfoperad`` modules, one small ``compose``, one small
+``solve`` and the ``solve_quadratic`` workload's solve (alpha^{12} = x1^2 to
+order 6) run through ``cli.main``, and the originals are put back.  A renamed
 target, or an ``elementary_function`` whose result is not a ``PolySymbol``
 (the tracer counts ``len(result.terms)``), fails here.
 """
 
+import hashlib
 import importlib.util
 import random
 import sys
@@ -18,10 +20,11 @@ from gfoperad import cli, operad
 from gfoperad.poisson import poisson_dumps
 from gfoperad.solver import lie_poisson_structure
 from gfoperad.symbols import random_graded_series, series_dumps
+from test_golden import GOLDEN, solve_argv as golden_solve_argv
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
-#: spans that the compose and the solve below must each record at least once
+#: spans that the compose and the solves below must record at least once
 EXPECTED_SPANS = (
     "cli.main",
     "operad.compose",
@@ -50,7 +53,7 @@ def gfoperad_modules() -> dict:
 
 
 def write_inputs(directory: Path) -> list:
-    """The argv of one compose and one solve, on inputs written to ``directory``."""
+    """The argv of one compose and two solves, on inputs written to ``directory``."""
     rng = random.Random(3)
     paths = {}
     for name, arity in (("outer", 2), ("inner_a", 2), ("inner_b", 1)):
@@ -69,7 +72,8 @@ def write_inputs(directory: Path) -> list:
         "solve", "--poisson", str(paths["so3"]), "--order", "3",
         "--out", str(directory / "solved.json"),
     ]
-    return [compose_argv, solve_argv]
+    quadratic_argv, _ = golden_solve_argv(directory, "quadratic")
+    return [compose_argv, solve_argv, quadratic_argv]
 
 
 def test_every_tracer_target_resolves_and_a_traced_run_completes(tmp_path):
@@ -92,6 +96,8 @@ def test_every_tracer_target_resolves_and_a_traced_run_completes(tmp_path):
     finally:
         tracer.restore()
     assert operad.elementary_function is original
+    # the base input of the solve_quadratic workload keeps its golden bytes traced
+    assert hashlib.sha256(untraced[2]).hexdigest() == GOLDEN["quadratic"][2]
 
     called = {tracer.names[name_id] for name_id in tracer.name_of}
     assert [name for name in EXPECTED_SPANS if name not in called] == []
