@@ -13,10 +13,10 @@ right-hand side, and the rows depend only on the order n and the dimension d.
 :func:`_order_system` eliminates them once per (n, d) and per process, cached
 as the tree classes are, by deterministic Gauss-Jordan (sorted rows,
 smallest-column pivots, free unknowns set to zero), which picks a
-reproducible representative of the gauge freedom.  It records only the steps
-a right-hand side takes (:func:`_record`) and compiles them into one sparse
-linear operator from the rows to the pivot columns and to the zero rows
-(:func:`_compile`), which is all the cache keeps; each solve sums the
+reproducible representative of the gauge freedom.  Each row carries its own
+unit right-hand side through that one pass (:func:`_eliminate`), which thus
+builds a sparse linear operator from the rows to the pivot columns and to the
+zero rows, and the cache keeps only that operator; each solve sums the
 right-hand sides of H_n through it (:func:`_apply`).  The coboundary columns
 of that system are the integer terms of the closed-form coboundary
 (:func:`gfoperad.deformation.coboundary_monomial`), and the
@@ -26,7 +26,8 @@ right-hand sides are sparse vectors of int numerators over one positive
 denominator each, as the kernel stores a symbol, not polynomials, and they are
 summed by the kernel's row helpers (:func:`gfoperad.symbols.accumulate`,
 :func:`~gfoperad.symbols.add_scaled`), which sum every symbol; each pivot
-row's common factor is taken out once (:func:`~gfoperad.symbols.content_out`).
+row's common factor is taken out as it changes, and each pivot column's once
+at the end (:func:`~gfoperad.symbols.content_out`).
 H_n enters through its numerators and denominator
 (``PolySymbol.numerators``, ``PolySymbol.denominator``), and the solution,
 whose monomials are canonical by construction, leaves through
@@ -46,7 +47,7 @@ orders above n never reach it, so each order is checked right after its
 solve, and no H_n is kept past its own order: the coboundary of S_n
 (:func:`gfoperad.deformation.coboundary_symbol`) plus H_n must be exactly
 zero, with H_1 = 0 at order 1.  The check applies d in closed form, not
-through the compiled operator, so it refuses a wrong operator; both take d
+through the cached operator, so it refuses a wrong operator; both take d
 from :func:`coboundary_monomial`, which tests hold to the face-map sum, and
 tests, not the solve, recompute H_n from both insertions.  ``check_sgs`` then
 checks the structure conditions.
@@ -122,142 +123,91 @@ def _p_basis(n: int, d: int):
     return sorted(basis)
 
 
-def _over_one_denominator(pairs):
-    """``(numerator, positive denominator)`` pairs as int numerators over their least common denominator."""
-    reduced = []
-    for num, den in pairs:
-        g = math.gcd(num, den)
-        reduced.append((num // g, den // g))
-    common = math.lcm(*(den for _, den in reduced))
-    return [num * (common // den) for num, den in reduced], common
-
-
-def _record(equations):
-    """Gauss-Jordan on the rows alone; record the steps a right-hand side takes.
+def _eliminate(equations):
+    """The solution operator of the rows ``equations``, by one Gauss-Jordan pass.
 
     ``equations``: {key: dict column->int}.  The rows are eliminated in
     sorted key order with deterministic pivoting (the smallest column; free
     unknowns are zero), and pivot rows are kept reduced, so they reference
-    free columns only.  Every row is int numerators over one positive
-    denominator, with their common factor taken out once per row and per
-    back-substitution.  Per row the record keeps only what a right-hand side
-    reads, as the tuple (cols, factors, col, inv_num, inv_den, back_cols,
-    back_factors, den): the eliminated pivot columns ``cols``, then either no
-    pivot (``col`` None, a zero row) or the pivot column with its inverse
-    inv_num / inv_den, and the earlier pivots ``back_cols`` back-substituted,
-    in pivot order; an index from each free column to the pivot rows that
-    may hold it finds them without a scan of every pivot row.  The factors of
-    both eliminations are int numerators over the one step
-    denominator ``den``.  Returns (sorted keys, steps), all tuples, so the
-    record is shared and never mutated.
+    free columns only; an index from each free column to the pivot rows that
+    may hold it finds them without a scan of every pivot row.  Each row
+    carries the unit right-hand side {its position: 1} through the same
+    forward steps and back-substitutions, so each pivot column's right-hand
+    side ends as a sparse linear map from the rows to that column, and each
+    zero row's as a sparse linear map from the rows to what must vanish
+    there.  Rows and right-hand sides are int numerators over one positive
+    denominator each.  Returns (pivots, rows, zero_keys): ``pivots`` the
+    (pivot column, positive denominator) pairs in pivot order; ``rows`` {row
+    key: (solution, zeros)}, where ``solution`` is the flat tuple (pivot
+    column, int numerator, ...) of the columns the row reaches, over their
+    denominators, and ``zeros`` the flat tuple (zero row, int numerator, ...)
+    of the zero rows it reaches; and ``zero_keys`` the row key of each zero
+    row, in sorted key order, which numbers the zero rows.  Each pivot column
+    and each zero row is free of a common factor, and a zero row's own entry
+    is positive.
     """
-    keys = tuple(sorted(equations))
-    pivots = {}  # pivot column -> {free column: int}, over pivot_dens[column]
-    pivot_dens = {}
+    keys = sorted(equations)
+    # pivot column -> [row over free columns, its denominator, right-hand side, its denominator]
+    pivots = {}
     # free column -> the pivot columns whose rows may hold it (a superset:
-    # an entry that cancels stays listed), and each pivot column's position
+    # an entry that cancels stays listed)
     holders = {}
-    rank = {}
-    steps = []
-    for key in keys:
+    zeros = [[] for _ in keys]
+    zero_keys = []
+    for at, key in enumerate(keys):
         row = {c: v for c, v in equations[key].items() if v != 0}
         den = 1
+        # the row's own unit cannot cancel: no earlier right-hand side holds it
+        rhs, rhs_den = {at: 1}, 1
         # eliminate every pivot column present (pivot rows only add free
         # columns, so one pass over the initial pivot columns suffices)
-        cols = tuple(sorted(c for c in row if c in pivots))
-        factors = []
-        for col in cols:
+        for col in sorted(c for c in row if c in pivots):
             value = row.pop(col)
-            factors.append((-value, den))
-            den = add_scaled(row, den, pivots[col].items(), -value, den * pivot_dens[col])
+            prow, pden, prhs, prhs_den = pivots[col]
+            rhs_den = add_scaled(rhs, rhs_den, prhs.items(), -value, den * prhs_den)
+            den = add_scaled(row, den, prow.items(), -value, den * pden)
         den = content_out(row, den)
         if not row:
-            factors, den = _over_one_denominator(factors)
-            steps.append((cols, tuple(factors), None, None, None, (), (), den))
+            # what must vanish is fixed only up to a factor: rhs_den is dropped
+            z, g = len(zero_keys), math.gcd(*rhs.values())
+            for i, v in rhs.items():
+                zeros[i] += (z, v // g)
+            zero_keys.append(key)
             continue
         col = min(row)
         value = row.pop(col)
         sign = 1 if value > 0 else -1
-        g = math.gcd(value, den)
-        inv_num, inv_den = sign * den // g, abs(value) // g
         # the row over its pivot entry: the row's own denominator cancels
         prow = {c: sign * v for c, v in row.items()}
         pden = content_out(prow, abs(value))
-        back_cols = []
-        for ocol in sorted(holders.pop(col, ()), key=rank.__getitem__):
-            orow = pivots[ocol]
+        prhs = {i: sign * den * v for i, v in rhs.items()}
+        prhs_den = content_out(prhs, rhs_den * abs(value))
+        takers = [col]
+        # each back-substitution changes only its own pivot row, so their order is free
+        for ocol in holders.pop(col, ()):
+            other = pivots[ocol]
+            orow, oden, orhs, orhs_den = other
             if col in orow:
                 value = orow.pop(col)
-                oden = pivot_dens[ocol]
-                factors.append((-value, oden))
-                oden = add_scaled(orow, oden, prow.items(), -value, oden * pden)
-                pivot_dens[ocol] = content_out(orow, oden)
-                back_cols.append(ocol)
+                other[3] = add_scaled(orhs, orhs_den, prhs.items(), -value, oden * prhs_den)
+                other[1] = content_out(orow, add_scaled(orow, oden, prow.items(), -value, oden * pden))
+                takers.append(ocol)
         # the back-substituted rows and the new one took every column of prow
-        takers = (*back_cols, col)
         for c in prow:
             holders.setdefault(c, set()).update(takers)
-        rank[col] = len(rank)
-        pivots[col] = prow
-        pivot_dens[col] = pden
-        factors, den = _over_one_denominator(factors)
-        forward = len(cols)
-        steps.append(
-            (cols, tuple(factors[:forward]), col, inv_num, inv_den, tuple(back_cols), tuple(factors[forward:]), den)
-        )
-    return keys, tuple(steps)
-
-
-def _compile(record):
-    """The solution operator of a recorded elimination, transposed by row key.
-
-    ``record`` is the output of :func:`_record`.  Its steps are replayed once
-    on unit right-hand sides, each row's own position as its x-key, so each
-    solved column is a sparse linear map from the rows to that pivot
-    column, and each zero row's right-hand side is a sparse linear map from
-    the rows to what must vanish there.  Returns (pivots, rows, zero_keys):
-    ``pivots`` the (pivot column, positive denominator) pairs in pivot order;
-    ``rows`` {row key: (solution, zeros)}, where ``solution`` is the flat
-    tuple (pivot column, int numerator, ...) of the columns the row reaches,
-    over their denominators, and ``zeros`` the flat tuple (zero row, int
-    numerator, ...) of the zero rows it reaches, each zero row's numerators
-    free of a common factor; and ``zero_keys`` the row key of each zero row,
-    in sorted key order, which numbers the zero rows.  The steps are not
-    kept.
-    """
-    keys, steps = record
-    solved, dens = {}, {}
-    zeros = [[] for _ in keys]
-    zero_keys = []
-    for at, step in enumerate(steps):
-        cols, factors, col, inv_num, inv_den, back_cols, back_factors, step_den = step
-        # the row's own unit cannot cancel: no earlier column holds it
-        acc = {at: 1}
-        acc_den = 1
-        for c, factor in zip(cols, factors):
-            acc_den = add_scaled(acc, acc_den, solved[c].items(), factor, step_den * dens[c])
-        if col is None:
-            z, g = len(zero_keys), math.gcd(*acc.values())
-            for i, v in acc.items():
-                zeros[i] += (z, v // g if g != 1 else v)
-            zero_keys.append(keys[at])
-            continue
-        prhs = {i: v * inv_num for i, v in acc.items()}
-        pden = content_out(prhs, acc_den * inv_den)
-        for c, factor in zip(back_cols, back_factors):
-            dens[c] = add_scaled(solved[c], dens[c], prhs.items(), factor, step_den * pden)
-        solved[col] = prhs
-        dens[col] = pden
+        pivots[col] = [prow, pden, prhs, prhs_den]
     solution = [[] for _ in keys]
-    for col, values in solved.items():
-        for at, v in values.items():
+    dens = []
+    for col, (_, _, prhs, prhs_den) in pivots.items():
+        dens.append((col, content_out(prhs, prhs_den)))
+        for at, v in prhs.items():
             solution[at] += (col, v)
     rows = {key: (tuple(sol), tuple(zero)) for key, sol, zero in zip(keys, solution, zeros)}
-    return tuple(dens.items()), rows, tuple(zero_keys)
+    return tuple(dens), rows, tuple(zero_keys)
 
 
 def _apply(operator, rhs, den=1):
-    """Solve for the right-hand sides ``rhs`` through a compiled operator (:func:`_compile`).
+    """Solve for the right-hand sides ``rhs`` through a solution operator (:func:`_eliminate`).
 
     ``rhs``: {key: dict x-key->int}, numerators over the one positive
     denominator ``den``; zero numerators are dropped, and every x-key gets the
@@ -343,17 +293,16 @@ def _order_equations(n: int, d: int):
 
 @lru_cache(maxsize=None)
 def _order_system(n: int, d: int):
-    """The order-n system's unknowns and its compiled solution operator, once per (n, d).
+    """The order-n system's unknowns and its solution operator, once per (n, d).
 
-    The rows are eliminated once (:func:`_record`) and the record compiled
-    into the operator (:func:`_compile`), which is all the cache keeps; the
-    Poisson structure enters only through the right-hand sides, which
-    :func:`_apply` maps through it.  The operator keeps the row keys, whose
+    One elimination of the rows builds the operator (:func:`_eliminate`),
+    which is all the cache keeps; the Poisson structure enters only through
+    the right-hand sides, which :func:`_apply` maps through it.  The operator keeps the row keys, whose
     (variable, exponent) pairs are the shared ones of :func:`p_pair`, and
     whose coboundary monomials are shared with the coboundary cache.
     """
     basis, equations = _order_equations(n, d)
-    return basis, _compile(_record(equations))
+    return basis, _eliminate(equations)
 
 
 def _solve_order(h_n: PolySymbol, n: int, d: int) -> PolySymbol:

@@ -1,8 +1,8 @@
 """The uncached exact Gauss-Jordan solve, kept as the reference for the solver.
 
-The solver eliminates each order's rows once per (n, d), compiles the
-recorded elimination into a sparse solution operator and maps only the
-right-hand sides through it (``gfoperad.solver._record``, ``_compile`` and
+The solver eliminates each order's rows once per (n, d), each row carrying
+its own unit right-hand side, into a sparse solution operator and maps only
+the right-hand sides through it (``gfoperad.solver._eliminate`` and
 ``_apply``).  ``_linsolve`` carries rows and right-hand sides together
 through one elimination, row by row in the order given, and ``solve_order``
 is the order-n solve built on it: the rows of ``_order_equations`` and the

@@ -1,5 +1,8 @@
 import hashlib
+import itertools
 import math
+import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -7,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gfoperad.cli import main
-from gfoperad.deformation import p_pair, verify_product
+from gfoperad.deformation import coboundary_symbol, obstruction, p_pair, verify_product
 from gfoperad.groupoid import check_sgs, extract_poisson, is_odd_in_p
 from gfoperad.poisson import (
     PoissonStructure,
@@ -302,7 +305,7 @@ def apply_values(operator, rhs, den):
 
 @settings(max_examples=300, deadline=None)
 @given(sparse_systems(), st.integers(1, 6))
-def test_record_compile_and_apply_match_the_reference_elimination(system, den):
+def test_eliminate_and_apply_match_the_reference_elimination(system, den):
     # the operator takes the right-hand sides as int numerators over one
     # denominator, as H_n arrives; the reference takes their exact values.
     # Within a column the x-keys may come in another order than the
@@ -312,52 +315,34 @@ def test_record_compile_and_apply_match_the_reference_elimination(system, den):
     values = {key: {k: v / den for k, v in row.items()} for key, row in rhs.items()}
     rows = [(equations.get(key, {}), values.get(key, {})) for key in sorted(equations.keys() | rhs.keys())]
     before = {key: dict(row) for key, row in numerators.items()}
-    operator = solver._compile(solver._record(equations))
-    compiled = repr(operator)
+    operator = solver._eliminate(equations)
+    built = repr(operator)
     assert outcome(apply_values, operator, numerators, den) == outcome(_linsolve, rows)
     # neither the operator nor the right-hand sides change under a solve
     assert numerators == before
-    assert repr(operator) == compiled
+    assert repr(operator) == built
     assert outcome(apply_values, operator, numerators, den) == outcome(_linsolve, rows)
 
 
-#: sha256 of repr((basis, _record(equations))) for ``_order_equations(n, d)``,
-#: taken when ``_record`` still scanned every earlier pivot row for each new
-#: pivot column
-RECORD_DIGESTS = {
-    (1, 2): "9be28872f0eb6d657cc5b998d67d1fce13722914921c0dbfabff818e3ae3fed6",
-    (2, 2): "7f5b3d5b59dc765f11d30410b0ea7f2c56eb093719221bcd401cd42b25e12fbe",
-    (3, 2): "dff80114dec91da411ca0c99ed64ac2e6e8f55de2975cad6d635e859f1884757",
-    (4, 2): "287e4cafbaac5cc9ca04e2f7714c779d6c8ab3f1f78b75ef90fe28af8a0233e4",
-    (5, 2): "b5853c1f65211309739acea185101a581bcfbc9358ed00a8da8d5ed88d21d7e0",
-    (1, 3): "08c4d31287355bd38d6f6e0254987873a2883d56297c35d4463bec4095cf5840",
-    (2, 3): "f88725a4f881fb69b301818fec8e5eed7207a903f5264460da84ccb1e945e602",
-    (3, 3): "0b98ea05f26374790fc004abdc30a657497022df0b4f9f03a3890d69127773e7",
-    (4, 3): "108644347639dfd943225dfb5351b0cb868a2fca0fcc6e8339cdb3937a458739",
-    (5, 3): "608ac007ae756c2d66df9b2bb6d5d5f624f4fce2b1f2e3b3f83e23510a9ee7c9",
-}
-
-
-@pytest.mark.parametrize("n, d", sorted(RECORD_DIGESTS))
-def test_recorded_elimination_is_pinned(n, d):
-    # a fresh record, not the cached operator: the same steps and back_cols, in order
-    basis, equations = solver._order_equations(n, d)
-    assert hashlib.sha256(repr((basis, solver._record(equations))).encode()).hexdigest() == RECORD_DIGESTS[n, d]
-
-
-#: sha256 of repr(_order_system(n, d)), the basis and the compiled operator,
-#: taken when the operator replaced the per-solve replay of the record
+#: sha256 of repr(_order_system(n, d)), the basis and the solution operator,
+#: taken from the operator that was compiled from a recorded elimination,
+#: with gcd(denominator, numerators) divided out of each of its pivot columns
 OPERATOR_DIGESTS = {
     (1, 2): "d2726cbb14e4772e5dc41675c9cea57e0d40ff675f9fb2411b279dd6f98200e3",
-    (2, 2): "dfb7cf359a7e8d3bedbbf1caf497603c94c9b10062bdc1a1448bf41836deaac2",
-    (3, 2): "61ccf4dd6129f67e8ffc9177776260fb4be0f76bbac14933ce5e9485b22d780d",
-    (4, 2): "64ca1afccb238b14f1d55e2923da4b76d72200e351e28ac8367f0b5474296c61",
-    (5, 2): "665ed594ec35a38fa4141cb11e5b73cbf492ce2603ec252aa3d5a7f699eabb99",
+    (2, 2): "b35c6121e36ebac148ed827444b628d487f945d205d2709f1807faced0e58692",
+    (3, 2): "786e6a5276940f6987df67650e0077a26876286c783785799e51f77d450d76ed",
+    (4, 2): "f0f8e7e5dc0a147c171d4e4560067fb07e1d6ae4200d71d1d52928c5894d41fd",
+    (5, 2): "aa078a8c0e1f5649d00f49a80d988d0abf000bc74d0b771c11d09bbfe7015a2c",
+    (6, 2): "20b6b48d482c1f2e71c2e0feff96a43b3ce7eb123bb341086b60f91951b902d3",
+    (7, 2): "1f0ffe0273c0604113bb791d48ae05beb441ce181543eb796b42fa38eee15f78",
     (1, 3): "b45ec9ae8cdc5ac96856a2994a6351c422c95d96db47bae19c2b491d2965820e",
-    (2, 3): "d31e76ca54c76d5dd9acd625fb1145f333e7a067c918c5c0c8f08076572cfbf9",
-    (3, 3): "909538c76aefcf079317d68295a16ad617af876ceeeec583dd093919df591c94",
-    (4, 3): "c16f0259141063724cbaeb47aeed30730a107bba15f9a662b6751beaab0df691",
-    (5, 3): "5782b8d692596c6100e86d3479d70f4b20cf233af537fb88f21403c4fa7bd23f",
+    (2, 3): "97001ce4a146cafacba34a092872a00445675a1ee6562dbc7d736cd9ca512e57",
+    (3, 3): "3615113ef13096311079e5f2f929e1b07ad3bce894c8a2daa98c7768a6d50f09",
+    (4, 3): "0d8dae08a3e7e0663fe68ddb735adb508be9b36d9cf07b74d32729e14b479fee",
+    (5, 3): "a8b366338e4c8ca15b88d381e3054adeb35f26c0ac43d9d51db1369247d3a197",
+    (6, 3): "6967f4727237b8b6465b14747dc6ec49cb98ca06a6ddcd9bfd6d3395cc6206df",
+    (7, 3): "fec58fa8938cf2e97137efe343c3dce42cdc221e648f0861ec2677d1efd26230",
+    (8, 3): "dbbdaeec904b5db9d6bb3181214cc44bee8a02b00afebc1119dbaeae02a2c40e",
 }
 
 
@@ -367,6 +352,27 @@ def test_compiled_operator_is_pinned(n, d):
     assert hashlib.sha256(repr(system).encode()).hexdigest() == OPERATOR_DIGESTS[n, d]
 
 
+@pytest.mark.parametrize("n, d", sorted(OPERATOR_DIGESTS))
+def test_operator_is_in_canonical_form(n, d):
+    # each pivot column over a positive denominator coprime to its numerators;
+    # each zero-row functional free of a common factor, its own entry positive
+    _, (pivots, rows, zero_keys) = solver._order_system(n, d)
+    columns = {col: [den] for col, den in pivots}
+    functionals = [{} for _ in zero_keys]
+    for key, (solution, zeros) in rows.items():
+        pairs = iter(solution)
+        for col, num in zip(pairs, pairs):
+            columns[col].append(num)
+        pairs = iter(zeros)
+        for z, num in zip(pairs, pairs):
+            functionals[z][key] = num
+    assert all(den > 0 for _, den in pivots)
+    assert all(math.gcd(*values) == 1 for values in columns.values())
+    for key, functional in zip(zero_keys, functionals):
+        assert math.gcd(*functional.values()) == 1
+        assert functional[key] > 0
+
+
 @pytest.mark.parametrize("n, d", [(n, d) for d in (1, 2, 3) for n in range(2, 8)] + [(8, 3)])
 def test_free_columns_are_the_odd_arity_one_cochains(n, d):
     # the kernel of d under the structure condition is d of the arity-1
@@ -374,6 +380,61 @@ def test_free_columns_are_the_odd_arity_one_cochains(n, d):
     # the p-monomials of that degree, when n+1 is odd, and none when it is even
     basis, (pivots, _, _) = solver._order_system(n, d)
     assert len(basis) - len(pivots) == (math.comb(n + d, d - 1) if n % 2 == 0 else 0)
+
+
+def random_symbol(rng, d, blocks, p_monos, x_monos, terms=4):
+    """Up to ``terms`` of the ``p_monos``, each times one of the ``x_monos``, with small nonzero coefficients."""
+    chosen = rng.sample(p_monos, min(terms, len(p_monos)))
+    coefficients = [Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.choice([1, 2, 3])) for _ in chosen]
+    return PolySymbol(d, blocks, {mono + rng.choice(x_monos): c for mono, c in zip(chosen, coefficients)})
+
+
+@pytest.mark.parametrize(
+    "build, n",
+    [(so3_structure, 2), (so3_structure, 4), (quadratic_structure, 2), (quadratic_structure, 4)],
+    ids=["so3-2", "so3-4", "quadratic-2", "quadratic-4"],
+)
+def test_gauge_freedom_keeps_the_order_equation_and_the_structure_conditions(build, n):
+    # at an even order, d of an odd arity-1 cochain f(p).m(x) of degree n+1
+    # is closed and vanishes on (p, 0), (0, p) and (p, -p)
+    series = solve_deformation(build(), n)
+    d = series.dim
+    h_n = obstruction(series.truncate(n - 1), n, verified=True)
+    rng = random.Random(10 * n + d)
+    p_monos = [
+        tuple(Counter(p_key(1, i) for i in combo).items())
+        for combo in itertools.combinations_with_replacement(range(1, d + 1), n + 1)
+    ]
+    x_monos = [((x_key(1), 1),), ((x_key(d), 1), (x_key(1), 2))]
+    f = random_symbol(rng, d, 1, p_monos, x_monos)
+    gauged = series.order(n) + coboundary_symbol(f, 1)
+    assert gauged != series.order(n)
+    solver._check_product_order(gauged, h_n)
+    assert check_sgs(series.with_order(n, gauged), n).passed
+
+
+@pytest.mark.parametrize("n, d", [(n, d) for d in (1, 2, 3) for n in range(2, 7)])
+def test_a_coboundary_is_solved_up_to_an_arity_one_coboundary(n, d):
+    # H = -dS is solvable exactly when some S' = S + d(f) has S'(p, -p, x) = 0:
+    # always at odd n, where f(-p) = f(p), and at even n, where f(-p) = -f(p),
+    # only when S(p, -p, x) = 0 already.  Then S' - S = d(f), and d(f)(p, p, x)
+    # = f(p) - f(2p) + f(p) = (2 - 2^(n+1)) f(p, x) recovers f
+    rng = random.Random(10 * n + d)
+    x_monos = [(), ((x_key(1), 1),), ((x_key(d), 2),)]
+    generic = random_symbol(rng, d, 2, solver._p_basis(n, d), x_monos)
+    # a multiple of p1_1 + p2_1 vanishes on (p, -p)
+    through_inverse = random_symbol(rng, d, 2, solver._p_basis(n - 1, d), x_monos) * (
+        PolySymbol.variable(p_key(1, 1), d, 2) + PolySymbol.variable(p_key(2, 1), d, 2)
+    )
+    for s in (generic, through_inverse):
+        h = -coboundary_symbol(s, 2)
+        if n % 2 == 0 and not s.map_blocks({2: [(1, -1)]}, 2).is_zero():
+            with pytest.raises(InfeasibleOrderError):
+                _solve_order(h, n, d)
+            continue
+        difference = _solve_order(h, n, d) - s
+        f = difference.map_blocks({2: [(1, 1)]}, 1).scale(Fraction(1, 2 - 2 ** (n + 1)))
+        assert coboundary_symbol(f, 1) == difference
 
 
 def test_row_keys_share_the_pairs_of_p_pair():
