@@ -15,9 +15,9 @@ as the tree classes are, by deterministic Gauss-Jordan (sorted rows,
 smallest-column pivots, free unknowns set to zero), which picks a
 reproducible representative of the gauge freedom.  Each row carries its own
 unit right-hand side through that one pass (:func:`_eliminate`), which thus
-builds a sparse linear operator from the rows to the pivot columns and to the
-zero rows, and the cache keeps only that operator; each solve sums the
-right-hand sides of H_n through it (:func:`_apply`).  The coboundary columns
+builds a sparse linear operator from the rows to the pivot columns, and the
+cache keeps that operator; each solve sums the right-hand sides of H_n
+through it (:func:`_apply`).  The coboundary columns
 of that system are the integer terms of the closed-form coboundary
 (:func:`gfoperad.deformation.coboundary_monomial`), and the
 inverse-condition column of a basis monomial p1^a p2^b is the one signed
@@ -43,14 +43,15 @@ S(S, I) is the identity, whose deformation is zero, so no edge passes
 through it: the selection keeps only the trees whose black vertices have no
 more neighbours than their orders have degree in the first slot's p-block.
 Order n of the product residual S(S, I) - S(I, S) is dS_n + H_n, since the
-orders above n never reach it, so each order is checked right after its
-solve, and no H_n is kept past its own order: the coboundary of S_n
-(:func:`gfoperad.deformation.coboundary_symbol`) plus H_n must be exactly
-zero, with H_1 = 0 at order 1.  The check applies d in closed form, not
-through the cached operator, so it refuses a wrong operator; both take d
-from :func:`coboundary_monomial`, which tests hold to the face-map sum, and
-tests, not the solve, recompute H_n from both insertions.  ``check_sgs`` then
-checks the structure conditions.
+orders above n never reach it, so one residual check ends each order's solve
+and decides it, and no H_n is kept past its own order: dS_n + H_n
+(:func:`gfoperad.deformation.coboundary_symbol`, d in closed form, not
+through the cached operator) and S_n(p, -p, x) must be exactly zero, and a
+nonzero residual either refuses a wrong operator or makes the order
+infeasible (:func:`_solve_order`).  Order 1, where H_1 = 0, is checked
+alone.  Both take d from :func:`coboundary_monomial`, which tests hold to
+the face-map sum, and tests, not the solve, recompute H_n from both
+insertions.  ``check_sgs`` then checks the structure conditions.
 
 ``bch_generating_function`` provides an independent construction for linear
 (Lie-Poisson) structures: S0 + S~ = x . bch(p1, p2), with the series computed
@@ -133,18 +134,13 @@ def _eliminate(equations):
     may hold it finds them without a scan of every pivot row.  Each row
     carries the unit right-hand side {its position: 1} through the same
     forward steps and back-substitutions, so each pivot column's right-hand
-    side ends as a sparse linear map from the rows to that column, and each
-    zero row's as a sparse linear map from the rows to what must vanish
-    there.  Rows and right-hand sides are int numerators over one positive
-    denominator each.  Returns (pivots, rows, zero_keys): ``pivots`` the
-    (pivot column, positive denominator) pairs in pivot order; ``rows`` {row
-    key: (solution, zeros)}, where ``solution`` is the flat tuple (pivot
-    column, int numerator, ...) of the columns the row reaches, over their
-    denominators, and ``zeros`` the flat tuple (zero row, int numerator, ...)
-    of the zero rows it reaches; and ``zero_keys`` the row key of each zero
-    row, in sorted key order, which numbers the zero rows.  Each pivot column
-    and each zero row is free of a common factor, and a zero row's own entry
-    is positive.
+    side ends as a sparse linear map from the rows to that column; a row that
+    reduces to zero reaches none and is dropped.  Rows and right-hand sides
+    are int numerators over one positive denominator each.  Returns (pivots,
+    rows): ``pivots`` the (pivot column, positive denominator) pairs in pivot
+    order, each column free of a common factor; ``rows`` {row key: the flat
+    tuple (pivot column, int numerator, ...) of the columns the row reaches}
+    for each row that made a pivot, in sorted key order.
     """
     keys = sorted(equations)
     # pivot column -> [row over free columns, its denominator, right-hand side, its denominator]
@@ -152,8 +148,6 @@ def _eliminate(equations):
     # free column -> the pivot columns whose rows may hold it (a superset:
     # an entry that cancels stays listed)
     holders = {}
-    zeros = [[] for _ in keys]
-    zero_keys = []
     for at, key in enumerate(keys):
         row = {c: v for c, v in equations[key].items() if v != 0}
         den = 1
@@ -168,11 +162,6 @@ def _eliminate(equations):
             den = add_scaled(row, den, prow.items(), -value, den * pden)
         den = content_out(row, den)
         if not row:
-            # what must vanish is fixed only up to a factor: rhs_den is dropped
-            z, g = len(zero_keys), math.gcd(*rhs.values())
-            for i, v in rhs.items():
-                zeros[i] += (z, v // g)
-            zero_keys.append(key)
             continue
         col = min(row)
         value = row.pop(col)
@@ -202,47 +191,32 @@ def _eliminate(equations):
         dens.append((col, content_out(prhs, prhs_den)))
         for at, v in prhs.items():
             solution[at] += (col, v)
-    rows = {key: (tuple(sol), tuple(zero)) for key, sol, zero in zip(keys, solution, zeros)}
-    return tuple(dens), rows, tuple(zero_keys)
+    # a row that made a pivot reaches at least its own column
+    return tuple(dens), {key: tuple(sol) for key, sol in zip(keys, solution) if sol}
 
 
-def _apply(operator, rhs, den=1):
-    """Solve for the right-hand sides ``rhs`` through a solution operator (:func:`_eliminate`).
+def _apply(operator, rhs, den):
+    """Sum the right-hand sides ``rhs`` into the pivot columns of a solution operator (:func:`_eliminate`).
 
     ``rhs``: {key: dict x-key->int}, numerators over the one positive
     denominator ``den``; zero numerators are dropped, and every x-key gets the
-    solution its own system would give.  Each key's right-hand side is summed
-    into the pivot columns and the zero rows it reaches.  Returns {pivot
-    column: ({x-key: int}, positive denominator)} for every pivot column, in
-    pivot order.  Raises ValueError(message, x-key) at the first zero row, in
-    sorted key order, whose right-hand side is nonzero, naming its smallest
-    x-key; a key that no row has is a zero row in its sorted place.
+    pivot solution its own system would give.  A key that no row of the
+    operator has is skipped.  Returns {pivot column: ({x-key: int}, positive
+    denominator)} for every pivot column, in pivot order.
     """
-    pivots, rows, zero_keys = operator
-    solved, residues = {}, {}
-    stray = None
+    pivots, rows = operator
+    solved = {}
     for key, values in rhs.items():
+        flat = rows.get(key)
+        if flat is None:
+            continue
         items = [(k, v) for k, v in values.items() if v != 0]
-        if not items:
-            continue
-        row = rows.get(key)
-        if row is None:
-            if stray is None or key < stray:
-                stray, stray_items = key, items
-            continue
-        for flat, sums in zip(row, (solved, residues)):
-            pairs = iter(flat)
-            for at, num in zip(pairs, pairs):
-                acc = sums.get(at)
-                if acc is None:
-                    sums[at] = acc = {}
-                accumulate(acc, items, num)
-    message = "inconsistent equation (nonzero rhs on a zero row)"
-    first = min((z for z, acc in residues.items() if acc), default=None)
-    if first is not None and (stray is None or zero_keys[first] < stray):
-        raise ValueError(message, min(residues[first]))
-    if stray is not None:
-        raise ValueError(message, min(k for k, _ in stray_items))
+        pairs = iter(flat)
+        for col, num in zip(pairs, pairs):
+            acc = solved.get(col)
+            if acc is None:
+                solved[col] = acc = {}
+            accumulate(acc, items, num)
     out = {}
     for col, col_den in pivots:
         values = solved.get(col)
@@ -277,7 +251,7 @@ def _order_columns(n: int, d: int):
 
 
 def _order_equations(n: int, d: int):
-    """The order-n system's unknowns and rows: (basis, {row key: {unknown index: int}}).
+    """The order-n system: (basis, inverse-condition columns, {row key: {unknown index: int}}).
 
     The rows are the coboundary and inverse-condition columns of every basis
     monomial, transposed; they depend only on n and d.
@@ -288,21 +262,21 @@ def _order_equations(n: int, d: int):
         for idx, col in enumerate(cols):
             for p_mono, coeff in col.items():
                 equations.setdefault((tag, p_mono), {})[idx] = coeff
-    return tuple(basis), equations
+    return tuple(basis), tuple(sgs_cols), equations
 
 
 @lru_cache(maxsize=None)
 def _order_system(n: int, d: int):
-    """The order-n system's unknowns and its solution operator, once per (n, d).
+    """The order-n system's unknowns, their inverse images and its solution operator, once per (n, d).
 
-    One elimination of the rows builds the operator (:func:`_eliminate`),
-    which is all the cache keeps; the Poisson structure enters only through
-    the right-hand sides, which :func:`_apply` maps through it.  The operator keeps the row keys, whose
-    (variable, exponent) pairs are the shared ones of :func:`p_pair`, and
-    whose coboundary monomials are shared with the coboundary cache.
+    One elimination of the rows builds the operator (:func:`_eliminate`);
+    the Poisson structure enters only through the right-hand sides, which
+    :func:`_apply` sums through it.  The row keys and inverse images hold the
+    shared (variable, exponent) pairs of :func:`p_pair`, and the coboundary
+    row keys the monomials of the coboundary cache.
     """
-    basis, equations = _order_equations(n, d)
-    return basis, _eliminate(equations)
+    basis, inverses, equations = _order_equations(n, d)
+    return basis, inverses, _eliminate(equations)
 
 
 def _solve_order(h_n: PolySymbol, n: int, d: int) -> PolySymbol:
@@ -310,8 +284,14 @@ def _solve_order(h_n: PolySymbol, n: int, d: int) -> PolySymbol:
 
     H_n's numerators, grouped by p-part, are the right-hand sides of the
     coboundary rows, summed through the cached operator of (n, d)
-    (:func:`_apply`); a nonzero zero row, or a p-part that no row has, raises
-    :class:`InfeasibleOrderError` naming the smallest x-monomial there.
+    (:func:`_apply`) into S_n.  The residual of every row decides: dS_n + H_n
+    on the coboundary rows, S_n(p, -p, x) on the inverse-condition rows.
+    The pivot solution satisfies each row that made a pivot, so a nonzero
+    residual there is a wrong operator (AssertionError).  Any other row is a
+    zero row, a sum of earlier pivot rows whose residual is what eliminating
+    rows and right-hand sides together leaves on it, or a p-part that no row
+    has; a nonzero residual there raises :class:`InfeasibleOrderError`
+    naming the smallest x-monomial of the first such row in key order.
     """
     rhs = {}
     for mono, num in h_n.numerators.items():
@@ -319,19 +299,29 @@ def _solve_order(h_n: PolySymbol, n: int, d: int) -> PolySymbol:
         rhs.setdefault(("d", p_part), {})[x_part] = -num
     if not rhs:
         return PolySymbol.zero(d, 2)
-    basis, operator = _order_system(n, d)
-    try:
-        solution = _apply(operator, rhs, h_n.denominator)
-    except ValueError as exc:
-        message, x_part = exc.args
-        raise InfeasibleOrderError(n, f"x-monomial {x_part}: {message}") from exc
+    basis, inverses, operator = _order_system(n, d)
+    solution = _apply(operator, rhs, h_n.denominator)
     den = math.lcm(*(col_den for _, col_den in solution.values()))
-    numerators = {}
+    numerators, residuals = {}, {}
     for idx, (values, col_den) in solution.items():
         k = den // col_den
         for x_part, value in values.items():
             numerators[basis[idx] + x_part] = value * k
-    return PolySymbol.from_numerators(d, 2, numerators, den)
+        for p_mono, sign in inverses[idx].items():
+            acc = residuals.setdefault(("sgs", p_mono), {})
+            accumulate(acc, values.items(), sign * k)
+    s_n = PolySymbol.from_numerators(d, 2, numerators, den)
+    for mono, num in (coboundary_symbol(s_n, 2) + h_n).numerators.items():
+        p_part, x_part = split_monomial(mono)
+        residuals.setdefault(("d", p_part), {})[x_part] = num
+    _, rows = operator
+    failing = [key for key, values in residuals.items() if values]
+    if any(key in rows for key in failing):
+        raise AssertionError("solver output fails the product equation")
+    if failing:
+        x_part = min(residuals[min(failing)])
+        raise InfeasibleOrderError(n, f"x-monomial {x_part}: inconsistent equation (nonzero rhs on a zero row)")
+    return s_n
 
 
 def _check_product_order(s_n: PolySymbol, h_n: PolySymbol) -> None:
@@ -356,7 +346,6 @@ def solve_deformation(alpha: PoissonStructure, order: int) -> FormalSeries:
         if x_deg > n * degree + 1:
             raise AssertionError(f"H_{n} has x-degree {x_deg} > bound {n * degree + 1}")
         s_n = _solve_order(h_n, n, d)
-        _check_product_order(s_n, h_n)
         if not s_n.is_zero():
             series = series.with_order(n, s_n)
     if not check_sgs(series, order).passed:

@@ -1,14 +1,16 @@
 """The uncached exact Gauss-Jordan solve, kept as the reference for the solver.
 
-The solver eliminates each order's rows once per (n, d), each row carrying
-its own unit right-hand side, into a sparse solution operator and maps only
-the right-hand sides through it (``gfoperad.solver._eliminate`` and
-``_apply``).  ``_linsolve`` carries rows and right-hand sides together
-through one elimination, row by row in the order given, and ``solve_order``
-is the order-n solve built on it: the rows of ``_order_equations`` and the
-right-hand sides of all keys, sorted together.  Its rows hold ``Fraction``
-values and are summed by its own :func:`_add_row`, not by the kernel's row
-helpers that the solver uses.
+The solver eliminates each order's rows once per (n, d), each row that makes
+a pivot carrying its own unit right-hand side, into a sparse solution
+operator, maps only the right-hand sides through it
+(``gfoperad.solver._eliminate`` and ``_apply``), and decides feasibility from
+the residual of the solution on every row.  ``_linsolve`` carries rows and
+right-hand sides together through one elimination, row by row in the order
+given, and refuses at the first row that reduces to zero with a nonzero
+right-hand side; ``solve_order`` is the order-n solve built on it: the rows
+of ``_order_equations`` and the right-hand sides of all keys, sorted
+together.  Its rows hold ``Fraction`` values and are summed by its own
+:func:`_add_row`, not by the kernel's row helpers that the solver uses.
 """
 
 from fractions import Fraction
@@ -75,7 +77,7 @@ def solve_order(h_n, n: int, d: int):
         rhs.setdefault(("d", p_part), {})[x_part] = -coeff
     if not rhs:
         return PolySymbol.zero(d, 2)
-    basis, equations = _order_equations(n, d)
+    basis, _, equations = _order_equations(n, d)
     rows = [
         (equations.get(key, {}), rhs.get(key, {}))
         for key in sorted(equations.keys() | rhs.keys())

@@ -206,21 +206,28 @@ def test_solver_output_passes_both_insertions_to_order_six(build):
 
 
 def perturb_order(monkeypatch, order):
-    """Make the solver add p1_1^order p2_1, which d does not kill, to its S_order."""
-    solve_order = solver._solve_order
+    """Make the d = 2 solution operator of ``order`` add p1_1^order p2_1, which d does not kill, to its S_order.
 
-    def perturbed(h_n, n, d):
-        s_n = solve_order(h_n, n, d)
-        if n == order:
-            s_n = s_n + PolySymbol(d, 2, {((p_key(1, 1), n), (p_key(2, 1), 1)): 1})
-        return s_n
+    The perturbation enters before the residual check of ``_solve_order``,
+    as a wrong operator's output would.
+    """
+    apply = solver._apply
 
-    monkeypatch.setattr(solver, "_solve_order", perturbed)
+    def perturbed(operator, rhs, den):
+        solution = apply(operator, rhs, den)
+        basis, _, target = solver._order_system(order, 2)
+        if operator is target:
+            idx = basis.index(((p_key(1, 1), order), (p_key(2, 1), 1)))
+            values, col_den = solution.get(idx, ({}, 1))
+            solution[idx] = ({**values, (): values.get((), 0) + col_den}, col_den)
+        return solution
+
+    monkeypatch.setattr(solver, "_apply", perturbed)
 
 
 @pytest.mark.parametrize("order", [2, 4])
 def test_postcondition_refuses_a_wrong_order(monkeypatch, order):
-    # order 4 is the last: no later obstruction reads it, only the check does
+    # order 4 is the last: no later obstruction reads it, only the residual check does
     perturb_order(monkeypatch, order)
     with pytest.raises(AssertionError, match="solver output fails the product equation"):
         solve_deformation(quadratic_structure(), 4)
@@ -254,6 +261,10 @@ def test_one_elimination_per_order(monkeypatch):
     solve_deformation(quadratic_structure(), 6)
     assert eliminated[3:] == [(n, 2) for n in range(2, 7)]
     assert solver._order_system.cache_info().misses == len(eliminated) == 8
+    # every H_n of the Heisenberg structure is zero: S_n = 0 needs no system
+    series = solve_deformation(heisenberg_structure(), 6)
+    assert series.order_indices() == [1]
+    assert len(eliminated) == 8
 
 
 X_KEYS = ("a", "b", "c")
@@ -287,15 +298,6 @@ def sparse_systems(draw):
     return equations, rhs
 
 
-def outcome(solve, *args):
-    """Each pivot column's values in pivot order, each column as a dict; or the error's args."""
-    try:
-        solution = solve(*args)
-    except ValueError as exc:
-        return exc.args
-    return [(col, dict(values)) for col, values in solution.items()]
-
-
 def apply_values(operator, rhs, den):
     """``solver._apply``'s columns, int numerators over a denominator each, as exact values."""
     solution = solver._apply(operator, rhs, den)
@@ -303,11 +305,29 @@ def apply_values(operator, rhs, den):
     return {col: {k: Fraction(v, col_den) for k, v in values.items()} for col, (values, col_den) in solution.items()}
 
 
+def nonzero_residuals(equations, rhs, solution):
+    """{key: {x-key: its row applied to ``solution``, minus its right-hand side}}, nonzero entries only."""
+    out = {}
+    for key in equations.keys() | rhs.keys():
+        acc = {}
+        for col, coeff in equations.get(key, {}).items():
+            for k, value in solution.get(col, {}).items():
+                acc[k] = acc.get(k, 0) + coeff * value
+        for k, value in rhs.get(key, {}).items():
+            acc[k] = acc.get(k, 0) - value
+        acc = {k: v for k, v in acc.items() if v}
+        if acc:
+            out[key] = acc
+    return out
+
+
 @settings(max_examples=300, deadline=None)
 @given(sparse_systems(), st.integers(1, 6))
 def test_eliminate_and_apply_match_the_reference_elimination(system, den):
     # the operator takes the right-hand sides as int numerators over one
     # denominator, as H_n arrives; the reference takes their exact values.
+    # The pivot solution satisfies every row that made a pivot; a nonzero
+    # residual elsewhere is an equation the reference finds inconsistent.
     # Within a column the x-keys may come in another order than the
     # reference's: no output reads that order, since the JSON writer sorts
     equations, rhs = system
@@ -317,32 +337,43 @@ def test_eliminate_and_apply_match_the_reference_elimination(system, den):
     before = {key: dict(row) for key, row in numerators.items()}
     operator = solver._eliminate(equations)
     built = repr(operator)
-    assert outcome(apply_values, operator, numerators, den) == outcome(_linsolve, rows)
+    solution = apply_values(operator, numerators, den)
+    residuals = nonzero_residuals(equations, values, solution)
+    assert not residuals.keys() & operator[1].keys()
+    try:
+        expected = _linsolve(rows)
+    except ValueError as exc:
+        # the first nonzero residual in sorted key order names the reference's x-key
+        assert residuals and min(residuals[min(residuals)]) == exc.args[1]
+    else:
+        assert list(solution.items()) == list(expected.items())
+        assert not residuals
     # neither the operator nor the right-hand sides change under a solve
     assert numerators == before
     assert repr(operator) == built
-    assert outcome(apply_values, operator, numerators, den) == outcome(_linsolve, rows)
+    assert apply_values(operator, numerators, den) == solution
 
 
-#: sha256 of repr(_order_system(n, d)), the basis and the solution operator,
-#: taken from the operator that was compiled from a recorded elimination,
-#: with gcd(denominator, numerators) divided out of each of its pivot columns
+#: sha256 of repr(_order_system(n, d)): the basis, the inverse images and the
+#: solution operator (the pivot columns, and each row that made a pivot with
+#: its solution tuple), taken from the operator of an elimination that also
+#: kept a functional per zero row, with those rows left out
 OPERATOR_DIGESTS = {
-    (1, 2): "d2726cbb14e4772e5dc41675c9cea57e0d40ff675f9fb2411b279dd6f98200e3",
-    (2, 2): "b35c6121e36ebac148ed827444b628d487f945d205d2709f1807faced0e58692",
-    (3, 2): "786e6a5276940f6987df67650e0077a26876286c783785799e51f77d450d76ed",
-    (4, 2): "f0f8e7e5dc0a147c171d4e4560067fb07e1d6ae4200d71d1d52928c5894d41fd",
-    (5, 2): "aa078a8c0e1f5649d00f49a80d988d0abf000bc74d0b771c11d09bbfe7015a2c",
-    (6, 2): "20b6b48d482c1f2e71c2e0feff96a43b3ce7eb123bb341086b60f91951b902d3",
-    (7, 2): "1f0ffe0273c0604113bb791d48ae05beb441ce181543eb796b42fa38eee15f78",
-    (1, 3): "b45ec9ae8cdc5ac96856a2994a6351c422c95d96db47bae19c2b491d2965820e",
-    (2, 3): "97001ce4a146cafacba34a092872a00445675a1ee6562dbc7d736cd9ca512e57",
-    (3, 3): "3615113ef13096311079e5f2f929e1b07ad3bce894c8a2daa98c7768a6d50f09",
-    (4, 3): "0d8dae08a3e7e0663fe68ddb735adb508be9b36d9cf07b74d32729e14b479fee",
-    (5, 3): "a8b366338e4c8ca15b88d381e3054adeb35f26c0ac43d9d51db1369247d3a197",
-    (6, 3): "6967f4727237b8b6465b14747dc6ec49cb98ca06a6ddcd9bfd6d3395cc6206df",
-    (7, 3): "fec58fa8938cf2e97137efe343c3dce42cdc221e648f0861ec2677d1efd26230",
-    (8, 3): "dbbdaeec904b5db9d6bb3181214cc44bee8a02b00afebc1119dbaeae02a2c40e",
+    (1, 2): "c0ee501c43b828e797032e52b16d3616854413f25c689263a91edb58e41ade0e",
+    (2, 2): "072555527a91238a38e9c8752c1d88b783ab203ce2787129db92226686e68899",
+    (3, 2): "d22953d555bc5f478e101b66f7bd23adddff523a26d08ab29d5bc22af58fd2a6",
+    (4, 2): "473ff96b030c035822644adc6661e8893706b0cf7bce9f2d2fe3239b334e58ca",
+    (5, 2): "24c62ff63b5152368e82866b0d14de5340ea24a5818fa7b27a44235f29f32ab5",
+    (6, 2): "3df296185ce3625da723754c58e96001d7c3489e5180d8c6cd69be1cc14e7e6b",
+    (7, 2): "8489dd9899268d04cff7cd2e02181cd36b24d15511dc192f26006d706287a1da",
+    (1, 3): "b199e8ae5954a9cadd7957e25602f5b299c64608616f78a2830ae58b93269caa",
+    (2, 3): "ddcbd061f0a2904034fdd7efa9c0d59b66ee545c1f6c406859a48bd69d131bd0",
+    (3, 3): "b37fb7f3167e6a142dc9ceccddd970e295c25b13f6b59ccca08c0671909abc25",
+    (4, 3): "bd025a7045fb67a315c4fc7bbd4346f89374e4e3afc9cd0124a60c6ae1e2c1de",
+    (5, 3): "f420244791bb211419273eba9789886957269605da6533666c23f2dcf3476d0f",
+    (6, 3): "6d114dfb61f2c549017a2d9f8d1825888a16619f85fd76303d5623134b6a4b18",
+    (7, 3): "7bccc5ef469efacf87df05eefc91ff678d183453198e2910f9dcc0f8ee2a5b92",
+    (8, 3): "15b62dce404c83bb482f08b263ef3ff7e1a35f76d23734a70f0149b19b22de55",
 }
 
 
@@ -355,22 +386,16 @@ def test_compiled_operator_is_pinned(n, d):
 @pytest.mark.parametrize("n, d", sorted(OPERATOR_DIGESTS))
 def test_operator_is_in_canonical_form(n, d):
     # each pivot column over a positive denominator coprime to its numerators;
-    # each zero-row functional free of a common factor, its own entry positive
-    _, (pivots, rows, zero_keys) = solver._order_system(n, d)
+    # the operator keeps one row per pivot, the row that made it
+    _, _, (pivots, rows) = solver._order_system(n, d)
     columns = {col: [den] for col, den in pivots}
-    functionals = [{} for _ in zero_keys]
-    for key, (solution, zeros) in rows.items():
+    for solution in rows.values():
         pairs = iter(solution)
         for col, num in zip(pairs, pairs):
             columns[col].append(num)
-        pairs = iter(zeros)
-        for z, num in zip(pairs, pairs):
-            functionals[z][key] = num
     assert all(den > 0 for _, den in pivots)
     assert all(math.gcd(*values) == 1 for values in columns.values())
-    for key, functional in zip(zero_keys, functionals):
-        assert math.gcd(*functional.values()) == 1
-        assert functional[key] > 0
+    assert len(rows) == len(pivots)
 
 
 @pytest.mark.parametrize("n, d", [(n, d) for d in (1, 2, 3) for n in range(2, 8)] + [(8, 3)])
@@ -378,7 +403,7 @@ def test_free_columns_are_the_odd_arity_one_cochains(n, d):
     # the kernel of d under the structure condition is d of the arity-1
     # cochains f(p) of degree n+1 with f(-p) = -f(p): C(n+d, d-1) of them,
     # the p-monomials of that degree, when n+1 is odd, and none when it is even
-    basis, (pivots, _, _) = solver._order_system(n, d)
+    basis, _, (pivots, _) = solver._order_system(n, d)
     assert len(basis) - len(pivots) == (math.comb(n + d, d - 1) if n % 2 == 0 else 0)
 
 
@@ -438,11 +463,12 @@ def test_a_coboundary_is_solved_up_to_an_arity_one_coboundary(n, d):
 
 
 def test_row_keys_share_the_pairs_of_p_pair():
-    # the cached row keys hold one object per (variable, exponent), as the coboundary cache does
-    _, rows, zero_keys = solver._order_system.__wrapped__(4, 3)[1]
+    # the cached row keys and inverse images hold one object per (variable,
+    # exponent), as the coboundary cache does; at odd n some inverse-condition
+    # rows make pivots too
+    _, inverses, (_, rows) = solver._order_system.__wrapped__(5, 3)
     assert {tag for tag, _ in rows} == {"d", "sgs"}
-    assert set(zero_keys) <= rows.keys()
-    for _, mono in rows:
+    for mono in [mono for _, mono in rows] + [mono for image in inverses for mono in image]:
         for pair in mono:
             (_, block, comp), exp = pair
             assert pair is p_pair(block, comp, exp)
@@ -470,15 +496,15 @@ def stray_key_obstruction():
     # the right-hand side on the reached key p1_1 p2_1 p3_2 does not raise first
     stray = ((p_key(1, 1), 4),)
     reached = ((p_key(1, 1), 1), (p_key(2, 1), 1), (p_key(3, 2), 1))
-    assert ("d", stray) not in solver._order_system(2, 2)[1][1]
+    assert ("d", stray) not in solver._order_equations(2, 2)[2]
     h = PolySymbol(2, 3, {stray + ((x_key(2), 1),): Fraction(1), reached: Fraction(1)})
     return h, 2, ((x_key(2), 1),)
 
 
 def zero_row_obstruction():
     # a right-hand side on one coboundary key whose row the elimination reduces to zero
-    zero_keys = solver._order_system(3, 2)[1][2]
-    key = next(key for key in zero_keys if key[0] == "d")
+    rows = solver._order_system(3, 2)[2][1]
+    key = next(key for key in sorted(solver._order_equations(3, 2)[2]) if key[0] == "d" and key not in rows)
     h = PolySymbol(2, 3, {key[1] + ((x_key(1), 1),): Fraction(3), key[1]: Fraction(1)})
     return h, 3, ()
 
@@ -499,6 +525,47 @@ def test_infeasible_order_is_the_same_cold_and_warm(tmp_path, build):
     argv, out = solve_argv(tmp_path, "quadratic")
     assert main(argv) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN["quadratic"][2]
+
+
+def random_x_polynomial(rng, d, max_degree):
+    """Up to three x-monomials of degree at most ``max_degree``, with small nonzero integer coefficients."""
+    terms = {}
+    for _ in range(rng.randint(1, 3)):
+        powers = Counter(rng.randint(1, d) for _ in range(rng.randint(0, max_degree)))
+        terms[tuple((x_key(i), e) for i, e in sorted(powers.items()))] = rng.choice([-2, -1, 1, 2])
+    return PolySymbol(d, 0, terms)
+
+
+def random_bivector(rng):
+    """A bivector on R^3: half the draws f.grad(C), Poisson for any f and C; the rest three random entries."""
+    d = 3
+    if rng.random() < 0.5:
+        f, c = random_x_polynomial(rng, d, 1), random_x_polynomial(rng, d, 2)
+        grad = [c.diff(x_key(k)) for k in (1, 2, 3)]
+        entries = {(1, 2): f * grad[2], (1, 3): -(f * grad[1]), (2, 3): f * grad[0]}
+    else:
+        entries = {pair: random_x_polynomial(rng, d, 2) for pair in ((1, 2), (1, 3), (2, 3))}
+    return PoissonStructure(d, {pair: entry for pair, entry in entries.items() if not entry.is_zero()})
+
+
+def test_order_two_is_infeasible_exactly_when_the_jacobiator_is_nonzero():
+    # the order-2 equation of S~(1) = (1/2) p1.alpha.p2 has a solution exactly
+    # when alpha satisfies Jacobi; the refusal reads as the reference elimination's
+    outcomes = Counter()
+    for seed in range(30):
+        alpha = random_bivector(random.Random(seed))
+        h_2 = obstruction(first_order_deformation(alpha), 2, verified=True)
+        poisson = validate_poisson(alpha).ok
+        outcomes[poisson] += 1
+        if poisson:
+            assert _solve_order(h_2, 2, 3) == reference_solve_order(h_2, 2, 3), seed
+            continue
+        with pytest.raises(InfeasibleOrderError) as reference:
+            reference_solve_order(h_2, 2, 3)
+        with pytest.raises(InfeasibleOrderError) as refused:
+            _solve_order(h_2, 2, 3)
+        assert str(refused.value) == str(reference.value), seed
+    assert outcomes[True] > 0 and outcomes[False] > 0
 
 
 @pytest.mark.parametrize(
