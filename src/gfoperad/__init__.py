@@ -56,6 +56,7 @@ from gfoperad.symbols import (
     contracted_gradient,
     directional_contract,
     p_key,
+    packed_layout,
     random_graded_series,
     series_dumps,
     series_eval,

@@ -11,22 +11,24 @@ own components of the children: its DC_t concatenates the slot gradients and
 its C_t sums the slots.  Any further variables are inert parameters, and
 orders absent from a series act as the zero function.
 
-An :class:`Expansion` packs every input order it can read once, into one
-:class:`~gfoperad.symbols.PackedLayout`, and moves each series' p-blocks while
-packing.  Every DC_t and every contraction then works on packed polynomials,
-and each C_t is decoded once, to a ``PolySymbol``.
+An :class:`Expansion` packs every input order it can read once, into the
+process's shared :class:`~gfoperad.symbols.PackedLayout` of its shape and
+field width, and moves each series' p-blocks while packing.  Every DC_t and
+every contraction then works on packed polynomials, and each C_t is decoded
+once, to a ``PolySymbol``, through chunk memos that all C_t of the expansion
+share.
 """
 
 from __future__ import annotations
 
 from gfoperad.symbols import (
     FormalSeries,
-    PackedLayout,
     PolySymbol,
     add_scaled,
     contracted_gradient,
     directional_contract,
     p_key,
+    packed_layout,
 )
 from gfoperad.trees import WHITE, TopTree
 
@@ -45,9 +47,18 @@ class Expansion:
     degree of a packed monomial: such a tree has at most max_weight vertices,
     C_t and every DC_t below it are products of at most that many derivatives
     of input orders, and differentiation only lowers exponents.
+
+    The layout comes from :func:`~gfoperad.symbols.packed_layout`, so it is
+    shared with every other expansion and base point of its shape and field
+    width in the process, and nothing here mutates it.  The expansion owns one
+    triple of decoder chunk memos, ``decode_memos``: every C_t that
+    :func:`elementary_function` decodes from it shares them, and they go
+    with the expansion.
     """
 
-    __slots__ = ("layout", "max_weight", "black", "whites", "x_fields", "p_fields", "memo")
+    __slots__ = (
+        "layout", "max_weight", "black", "whites", "x_fields", "p_fields", "memo", "decode_memos"
+    )
 
     def __init__(
         self, black: FormalSeries, whites: tuple, max_weight: int, p_block: int = 1, offsets=None
@@ -60,7 +71,7 @@ class Expansion:
         ]
         degree = max((s.degree() for orders, _ in placed for s in orders.values()), default=0)
         dim = black.dim
-        layout = PackedLayout(dim, p_block - 1 + black.blocks, max_weight * degree)
+        layout = packed_layout(dim, p_block - 1 + black.blocks, max_weight * degree)
         packed = [
             {w: layout.encode(s, offset) for w, s in orders.items()} for orders, offset in placed
         ]
@@ -73,6 +84,7 @@ class Expansion:
             [p_key(p_block + k, i) for k in range(len(whites)) for i in range(1, dim + 1)]
         )
         self.memo = {}
+        self.decode_memos = ({}, {}, {})
 
     def contractions(self, t, children):
         """The (order, directions, fields) of each contraction at the root of ``t``."""
@@ -115,4 +127,4 @@ def elementary_function(t, expansion: Expansion) -> PolySymbol:
     for part in parts[1:]:
         num, other = directional_contract(layout, *part)
         den = add_scaled(total, den, num.items(), 1, other)
-    return layout.decode(total, den)
+    return layout.decode(total, den, expansion.decode_memos)

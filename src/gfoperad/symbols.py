@@ -42,9 +42,10 @@ operations that no library code calls.
 One :class:`PackedLayout` (Monagan and Pearce's packed exponent vectors)
 writes each monomial of a shape as one int, a bit field per variable, with an
 encoder from symbols, a decoder back to them, and a derivative that is a shift,
-a mask and a subtraction.  Packed polynomials are (``{int: int}``, denominator)
-pairs summed by the same row helpers.  Two paths run on it: the multinomial
-path of ``map_blocks``, and the tree expansion of ``compose``, whose
+a mask and a subtraction; :func:`packed_layout` builds each layout once per
+process.  Packed polynomials are (``{int: int}``, denominator) pairs summed by
+the same row helpers.  Two paths run on it: the multinomial path of
+``map_blocks``, and the tree expansion of ``compose``, whose
 contractions :func:`directional_contract` and :func:`contracted_gradient` take
 and return packed polynomials.
 
@@ -59,6 +60,7 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from json.encoder import encode_basestring_ascii as _quote
 from math import comb, gcd, lcm
 from operator import itemgetter
@@ -250,7 +252,13 @@ def _canonical(num):
 
 
 def monomial_p_degree(monomial) -> int:
-    return sum(e for v, e in monomial if v[0] == "p")
+    """The total degree less the exponents of the x-variables, which sort last."""
+    degree = sum(map(_exponent, monomial))
+    for var, exp in reversed(monomial):
+        if var[0] != "x":
+            break
+        degree -= exp
+    return degree
 
 
 class PolySymbol:
@@ -535,8 +543,8 @@ class PolySymbol:
 
         Every other map, with rows of two or more targets (the base point of
         ``compose``, the merging faces) or blocks that merge (S(p, -p, x)),
-        takes the multinomial path on the :class:`PackedLayout` of the result
-        shape with D = :meth:`degree`: a linear map in p keeps each
+        takes the multinomial path on the shared :func:`packed_layout` of the
+        result shape with D = :meth:`degree`: a linear map in p keeps each
         monomial's total degree, so no exponent of an image exceeds D and no
         field overflows into the next.  A mapped power expands in closed form
         by the multinomial theorem (:func:`_expand_power`) into packed
@@ -544,7 +552,7 @@ class PolySymbol:
         expansion, is one int added to the monomial's base with its
         coefficient folded into the term, so a product of monomials is an int
         sum, and equal keys are summed.  The layout's decoder empties the
-        packed sum as it builds the result.
+        packed sum as it builds the result, with chunk memos of this call's own.
         """
         targets = {}
         for b, row in rows.items():
@@ -599,7 +607,7 @@ class PolySymbol:
                     num[tuple(pairs)] = coeff
             return PolySymbol.from_numerators(self.dim, blocks, num, self._den)
 
-        layout = PackedLayout(self.dim, blocks, self.degree())
+        layout = packed_layout(self.dim, blocks, self.degree())
         shift = layout.shift
         for mono, coeff in self._num.items():
             base = 0
@@ -703,11 +711,15 @@ class PackedLayout:
     A packed polynomial is a pair of ``{key: int}`` numerators, each nonzero,
     and a positive denominator; the row helpers (:func:`accumulate`,
     :func:`add_scaled`) sum it as they sum a symbol's numerators, and the
-    common factor is divided out only by :meth:`decode`.  The layout is shared
+    common factor is divided out only by :meth:`decode`.  The layout is used
     by the multinomial path of :meth:`PolySymbol.map_blocks` and by the tree
     expansion of ``compose`` (``elementary.Expansion``), whose contractions
     :func:`directional_contract` and :func:`contracted_gradient` work on
     packed polynomials.
+
+    A layout depends only on (dim, blocks, width), and nothing mutates one
+    once it is built, so the library takes each from :func:`packed_layout`,
+    which builds it once per process and shares it among every caller.
     """
 
     __slots__ = ("dim", "blocks", "width", "mask", "shift", "_pairs")
@@ -765,19 +777,23 @@ class PackedLayout:
             num[key] = coeff
         return num, sym._den
 
-    def decode(self, num: dict, den: int) -> PolySymbol:
+    def decode(self, num: dict, den: int, memos=None) -> PolySymbol:
         """The symbol ``num / den`` of this shape, from a packed polynomial.
 
         ``num`` is emptied as it is read, so its packed terms are freed while
         the decoded ones are built; the caller must not use it afterwards.
         Each key splits into three chunks, the fields of the lower half of the
         p-blocks, of the upper half and of x; each is decoded lowest field
-        first, so the monomial comes out sorted, through a memo per chunk and
-        call.  A C_t's monomials share their halves far more often than their
-        whole p-parts.  A memo is emptied whenever it reaches
-        ``_PART_MEMO_SIZE`` entries: a large base point can have as many
-        distinct chunks as terms, and memos that kept them all would hold a
-        second copy of the result.
+        first, so the monomial comes out sorted, through one memo per chunk.
+        A C_t's monomials share their halves far more often than their whole
+        p-parts.  ``memos`` is a triple of dicts (low, high, x) that the
+        caller owns and passes to every decode that should share them, as an
+        ``elementary.Expansion`` does for the C_t of one compose; without it
+        each call has memos of its own.  The layout itself keeps no memo, so
+        a shared layout retains nothing between calls.  A p-chunk memo is
+        emptied whenever it reaches ``_PART_MEMO_SIZE`` entries: a large base
+        point can have as many distinct chunks as terms, and memos that kept
+        them all would hold a second copy of the result.
         """
         width, mask, pairs = self.width, self.mask, self._pairs
 
@@ -795,7 +811,7 @@ class PackedLayout:
         mid_shift, x_shift = width * mid_field, width * x_field
         low_mask = (1 << mid_shift) - 1
         high_mask = (1 << (x_shift - mid_shift)) - 1
-        lows, highs, xs = {}, {}, {}
+        lows, highs, xs = ({}, {}, {}) if memos is None else memos
         out = {}
         pop = num.popitem
         while num:
@@ -818,6 +834,22 @@ class PackedLayout:
                 x_part = xs[chunk] = unpack(chunk, x_field)
             out[low + high + x_part] = coeff
         return PolySymbol.from_numerators(self.dim, self.blocks, out, den)
+
+
+_shared_layout = lru_cache(maxsize=None)(PackedLayout)
+
+
+def packed_layout(dim: int, blocks: int, degree: int) -> PackedLayout:
+    """The process's one :class:`PackedLayout` of shape (dim, blocks) whose
+    fields hold every exponent up to ``degree``.
+
+    It is the layout of degree ``2**degree.bit_length() - 1``: that degree has
+    the same field width, mask and shifts, so it encodes and decodes every
+    monomial as the layout of ``degree`` would, and its spare bit is the same.
+    Keying by width, not by degree, lets the expansions of one solve, whose
+    degrees grow with the order, share a few layouts.
+    """
+    return _shared_layout(dim, blocks, (1 << degree.bit_length()) - 1)
 
 
 # -- directional contraction ---------------------------------------------------

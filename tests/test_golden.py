@@ -16,6 +16,7 @@ from pathlib import Path
 
 import pytest
 
+from gfoperad import deformation, solver
 from gfoperad.cli import main
 from gfoperad.poisson import PoissonStructure, poisson_dumps
 from gfoperad.solver import (
@@ -26,7 +27,9 @@ from gfoperad.solver import (
 )
 from gfoperad.symbols import (
     FormalSeries,
+    PackedLayout,
     PolySymbol,
+    _shared_layout,
     random_graded_series,
     series_dumps,
     x_key,
@@ -129,20 +132,57 @@ COMPOSE_GOLDEN = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(COMPOSE_GOLDEN))
-def test_compose_output_digest(tmp_path, name):
-    outer, inners, order, digest = COMPOSE_GOLDEN[name]
-    outer_path = tmp_path / "outer.json"
+def compose_argv(tmp_path, name):
+    outer, inners, order, _ = COMPOSE_GOLDEN[name]
+    outer_path = tmp_path / f"{name}.outer.json"
     outer_path.write_text(series_dumps(outer()) + "\n")
     inner_paths = []
     for slot, inner in enumerate(inners(), start=1):
-        path = tmp_path / f"inner{slot}.json"
+        path = tmp_path / f"{name}.inner{slot}.json"
         path.write_text(series_dumps(inner) + "\n")
         inner_paths.append(str(path))
-    out = tmp_path / "out.json"
+    out = tmp_path / f"{name}.out.json"
     argv = ["compose", "--outer", str(outer_path), "--inner", ",".join(inner_paths)]
-    assert main([*argv, "--order", str(order), "--out", str(out)]) == 0
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+    return [*argv, "--order", str(order), "--out", str(out)], out
+
+
+@pytest.mark.parametrize("name", sorted(COMPOSE_GOLDEN))
+def test_compose_output_digest(tmp_path, name):
+    argv, out = compose_argv(tmp_path, name)
+    assert main(argv) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == COMPOSE_GOLDEN[name][3]
+
+
+def test_warm_caches_change_no_output(tmp_path, monkeypatch):
+    # a compose and two solves, each order starting from cold layouts, order
+    # systems and coboundary images, so every later op meets what the earlier built
+    ops = {
+        "compose": (*compose_argv(tmp_path, "arities-1-3"), COMPOSE_GOLDEN["arities-1-3"][3]),
+        "so3": (*solve_argv(tmp_path, "so3"), GOLDEN["so3"][2]),
+        "quadratic": (*solve_argv(tmp_path, "quadratic"), GOLDEN["quadratic"][2]),
+    }
+    for sequence in (("compose", "so3", "quadratic"), ("quadratic", "so3", "compose")):
+        _shared_layout.cache_clear()
+        solver._order_system.cache_clear()
+        deformation._p_coboundary.cache_clear()
+        for name in sequence:
+            argv, out, digest = ops[name]
+            assert main(argv) == 0
+            assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, (sequence, name)
+
+    # a warm repeat builds no layout: each comes from the process's cache
+    built = []
+    init = PackedLayout.__init__
+
+    def counting(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(PackedLayout, "__init__", counting)
+    for argv, out, digest in ops.values():
+        assert main(argv) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+    assert built == []
 
 
 @pytest.mark.parametrize("name", ["arity-0-slot", "arities-1-3"])

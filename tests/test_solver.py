@@ -14,6 +14,7 @@ from gfoperad.deformation import coboundary_symbol, obstruction, p_pair, verify_
 from gfoperad.groupoid import check_sgs, extract_poisson, is_odd_in_p
 from gfoperad.poisson import (
     PoissonStructure,
+    jacobiator,
     poisson_dumps,
     poisson_loads,
     validate_poisson,
@@ -29,7 +30,7 @@ from gfoperad.solver import (
     lie_poisson_structure,
     solve_deformation,
 )
-from gfoperad.symbols import PolySymbol, check_grading, p_key, x_key
+from gfoperad.symbols import PolySymbol, check_grading, p_key, split_monomial, x_key
 from equivalence_oracle import equivalence_morphism
 from linsolve_reference import _linsolve
 from linsolve_reference import solve_order as reference_solve_order
@@ -527,11 +528,11 @@ def test_infeasible_order_is_the_same_cold_and_warm(tmp_path, build):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN["quadratic"][2]
 
 
-def random_x_polynomial(rng, d, max_degree):
-    """Up to three x-monomials of degree at most ``max_degree``, with small nonzero integer coefficients."""
+def random_x_polynomial(rng, d, max_degree, min_degree=0):
+    """Up to three x-monomials of degree ``min_degree`` to ``max_degree``, with small nonzero integer coefficients."""
     terms = {}
     for _ in range(rng.randint(1, 3)):
-        powers = Counter(rng.randint(1, d) for _ in range(rng.randint(0, max_degree)))
+        powers = Counter(rng.randint(1, d) for _ in range(rng.randint(min_degree, max_degree)))
         terms[tuple((x_key(i), e) for i, e in sorted(powers.items()))] = rng.choice([-2, -1, 1, 2])
     return PolySymbol(d, 0, terms)
 
@@ -566,6 +567,70 @@ def test_order_two_is_infeasible_exactly_when_the_jacobiator_is_nonzero():
             _solve_order(h_2, 2, 3)
         assert str(refused.value) == str(reference.value), seed
     assert outcomes[True] > 0 and outcomes[False] > 0
+
+
+def non_poisson_bivector(seed, d):
+    """A bivector on R^d whose every entry has x-degree 1 to 2; the seeds below all fail Jacobi."""
+    rng = random.Random(seed)
+    entries = {
+        (i, j): random_x_polynomial(rng, d, 2, min_degree=1)
+        for i in range(1, d + 1)
+        for j in range(i + 1, d + 1)
+    }
+    alpha = PoissonStructure(d, entries)
+    assert not validate_poisson(alpha).ok
+    return alpha
+
+
+@pytest.mark.parametrize("d", [3, 4])
+def test_order_two_antisymmetric_part_is_minus_the_jacobiator(d):
+    # c_sigma, H_2's coefficient of p1_{sigma(i)} p2_{sigma(j)} p3_{sigma(k)}, a polynomial in x:
+    # sum_sigma sign(sigma) c_sigma = -Jac^{ijk}, for every triple i < j < k
+    for seed in range(12):
+        alpha = non_poisson_bivector(seed, d)
+        h_2 = obstruction(first_order_deformation(alpha), 2, verified=True)
+        coefficients = {}
+        for mono, coeff in h_2.terms.items():
+            p_part, x_part = split_monomial(mono)
+            if all(e == 1 for _, e in p_part) and [b for (_, b, _), _ in p_part] == [1, 2, 3]:
+                comps = tuple(comp for (_, _, comp), _ in p_part)
+                coefficients.setdefault(comps, {})[x_part] = coeff
+        for triple in itertools.combinations(range(1, d + 1), 3):
+            total = PolySymbol.zero(d, 0)
+            for perm in itertools.permutations(range(3)):
+                inversions = sum(perm[a] > perm[b] for a, b in itertools.combinations(range(3), 2))
+                c_sigma = PolySymbol(d, 0, coefficients.get(tuple(triple[k] for k in perm), {}))
+                total = total + c_sigma.scale((-1) ** inversions)
+            assert total == -jacobiator(alpha, *triple), (seed, triple)
+
+
+#: seed -> the x-monomial named for H_2 of ``non_poisson_bivector(seed, 4)``
+FIRST_FAILING_ROW = {
+    1: ((x_key(4), 1),),
+    5: ((x_key(2), 1), (x_key(3), 1)),
+    6: ((x_key(1), 1), (x_key(2), 1)),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(FIRST_FAILING_ROW))
+def test_infeasible_order_names_the_first_failing_row_in_key_order(seed):
+    # on R^4 the four Jacobiators fail on rows of their own, whose smallest
+    # x-monomials differ: the first failing row in key order names its own
+    # smallest, not the smallest over all failing rows nor the last row's
+    alpha = non_poisson_bivector(seed, 4)
+    h_2 = obstruction(first_order_deformation(alpha), 2, verified=True)
+    smallest = {
+        min(jacobiator(alpha, *triple).numerators)
+        for triple in itertools.combinations(range(1, 5), 3)
+    }
+    named = FIRST_FAILING_ROW[seed]
+    assert len(smallest) > 1 and named != min(smallest)
+    with pytest.raises(InfeasibleOrderError) as reference:
+        reference_solve_order(h_2, 2, 4)
+    with pytest.raises(InfeasibleOrderError) as refused:
+        _solve_order(h_2, 2, 4)
+    assert str(refused.value) == str(reference.value)
+    assert f"x-monomial {named}:" in str(refused.value)
 
 
 @pytest.mark.parametrize(

@@ -338,6 +338,43 @@ def test_check_grading():
     assert check_grading(ok2).ok
 
 
+def test_check_grading_matches_a_walk_over_every_variable():
+    # flagged graded, but each order mixes monomials of other p-degrees, some of them with x
+    rng = random.Random(11)
+    p_vars = [p_key(b, c) for b in (1, 2) for c in (1, 2)]
+    orders = {}
+    for i in (1, 2, 3, 4):
+        terms = {}
+        for _ in range(12):
+            mono = {}
+            for v in rng.choices(p_vars, k=rng.randint(0, 6)) + rng.choices(
+                [x_key(1), x_key(2)], k=rng.randint(0, 3)
+            ):
+                mono[v] = mono.get(v, 0) + 1
+            terms[tuple(sorted(mono.items()))] = Fraction(rng.randint(1, 5), rng.randint(1, 3))
+        orders[i] = sym(2, 2, terms)
+    series = FormalSeries(2, 2, orders)
+
+    def p_degree(mono):
+        return sum(e for v, e in mono if v[0] == "p")
+
+    expected = [
+        (i, str(sym(2, 2, {mono: 1})), p_degree(mono))
+        for i, s in sorted(series.orders.items())
+        for mono in s.numerators
+        if p_degree(mono) != i + 1
+    ]
+    report = check_grading(series)
+    assert series.graded and len(expected) > 10
+    assert report.ok is False
+    assert report.violations == expected
+    graded = {
+        i: sym(2, 2, {m: c for m, c in s.terms.items() if p_degree(m) == i + 1})
+        for i, s in orders.items()
+    }
+    assert check_grading(FormalSeries(2, 2, graded)).ok
+
+
 def test_substitute_binomial():
     f = sym(1, 2, {((p_key(1, 1), 2),): 1})
     image = var(p_key(1, 1), 1, 2) + var(p_key(2, 1), 1, 2)

@@ -4,8 +4,10 @@
 run counts as correct only if every tracer target resolves, no operation
 fails and every span's result can be measured; here a ``Tracer`` is installed
 on the imported ``gfoperad`` modules, one small ``compose``, one small
-``solve`` and the ``solve_quadratic`` workload's solve (alpha^{12} = x1^2 to
-order 6) run through ``cli.main``, and the originals are put back.  A renamed
+``solve`` and the base inputs of the ``solve_quadratic`` and ``solve_so3``
+workloads (alpha^{12} = x1^2 to order 6, so(3) to order 4) run through
+``cli.main``, each traced output is compared with its untraced bytes, and
+the originals are put back.  A renamed
 target, or an ``elementary_function`` whose result is not a ``PolySymbol``
 (the tracer counts ``len(result.terms)``), fails here.
 """
@@ -53,7 +55,7 @@ def gfoperad_modules() -> dict:
 
 
 def write_inputs(directory: Path) -> list:
-    """The argv of one compose and two solves, on inputs written to ``directory``."""
+    """The argv of one compose and three solves, on inputs written to ``directory``."""
     rng = random.Random(3)
     paths = {}
     for name, arity in (("outer", 2), ("inner_a", 2), ("inner_b", 1)):
@@ -73,7 +75,8 @@ def write_inputs(directory: Path) -> list:
         "--out", str(directory / "solved.json"),
     ]
     quadratic_argv, _ = golden_solve_argv(directory, "quadratic")
-    return [compose_argv, solve_argv, quadratic_argv]
+    so3_argv, _ = golden_solve_argv(directory, "so3")
+    return [compose_argv, solve_argv, quadratic_argv, so3_argv]
 
 
 def test_every_tracer_target_resolves_and_a_traced_run_completes(tmp_path):
@@ -96,8 +99,9 @@ def test_every_tracer_target_resolves_and_a_traced_run_completes(tmp_path):
     finally:
         tracer.restore()
     assert operad.elementary_function is original
-    # the base input of the solve_quadratic workload keeps its golden bytes traced
+    # the base inputs of the solve workloads keep their golden bytes traced
     assert hashlib.sha256(untraced[2]).hexdigest() == GOLDEN["quadratic"][2]
+    assert hashlib.sha256(untraced[3]).hexdigest() == GOLDEN["so3"][2]
 
     called = {tracer.names[name_id] for name_id in tracer.name_of}
     assert [name for name in EXPECTED_SPANS if name not in called] == []
