@@ -14,16 +14,17 @@ orders absent from a series act as the zero function.
 An :class:`Expansion` packs every input order it can read once, into the
 process's shared :class:`~gfoperad.symbols.PackedLayout` of its shape and
 field width, and moves each series' p-blocks while packing.  Every DC_t and
-every contraction then works on packed polynomials, and each C_t is decoded
-once, to a ``PolySymbol``, through chunk memos that all C_t of the expansion
-share.
+every contraction then works on packed polynomials, and each C_t leaves
+undecoded, as a :class:`~gfoperad.symbols.PackedPolynomial`: ``compose`` sums
+the trees of one weight and applies its base point on the packed keys, and
+decodes once per weight.
 """
 
 from __future__ import annotations
 
 from gfoperad.symbols import (
     FormalSeries,
-    PolySymbol,
+    PackedPolynomial,
     add_scaled,
     contracted_gradient,
     directional_contract,
@@ -50,15 +51,10 @@ class Expansion:
 
     The layout comes from :func:`~gfoperad.symbols.packed_layout`, so it is
     shared with every other expansion and base point of its shape and field
-    width in the process, and nothing here mutates it.  The expansion owns one
-    triple of decoder chunk memos, ``decode_memos``: every C_t that
-    :func:`elementary_function` decodes from it shares them, and they go
-    with the expansion.
+    width in the process, and nothing here mutates it.
     """
 
-    __slots__ = (
-        "layout", "max_weight", "black", "whites", "x_fields", "p_fields", "memo", "decode_memos"
-    )
+    __slots__ = ("layout", "max_weight", "black", "whites", "x_fields", "p_fields", "memo")
 
     def __init__(
         self, black: FormalSeries, whites: tuple, max_weight: int, p_block: int = 1, offsets=None
@@ -84,7 +80,6 @@ class Expansion:
             [p_key(p_block + k, i) for k in range(len(whites)) for i in range(1, dim + 1)]
         )
         self.memo = {}
-        self.decode_memos = ({}, {}, {})
 
     def contractions(self, t, children):
         """The (order, directions, fields) of each contraction at the root of ``t``."""
@@ -112,8 +107,9 @@ class Expansion:
         return result
 
 
-def elementary_function(t, expansion: Expansion) -> PolySymbol:
-    """C_t: the scalar a tree encodes; root-independent on unrooted classes."""
+def elementary_function(t, expansion: Expansion) -> PackedPolynomial:
+    """C_t: the scalar a tree encodes, root-independent on unrooted classes,
+    packed in the expansion's layout; ``.decode()`` gives the symbol."""
     if isinstance(t, TopTree):
         t = t.canonical
     if t.total_weight > expansion.max_weight:
@@ -127,4 +123,4 @@ def elementary_function(t, expansion: Expansion) -> PolySymbol:
     for part in parts[1:]:
         num, other = directional_contract(layout, *part)
         den = add_scaled(total, den, num.items(), 1, other)
-    return layout.decode(total, den, expansion.decode_memos)
+    return PackedPolynomial(layout, total, den)

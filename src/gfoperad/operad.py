@@ -22,7 +22,6 @@ arity-n function with inner functions of arities k_1..k_n is done two ways:
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import lru_cache
 from itertools import groupby
 from operator import attrgetter
@@ -32,8 +31,10 @@ from gfoperad.symbols import (
     FormalSeries,
     PolySymbol,
     ShapeError,
+    add_scaled,
     check_grading,
     p_key,
+    packed_base_point,
     series_eval,
     x_key,
 )
@@ -178,10 +179,15 @@ def compose(
     once, with its p-blocks offset as it packs, slot b's inner p-blocks to
     blocks offset_b+1..offset_b+k_b, its output numbers, and the outer's p_b
     to block K+b.  Every contraction runs on the packed orders, and each C_t
-    is decoded once.  The trees of one total weight are summed by one
-    ``PolySymbol.linear_combination``, and at the base point one ``map_blocks``
-    per weight sends block K+b to the sum of slot b's inner blocks (one block
-    for arity 1, zero for arity 0).
+    stays packed.  The trees of one total weight are summed on the packed
+    keys, each C_t at 1/sigma(t), and the base point,
+    :func:`~gfoperad.symbols.packed_base_point`, sends block K+b of that sum
+    to the sum of slot b's inner blocks (one block for arity 1, zero for
+    arity 0), still on packed keys.  Each weight is then decoded once, into
+    the K-block layout.  When the inputs are graded, the grading closure is
+    checked on the packed sums before the decode, one multiply per key
+    (``PackedLayout.p_degrees``); a violation raises ``AssertionError`` with
+    the first three violations that ``check_grading`` reports.
 
     The private ``_min_weight`` skips the trees of smaller total weight, so
     the orders below it come out zero; ``obstruction`` and ``invert_morphism``
@@ -199,17 +205,16 @@ def compose(
         return GenFunction(0, d, outer.deformation.truncate(order))
 
     K = sum(g.arity for g in inners)
-    blocks = K + n
     inputs_graded = check_grading(outer.deformation).ok and all(
         check_grading(g.deformation).ok for g in inners
     )
 
     offsets = []
-    base_point = {}
+    slots = []
     offset = 0
-    for b, g in enumerate(inners, start=1):
+    for g in inners:
         offsets.append(offset)
-        base_point[K + b] = [(offset + l, 1) for l in range(1, g.arity + 1)]
+        slots.append(range(offset + 1, offset + g.arity + 1))
         offset += g.arity
     black = outer.deformation.truncate(order)
     whites = tuple(g.deformation.truncate(order) for g in inners)
@@ -227,23 +232,28 @@ def compose(
     trees = select_trees(order, bounds)
     expansion = Expansion(black, whites, order, K + 1, offsets)
 
-    def weighted(group):
-        for top in group:
-            yield Fraction(1, symmetry_coefficient(top)), elementary_function(top, expansion)
-
+    result_orders = {}
+    graded = True
     # the trees come sorted by total weight, so each weight is one group
-    result_orders = {
-        weight: PolySymbol.linear_combination(d, blocks, weighted(group)).map_blocks(base_point, K)
-        for weight, group in groupby(trees, key=attrgetter("total_weight"))
-        if weight >= _min_weight
-    }
+    for weight, group in groupby(trees, key=attrgetter("total_weight")):
+        if weight < _min_weight:
+            continue
+        num, den = {}, 1
+        for top in group:
+            ct = elementary_function(top, expansion)
+            if ct.numerators:
+                sigma = symmetry_coefficient(top)
+                den = add_scaled(num, den, ct.numerators.items(), 1, sigma * ct.denominator)
+        layout, num = packed_base_point(expansion.layout, num, slots)
+        # grading closure: graded inputs must compose to a graded result
+        if inputs_graded and not layout.p_degrees(num) <= {weight + 1}:
+            graded = False
+        result_orders[weight] = layout.decode(num, den)
 
     series = FormalSeries(d, K, result_orders, graded=True)
-    if inputs_graded:
-        # grading closure: graded inputs must compose to a graded result
+    if not graded:
         report = check_grading(series)
-        if not report.ok:
-            raise AssertionError(f"composition broke the grading: {report.violations[:3]}")
+        raise AssertionError(f"composition broke the grading: {report.violations[:3]}")
     return GenFunction(K, d, series)
 
 

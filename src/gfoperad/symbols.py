@@ -44,10 +44,12 @@ writes each monomial of a shape as one int, a bit field per variable, with an
 encoder from symbols, a decoder back to them, and a derivative that is a shift,
 a mask and a subtraction; :func:`packed_layout` builds each layout once per
 process.  Packed polynomials are (``{int: int}``, denominator) pairs summed by
-the same row helpers.  Two paths run on it: the multinomial path of
-``map_blocks``, and the tree expansion of ``compose``, whose
-contractions :func:`directional_contract` and :func:`contracted_gradient` take
-and return packed polynomials.
+the same row helpers; :class:`PackedPolynomial` carries one with its layout,
+undecoded.  Two paths run on it.  ``compose`` expands its trees on it, with the
+contractions :func:`directional_contract` and :func:`contracted_gradient`,
+sums each weight's trees and applies its base point,
+:func:`packed_base_point`, on the packed keys, and decodes once per weight.
+The multinomial path of ``map_blocks`` serves the maps that merge blocks.
 
 :class:`FormalSeries` collects an order-indexed family of symbols.  A graded
 series of arity n keeps its order-i term homogeneous of p-degree i+1, which is
@@ -520,17 +522,18 @@ class PolySymbol:
 
         An empty row sets block b to zero, a block absent from ``rows`` keeps
         its variables, and the result has ``blocks`` p-blocks.  Every structure
-        condition, the opposite product and the base point of ``compose`` are
-        such maps, and so is each face of the coboundary, which the library
-        sums in closed form instead (``deformation``).  A source block outside
+        condition and the opposite product are such maps.  So are the base
+        point of ``compose``, which runs on packed keys instead
+        (:func:`packed_base_point`), and each face of the coboundary, which
+        the library sums in closed form (``deformation``).  A source block outside
         1..self.blocks, a target block outside 1..blocks or a kept variable
         outside the result shape raises :class:`ShapeError`; a block or a
         coefficient that is not an int (bools, floats and Fractions are not)
         raises ``ValueError``.  The coefficients are ints, so the denominator
         passes through unchanged.
 
-        This is the kernel's one change of variables.  It has three paths,
-        chosen from the rows alone, and each resolves every (variable,
+        This is the kernel's one change of variables on symbols.  It has three
+        paths, chosen from the rows alone, and each resolves every (variable,
         exponent) once per call.  A map that renames no block (every row b is
         [(b, 1)], or there are no rows) into a shape of at least self.blocks
         blocks copies the numerators.  An injective relabelling (every row has
@@ -541,9 +544,9 @@ class PolySymbol:
         monomial sent to zero still has its kept variables checked, so every
         path raises the same errors.
 
-        Every other map, with rows of two or more targets (the base point of
-        ``compose``, the merging faces) or blocks that merge (S(p, -p, x)),
-        takes the multinomial path on the shared :func:`packed_layout` of the
+        Every other map, with rows of two or more targets or blocks that merge
+        (S(p, -p, x) of ``check_sgs``, the one such library call), takes the
+        multinomial path on the shared :func:`packed_layout` of the
         result shape with D = :meth:`degree`: a linear map in p keeps each
         monomial's total degree, so no exponent of an image exceeds D and no
         field overflows into the next.  A mapped power expands in closed form
@@ -712,10 +715,12 @@ class PackedLayout:
     and a positive denominator; the row helpers (:func:`accumulate`,
     :func:`add_scaled`) sum it as they sum a symbol's numerators, and the
     common factor is divided out only by :meth:`decode`.  The layout is used
-    by the multinomial path of :meth:`PolySymbol.map_blocks` and by the tree
-    expansion of ``compose`` (``elementary.Expansion``), whose contractions
-    :func:`directional_contract` and :func:`contracted_gradient` work on
-    packed polynomials.
+    by the multinomial path of :meth:`PolySymbol.map_blocks` and by the whole
+    pipeline of ``compose``: its tree expansion (``elementary.Expansion``,
+    whose contractions :func:`directional_contract` and
+    :func:`contracted_gradient` work on packed polynomials), its tree sums,
+    its base point (:func:`packed_base_point`) and its grading check
+    (:meth:`p_degrees`).
 
     A layout depends only on (dim, blocks, width), and nothing mutates one
     once it is built, so the library takes each from :func:`packed_layout`,
@@ -777,7 +782,25 @@ class PackedLayout:
             num[key] = coeff
         return num, sym._den
 
-    def decode(self, num: dict, den: int, memos=None) -> PolySymbol:
+    def p_degrees(self, num) -> set:
+        """The p-degrees of the keys of the packed numerators ``num``, one multiply per key.
+
+        A key's p-fields times the word with a 1 in the lowest bit of every
+        p-field hold the running sums of its p-exponents, lowest field first,
+        and the top p-field holds their total.  No carry crosses a field as
+        long as no monomial's p-degree exceeds the layout's degree, which the
+        expansion of ``compose`` and its base point guarantee for every total
+        degree.
+        """
+        p_fields = self.blocks * self.dim
+        width = self.width
+        p_mask = (1 << width * p_fields) - 1
+        ones = sum(1 << width * field for field in range(p_fields))
+        top = width * max(p_fields - 1, 0)
+        mask = self.mask
+        return {((key & p_mask) * ones) >> top & mask for key in num}
+
+    def decode(self, num: dict, den: int) -> PolySymbol:
         """The symbol ``num / den`` of this shape, from a packed polynomial.
 
         ``num`` is emptied as it is read, so its packed terms are freed while
@@ -785,15 +808,12 @@ class PackedLayout:
         Each key splits into three chunks, the fields of the lower half of the
         p-blocks, of the upper half and of x; each is decoded lowest field
         first, so the monomial comes out sorted, through one memo per chunk.
-        A C_t's monomials share their halves far more often than their whole
-        p-parts.  ``memos`` is a triple of dicts (low, high, x) that the
-        caller owns and passes to every decode that should share them, as an
-        ``elementary.Expansion`` does for the C_t of one compose; without it
-        each call has memos of its own.  The layout itself keeps no memo, so
-        a shared layout retains nothing between calls.  A p-chunk memo is
-        emptied whenever it reaches ``_PART_MEMO_SIZE`` entries: a large base
-        point can have as many distinct chunks as terms, and memos that kept
-        them all would hold a second copy of the result.
+        The monomials of a sum share their halves far more often than their
+        whole p-parts.  The memos are the call's own, and the layout keeps
+        none, so a shared layout retains nothing between calls.  A p-chunk
+        memo is emptied whenever it reaches ``_PART_MEMO_SIZE`` entries: a
+        large base point can have as many distinct chunks as terms, and memos
+        that kept them all would hold a second copy of the result.
         """
         width, mask, pairs = self.width, self.mask, self._pairs
 
@@ -811,7 +831,7 @@ class PackedLayout:
         mid_shift, x_shift = width * mid_field, width * x_field
         low_mask = (1 << mid_shift) - 1
         high_mask = (1 << (x_shift - mid_shift)) - 1
-        lows, highs, xs = ({}, {}, {}) if memos is None else memos
+        lows, highs, xs = {}, {}, {}
         out = {}
         pop = num.popitem
         while num:
@@ -836,6 +856,32 @@ class PackedLayout:
         return PolySymbol.from_numerators(self.dim, self.blocks, out, den)
 
 
+class PackedPolynomial:
+    """A packed polynomial of one :class:`PackedLayout`, not yet decoded.
+
+    ``numerators`` maps each packed key to a nonzero int over the positive
+    ``denominator``, whose common factor with them is not divided out; the
+    row helpers sum them as they stand.  :attr:`terms` is a read-only view
+    with one entry per term, and :meth:`decode` gives the symbol.
+    """
+
+    __slots__ = ("layout", "numerators", "denominator")
+
+    def __init__(self, layout: PackedLayout, numerators: dict, denominator: int):
+        self.layout = layout
+        self.numerators = numerators
+        self.denominator = denominator
+
+    @property
+    def terms(self):
+        """The read-only ``{key: numerator}`` view, one entry per term; it builds no ``Fraction``."""
+        return MappingProxyType(self.numerators)
+
+    def decode(self) -> PolySymbol:
+        """The symbol of this polynomial; the packed numerators stay as they are."""
+        return self.layout.decode(dict(self.numerators), self.denominator)
+
+
 _shared_layout = lru_cache(maxsize=None)(PackedLayout)
 
 
@@ -850,6 +896,75 @@ def packed_layout(dim: int, blocks: int, degree: int) -> PackedLayout:
     degrees grow with the order, share a few layouts.
     """
     return _shared_layout(dim, blocks, (1 << degree.bit_length()) - 1)
+
+
+def _chunk_image(chunk, rows, width, mask):
+    """The image of a chunk of packed fields whose field k maps to the sum of ``rows[k]``."""
+    image = [(0, 1)]
+    field = 0
+    while chunk:
+        exp = chunk & mask
+        if exp:
+            power = _expand_power(rows[field], exp)
+            image = [(k + m, c * e) for k, c in image for m, e in power]
+        chunk >>= width
+        field += 1
+    return image
+
+
+def packed_base_point(layout: PackedLayout, num: dict, slots) -> tuple:
+    """The base point of ``compose`` on packed keys: (the K-block layout, its numerators).
+
+    ``layout`` has K + n p-blocks, n = len(slots), and ``slots[b - 1]`` lists
+    the blocks among 1..K onto whose sum p[K+b] is mapped: p[K+b][i] becomes
+    sum(p[t][i] for t in slots[b - 1]).  Blocks 1..K keep their fields, and
+    the x fields move down by n*dim fields, into :func:`packed_layout` of
+    (dim, K) and the same field width.  A power of an outer field expands by
+    the multinomial theorem (:func:`_expand_power`); a slot of one block adds
+    one shift, and an empty slot drops every term that holds its block.  The
+    fields of one outer block form a chunk of the key, and each distinct chunk
+    of a block is expanded once per call, through a memo per block (a memo of
+    whole outer parts would hold about as many image terms as a large
+    result).  Equal image keys are summed; the coefficients are ints, so the
+    denominator passes through unchanged.
+
+    The map is linear in p, so every monomial keeps its total degree.  The
+    caller's layout degree bounds it (``compose`` passes the expansion's
+    layout, whose degree max_weight * D bounds the total degree of every
+    C_t), so no field of an image reaches the spare bit.  ``num`` is emptied
+    as it is read, so its terms are freed while the image is built.
+    """
+    dim, width, mask = layout.dim, layout.width, layout.mask
+    kept = layout.blocks - len(slots)
+    out = packed_layout(dim, kept, mask >> 1)
+    block_width = width * dim
+    outer_shift = block_width * kept
+    x_shift = block_width * layout.blocks
+    low_mask = (1 << outer_shift) - 1
+    chunk_mask = (1 << block_width) - 1
+    # per outer block: the shift of its chunk, the row of each of its fields, its memo of images
+    parts = [
+        (
+            outer_shift + block_width * b,
+            [[(1 << out.shift[p_key(t, i)], 1) for t in slot] for i in range(1, dim + 1)],
+            {},
+        )
+        for b, slot in enumerate(slots)
+    ]
+    acc = {}
+    pop = num.popitem
+    while num:
+        key, coeff = pop()
+        terms = [((key & low_mask) + (key >> x_shift << outer_shift), coeff)]
+        for shift, rows, images in parts:
+            chunk = key >> shift & chunk_mask
+            if chunk:
+                image = images.get(chunk)
+                if image is None:
+                    image = images[chunk] = _chunk_image(chunk, rows, width, mask)
+                terms = [(k + m, c * e) for k, c in terms for m, e in image]
+        accumulate(acc, terms)
+    return out, acc
 
 
 # -- directional contraction ---------------------------------------------------

@@ -20,7 +20,10 @@ from gfoperad.symbols import (
     ShapeError,
     contracted_gradient,
     directional_contract,
+    monomial_p_degree,
     p_key,
+    packed_base_point,
+    packed_layout,
     x_key,
 )
 from test_symbols import packed_contraction
@@ -323,6 +326,82 @@ def test_base_points_match_the_reference(case):
     result = a.map_blocks(rows, blocks)
     assert (result.dim, result.blocks) == (a.dim, blocks)
     assert_matches(result, ref.map_blocks(dict(a.terms), rows))
+
+
+def at_the_field_bound(draw, variables, degree) -> PolySymbol:
+    """Terms of total degree <= ``degree`` in ``variables``: a few drawn ones, and
+    two of degree ``degree``, one a power of one variable and one spread over
+    several, so that one field, or one running sum of fields, holds a whole degree."""
+    dim = variables[-1][1]
+    blocks = max((v[1] for v in variables if v[0] == "p"), default=0)
+
+    def monomial(picks):
+        powers = {}
+        for var in picks:
+            powers[var] = powers.get(var, 0) + 1
+        return tuple(sorted(powers.items()))
+
+    picks = st.lists(st.sampled_from(variables), max_size=degree)
+    terms = {monomial(p): c for p, c in draw(st.lists(st.tuples(picks, COEFFS), max_size=4))}
+    terms[monomial([draw(st.sampled_from(variables))] * degree)] = draw(COEFFS.filter(bool))
+    spread = st.lists(st.sampled_from(variables), min_size=degree, max_size=degree)
+    terms[monomial(draw(spread))] = draw(COEFFS.filter(bool))
+    return PolySymbol(dim, blocks, terms)
+
+
+@st.composite
+def packed_base_points(draw):
+    """(symbol, slots, degree) in the shape of compose's packed base point: slot
+    arities among 0..3, so a slot may drop its outer block, shift it to one block
+    or expand it over two or three, and a symbol of shape (d, K + n) whose total
+    degree reaches the layout's degree, at a field-width boundary."""
+    dim = draw(st.sampled_from([2, 3]))
+    arities = draw(st.lists(st.integers(0, 3), min_size=1, max_size=3))
+    slots, offset = [], 0
+    for arity in arities:
+        slots.append(range(offset + 1, offset + arity + 1))
+        offset += arity
+    blocks = offset + len(slots)
+    variables = [p_key(b, i) for b in range(1, blocks + 1) for i in range(1, dim + 1)]
+    variables += [x_key(i) for i in range(1, dim + 1)]
+    degree = draw(st.sampled_from(BOUNDARY_DEGREES))
+    return at_the_field_bound(draw, variables, degree), slots, degree
+
+
+@SETTINGS
+@given(packed_base_points())
+def test_the_packed_base_point_matches_the_reference(case):
+    a, slots, degree = case
+    kept = a.blocks - len(slots)
+    layout = packed_layout(a.dim, a.blocks, degree)
+    num, den = layout.encode(a)
+    out, image = packed_base_point(layout, num, slots)
+    assert not num  # read and emptied
+    assert (out.dim, out.blocks, out.width) == (a.dim, kept, layout.width)
+    rows = {kept + b: [(t, 1) for t in slot] for b, slot in enumerate(slots, start=1)}
+    assert_matches(out.decode(image, den), ref.map_blocks(dict(a.terms), rows))
+
+
+@st.composite
+def p_degree_cases(draw):
+    """A symbol of shape (d, blocks) whose total degree reaches its layout's degree."""
+    dim = draw(st.sampled_from([1, 2, 3]))
+    blocks = draw(st.integers(0, 3))
+    variables = [p_key(b, i) for b in range(1, blocks + 1) for i in range(1, dim + 1)]
+    variables += [x_key(i) for i in range(1, dim + 1)]
+    degree = draw(st.sampled_from(BOUNDARY_DEGREES))
+    return at_the_field_bound(draw, variables, degree), degree
+
+
+@SETTINGS
+@given(p_degree_cases())
+def test_packed_p_degrees_match_monomial_p_degree_at_the_field_bound(case):
+    a, degree = case
+    layout = PackedLayout(a.dim, a.blocks, degree)
+    for mono in a.numerators:
+        num, _ = layout.encode(PolySymbol(a.dim, a.blocks, {mono: 1}))
+        assert layout.p_degrees(num) == {monomial_p_degree(mono)}
+    assert layout.p_degrees(layout.encode(a)[0]) == {monomial_p_degree(m) for m in a.numerators}
 
 
 #: (rows, blocks, error, text) of the multi-target path on one symbol: the zero row

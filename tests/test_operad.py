@@ -286,7 +286,7 @@ def evaluated(monkeypatch):
 
     def recording(top, *args):
         value = real(top, *args)
-        trees.append((top, value.is_zero()))
+        trees.append((top, not value.terms))
         return value
 
     monkeypatch.setattr(operad, "elementary_function", recording)
@@ -306,6 +306,54 @@ def colour_and_weight_selection(outer, inners, order, min_weight=1):
         for w, s in g.deformation.truncate(order).orders.items():
             bounds[WHITE, w] = max(bounds.get((WHITE, w), 0), s.max_x_degree())
     return [t for t in select_trees(order, bounds) if t.total_weight >= min_weight]
+
+
+def packed_functions(monkeypatch) -> list:
+    """Every C_t that ``compose`` expands from now on, as ``elementary_function`` returns it."""
+    values = []
+    real = operad.elementary_function
+
+    def recording(top, *args):
+        values.append(real(top, *args))
+        return values[-1]
+
+    monkeypatch.setattr(operad, "elementary_function", recording)
+    return values
+
+
+def mixed_composition(seed: int, order: int = 4):
+    rng = random.Random(seed)
+    outer = wrap(random_graded_series(rng, 2, 2, range(1, order + 1), 2, 3))
+    inners = [wrap(random_graded_series(rng, k, 2, range(1, order + 1), 2, 3)) for k in (2, 1)]
+    return outer, inners
+
+
+def test_each_packed_c_t_counts_the_terms_of_its_decode(monkeypatch):
+    # the benchmark tracer counts len(result.terms) of every C_t before any decode
+    values = packed_functions(monkeypatch)
+    compose(*mixed_composition(11), 4)
+    assert any(value.terms for value in values)
+    for value in values:
+        packed = dict(value.numerators)
+        assert len(value.terms) == len(value.decode().terms)
+        assert value.numerators == packed  # the decode leaves the packed terms intact
+
+
+def test_a_result_off_the_grading_raises_with_the_report_of_check_grading(monkeypatch):
+    # add the constant 1 to every C_t: each order of the result gains a term of p-degree 0
+    real = operad.elementary_function
+
+    def with_a_constant(top, *args):
+        value = real(top, *args)
+        value.numerators[0] = value.numerators.get(0, 0) + value.denominator
+        return value
+
+    monkeypatch.setattr(operad, "elementary_function", with_a_constant)
+    with pytest.raises(AssertionError) as raised:
+        compose(*mixed_composition(11), 3)
+    assert str(raised.value) == (
+        "composition broke the grading: [(1, '1', 0), (2, '1', 0), (3, '1', 0)]"
+    )
 
 
 def test_quadratic_trees_that_vanish_by_component_are_not_expanded(tmp_path, evaluated):

@@ -8,8 +8,10 @@ on the imported ``gfoperad`` modules, one small ``compose``, one small
 workloads (alpha^{12} = x1^2 to order 6, so(3) to order 4) run through
 ``cli.main``, each traced output is compared with its untraced bytes, and
 the originals are put back.  A renamed
-target, or an ``elementary_function`` whose result is not a ``PolySymbol``
-(the tracer counts ``len(result.terms)``), fails here.
+target, or an ``elementary_function`` whose result carries no sized ``terms``
+(the tracer counts ``len(result.terms)``), fails here.  ``compose`` keeps
+each C_t packed, so the tracer's count of each one must equal the term count
+of its decode.
 """
 
 import hashlib
@@ -79,7 +81,7 @@ def write_inputs(directory: Path) -> list:
     return [compose_argv, solve_argv, quadratic_argv, so3_argv]
 
 
-def test_every_tracer_target_resolves_and_a_traced_run_completes(tmp_path):
+def test_every_tracer_target_resolves_and_a_traced_run_completes(tmp_path, monkeypatch):
     tracing = load_tracer()
     commands = write_inputs(tmp_path)
     untraced = []
@@ -87,6 +89,15 @@ def test_every_tracer_target_resolves_and_a_traced_run_completes(tmp_path):
         assert cli.main(argv) == 0
         untraced.append(Path(argv[-1]).read_bytes())
 
+    # every C_t of the traced runs, in call order, under the tracer's wrapper
+    functions = []
+    real = operad.elementary_function
+
+    def recorded(*args):
+        functions.append(real(*args))
+        return functions[-1]
+
+    monkeypatch.setattr(operad, "elementary_function", recorded)
     original = operad.elementary_function
     tracer = tracing.Tracer()
     try:
@@ -105,8 +116,9 @@ def test_every_tracer_target_resolves_and_a_traced_run_completes(tmp_path):
 
     called = {tracer.names[name_id] for name_id in tracer.name_of}
     assert [name for name in EXPECTED_SPANS if name not in called] == []
-    # every C_t the compose expanded was counted from a PolySymbol
+    # the tracer counted each packed C_t's terms as its decode holds them
     elementary = tracer.names.index("elementary.elementary_function")
     counts = [c for i, c in zip(tracer.name_of, tracer.count) if i == elementary]
     assert any(counts)
+    assert counts == [len(value.decode().terms) for value in functions]
 
